@@ -62,6 +62,7 @@ def minimize_power_residual(A: np.ndarray, b: np.ndarray, weights: np.ndarray,
     x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float) / scale
     dec = 0.0
     stages = 0
+    iterations = 0
     eps_levels: list[float] = []
     eps = 0.1
     while eps > eps_rel:
@@ -72,6 +73,7 @@ def minimize_power_residual(A: np.ndarray, b: np.ndarray, weights: np.ndarray,
         stages += 1
         e2 = eps * eps
         for _ in range(stage_iter):
+            iterations += 1
             r = bs - A @ x
             s2 = r * r + e2
             base = s2 ** (e / 2.0 - 1.0)
@@ -101,7 +103,7 @@ def minimize_power_residual(A: np.ndarray, b: np.ndarray, weights: np.ndarray,
     r = bs - A @ x
     f_final = float(w @ (r * r + eps_levels[-1] ** 2) ** (e / 2.0))
     if dec > 1e-6 * (1.0 + abs(f_final)):
-        raise NonConvergenceError(dec, stages * stage_iter,
+        raise NonConvergenceError(dec, iterations,
                                   decrement_tol * (1.0 + abs(f_final)))
     value = float(w @ np.abs(r) ** e) * scale ** e
     return PowerSolveResult(x * scale, value, dec, stages)

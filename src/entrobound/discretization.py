@@ -2,25 +2,29 @@
 
 A subspace of functions on finitely many weighted points is given by a
 basis that is orthonormal in the weighted inner product.  This module
-computes its reproducing kernel, the uniform-norm constant
+computes its reproducing kernel and the uniform-norm constant
 
     M_p = sup { ||f||_inf / ||f||_{L_p(mu)} : f in the subspace }
 
-by two independent routes (direct maximization per point, and the dual
-distance-to-complement problem whose agreement is the classical
-duality test), builds the pointwise-evaluation dictionary w_j / g_j
-for a chosen set of sample points, and verifies the resulting transfer
-inequality  max_j |f(x^j)| <= 2 M_p max_j |<f, g_j>|  on random
-subspace elements.  ``it1_experiment`` chains everything into an
-entropy profile of the unit L_p ball of the subspace measured in the
-max-over-sample-points seminorm, compared against the
-(log(2n/k)/k)^(1/p) envelope.
+by two independent routes: direct maximization per point, and the dual
+distance-to-complement problem, whose agreement is the classical
+duality test.  The direct route also builds the pointwise-evaluation
+dictionary w_j / g_j for a chosen set of sample points: the extremal
+function of each direct solve gives the Hahn-Banach representer of
+evaluation, and one projection onto the subspace makes it reproduce
+evaluation to round-off.  The dual route stays the cross-check.  The
+module verifies the resulting transfer inequality
+max_j |f(x^j)| <= 2 M_p max_j |<f, g_j>|  on random subspace elements.
+``it1_experiment`` chains everything into an entropy profile of the
+unit L_p ball of the subspace measured in the max-over-sample-points
+seminorm, compared against the (log(2n/k)/k)^(1/p) envelope.
 
 Both inner problems are convex for p in [2, inf): the direct problem
-minimizes a p-th power over an affine slice of coefficients, the dual
-one a p'-th power over the orthogonal complement (p' in (1, 2]).  Both
-use the shared smoothed-Newton solver; p = 2 short-circuits to closed
-forms.
+minimizes a p-th power over an affine slice of coefficients (d - 1
+unknowns for a d-dimensional subspace), the dual one a p'-th power
+over the orthogonal complement (N - d unknowns on N points, p' in
+(1, 2]).  Both use the shared smoothed-Newton solver; p = 2
+short-circuits to closed forms, where w_j is the kernel row D(x^j, .).
 """
 
 from __future__ import annotations
@@ -66,6 +70,10 @@ __all__ = [
 ]
 
 _GRAM_TOL = 1e-10
+# decrement target of the direct solves behind the evaluation dictionary:
+# the representer inherits the extremal's error at about the square root
+# of the decrement, while the point value's error is of its order
+_REPRESENTER_TOL = 1e-15
 
 
 def _validate_p(p: float) -> None:
@@ -84,6 +92,8 @@ class MeasureSpace:
         object.__setattr__(self, "weights", w)
         if w.ndim != 1 or w.size == 0:
             raise ValueError("weights must be a nonempty vector")
+        if not np.all(np.isfinite(w)):
+            raise ValueError("weights must be finite")
         if np.any(w <= 0):
             raise ValueError("weights must be strictly positive")
         if abs(w.sum() - 1.0) > 1e-12:
@@ -134,6 +144,8 @@ class Subspace:
         object.__setattr__(self, "basis", basis)
         if basis.ndim != 2:
             raise ValueError("basis must be a matrix (points x functions)")
+        if not np.all(np.isfinite(basis)):
+            raise ValueError("basis must be finite")
         if basis.shape[0] != self.measure.size:
             raise DimensionMismatchError(self.measure.size, basis.shape[0],
                                          "basis rows")
@@ -219,22 +231,28 @@ def dirichlet_kernel(sub: Subspace) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # the uniform-norm constant, two ways
 
-def _direct_point_value(sub: Subspace, x: int, p: float,
-                        tol: float) -> float:
-    """max { f(x) : f in the subspace, ||f||_p <= 1 }."""
+def _direct_point_solve(sub: Subspace, x: int, p: float,
+                        tol: float) -> tuple[float, np.ndarray | None]:
+    """max { f(x) : f in the subspace, ||f||_p <= 1 }, with the extremal f*.
+
+    f* = B(c0 + Z y*) minimizes ||f||_p over subspace elements with
+    f(x) = 1, so the point value is 1 / ||f*||_p.  f* is None when
+    every subspace element vanishes at x.
+    """
     a = sub.basis[x]
     scale = float(np.linalg.norm(a))
     if scale == 0.0:
-        return 0.0
+        return 0.0, None
     B = sub.basis
     mu = sub.measure.weights
     c0 = a / scale ** 2
     Z = null_space(a[None, :])
     if Z.shape[1] == 0:  # one-dimensional subspace
-        return 1.0 / sub.measure.norm(B @ c0, p)
+        f = B @ c0
+        return 1.0 / sub.measure.norm(f, p), f
     # minimal ||f||_p^p over the slice f = B(c0 + Zy), via the residual form
     res = minimize_power_residual(B @ Z, -(B @ c0), mu, p, decrement_tol=tol)
-    return float(res.value ** (-1.0 / p))
+    return float(res.value ** (-1.0 / p)), B @ (c0 + Z @ res.x)
 
 
 def m_p_direct(sub: Subspace, p: float, tol: float = 1e-9) -> float:
@@ -247,7 +265,7 @@ def m_p_direct(sub: Subspace, p: float, tol: float = 1e-9) -> float:
     _validate_p(p)
     if p == 2:
         return float(np.sqrt((sub.basis ** 2).sum(axis=1).max()))
-    return max(_direct_point_value(sub, x, p, tol)
+    return max(_direct_point_solve(sub, x, p, tol)[0]
                for x in range(sub.support_size))
 
 
@@ -330,17 +348,34 @@ class DiscretizationDictionary:
         return float(np.abs((mu * np.asarray(values, dtype=float)) @ self.atoms).max())
 
 
+def _representer(sub: Subspace, x: int, f: np.ndarray, p: float) -> np.ndarray:
+    """The evaluation representer at x built from the direct extremal f*.
+
+    w = |f*|^(p-2) f* / ||f*||_p^p is the Hahn-Banach representer, with
+    ||w||_{p'} = 1 / ||f*||_p; one projection w += B(B[x] - B^T(mu w))
+    removes the solver slack from the reproducing identity.
+    """
+    mu = sub.measure.weights
+    B = sub.basis
+    w = np.abs(f) ** (p - 2.0) * f / sub.measure.norm(f, p) ** p
+    return w + B @ (B[x] - B.T @ (mu * w))
+
+
 def build_discretization_dictionary(sub: Subspace, pts: SamplePointSet,
                                     p: float, tol: float = 1e-6
                                     ) -> DiscretizationDictionary:
-    """Assemble w_j = D(x^j, .) - v_j and g_j for the sample points.
+    """Assemble the evaluation representers w_j and g_j for the sample points.
 
-    v_j is the near-minimizer from the dual inner problem at x^j (zero
-    in the Hilbert case), so ||w_j||_{p'} equals the norm of the j-th
-    evaluation functional up to solver slack; the factor-2 certificate
-    absorbs that slack.  Both dictionary invariants are checked here:
-    the reproducing identity on the basis to 1e-8, and the norm bound
-    ||w_j||_{p'} <= 2 M_p + tol.
+    For p != 2 the direct route builds everything: one direct solve per
+    support point gives M_p as the largest point value, and at each
+    sample point x the extremal f* yields the Hahn-Banach representer
+    w = |f*|^(p-2) f* / ||f*||_p^p, whose L_{p'} norm is the norm of
+    the evaluation functional, followed by one projection that makes it
+    reproduce evaluation to round-off.  The dual distance-to-complement
+    route (``m_p_dual``) stays the independent cross-check.  For p = 2,
+    w_j is the kernel row D(x^j, .).  Both dictionary invariants are
+    checked here: the reproducing identity on the basis to 1e-8, and
+    the norm bound ||w_j||_{p'} <= 2 M_p + tol.
     """
     _validate_p(p)
     if np.any(pts.indices >= sub.support_size):
@@ -348,16 +383,20 @@ def build_discretization_dictionary(sub: Subspace, pts: SamplePointSet,
             f"sample points must index the {sub.support_size} support points")
     mu = sub.measure.weights
     pp = p / (p - 1.0)
-    m_p = m_p_dual(sub, p)
+    if p == 2:
+        m_p = m_p_dual(sub, p)
+        w_rows = [sub._kernel[x].copy() for x in pts.indices]
+    else:
+        solves = [_direct_point_solve(sub, x, p, _REPRESENTER_TOL)
+                  for x in range(sub.support_size)]
+        m_p = max(value for value, _ in solves)
+        w_rows = [np.zeros(sub.support_size) if solves[x][1] is None
+                  else _representer(sub, x, solves[x][1], p)
+                  for x in pts.indices]
 
-    w_rows, w_norms = [], []
-    for j, x in enumerate(pts.indices):
-        if p == 2:
-            w = sub._kernel[x].copy()
-            w_norm = sub.measure.norm(w, 2.0)
-        else:
-            w_norm, v = _dual_point_solve(sub, int(x), p, 1e-9)
-            w = sub._kernel[x] - v
+    w_norms = []
+    for j, (x, w) in enumerate(zip(pts.indices, w_rows)):
+        w_norm = sub.measure.norm(w, pp)
         if w_norm == 0.0:
             raise ValueError(
                 f"every subspace element vanishes at sample point {x}; "
@@ -365,7 +404,6 @@ def build_discretization_dictionary(sub: Subspace, pts: SamplePointSet,
         bound = 2.0 * m_p + tol
         if w_norm > bound:
             raise NormBoundError(j, w_norm, bound)
-        w_rows.append(w)
         w_norms.append(w_norm)
 
     w_vectors = np.stack(w_rows)

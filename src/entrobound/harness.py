@@ -157,6 +157,15 @@ _CONFIG_DEFAULTS: dict[str, dict] = {
 }
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return (isinstance(value, (int, float, np.integer, np.floating))
+            and not isinstance(value, bool) and math.isfinite(value))
+
+
 @dataclass
 class ExperimentConfig:
     """Declarative description of one experiment run.
@@ -190,7 +199,7 @@ class ExperimentConfig:
         for key, default in _CONFIG_DEFAULTS.get(self.experiment, {}).items():
             if values.get(key) is None:
                 values[key] = default
-        if values.get("k_list") is None and values.get("n") is not None:
+        if values.get("k_list") is None and _is_int(values.get("n")):
             lo = max(1, math.ceil(math.log2(max(values["n"], 2))))
             ks = sorted({lo, 2 * lo, 4 * lo, values["n"]})
             values["k_list"] = [k for k in ks if lo <= k <= values["n"]]
@@ -206,57 +215,62 @@ class ExperimentConfig:
             problems.append(f"seed: need a nonnegative integer, got {self.seed!r}")
         if self.format not in ("csv", "json"):
             problems.append(f"format: must be csv or json, got {self.format!r}")
+        if self.out is not None and not isinstance(self.out, str):
+            problems.append(f"out: must be a file path, got {self.out!r}")
 
         def need_q(lo=1.0, hi=float("inf")):
-            if self.q is None or not lo < self.q <= hi:
-                span = f"({lo}, {hi}]" if math.isfinite(hi) else f"q > {lo}"
+            if not _is_real(self.q) or not lo < self.q <= hi:
+                span = f"({lo}, {hi}]" if math.isfinite(hi) else f"finite q > {lo}"
                 problems.append(f"q: needs {span}, got {self.q!r}")
 
         def need_p():
-            if self.p is None or self.p < 2:
+            if not _is_real(self.p) or self.p < 2:
                 problems.append(
-                    f"p: the subspace and ball experiments require p >= 2, got {self.p!r}")
+                    "p: the subspace and ball experiments require a finite "
+                    f"p >= 2, got {self.p!r}")
 
         def need_pos(name, minimum=1):
             value = getattr(self, name)
-            if value is None or value < minimum:
+            if not _is_int(value) or value < minimum:
                 problems.append(f"{name}: need an integer >= {minimum}, got {value!r}")
 
-        def need_k_list(cap):
-            if not self.k_list:
-                problems.append("k_list: must be a nonempty list")
-            elif sorted(self.k_list) != list(self.k_list) or self.k_list[0] < 1:
-                problems.append(f"k_list: must be increasing and >= 1, got {self.k_list!r}")
-            elif cap is not None and self.k_list[-1] > cap:
+        def need_int_list(name, cap):
+            values = getattr(self, name)
+            if values is None and not _is_int(cap):
+                return  # derived from n, whose own problem is reported
+            if not isinstance(values, (list, tuple)) or not values:
+                problems.append(f"{name}: must be a nonempty list, got {values!r}")
+            elif not all(_is_int(v) for v in values):
+                problems.append(f"{name}: entries must be integers, got {values!r}")
+            elif sorted(values) != list(values) or values[0] < 1:
                 problems.append(
-                    f"k_list: entries must stay <= n = {cap}, got {self.k_list[-1]}")
+                    f"{name}: must be increasing and >= 1, got {values!r}")
+            elif _is_int(cap) and values[-1] > cap:
+                problems.append(
+                    f"{name}: entries must stay <= n = {cap}, got {values[-1]}")
 
         if self.experiment == "sigma-decay":
             need_q()
             need_pos("n")
             need_pos("samples")
-            if not self.m_list or sorted(self.m_list) != list(self.m_list) or self.m_list[0] < 1:
-                problems.append(f"m_list: must be increasing positive integers, got {self.m_list!r}")
-            elif self.n is not None and self.m_list[-1] > self.n:
-                problems.append(f"m_list: entries must stay <= n = {self.n}")
+            need_int_list("m_list", self.n)
         elif self.experiment == "ball-entropy":
             need_p()
             need_pos("n")
             need_pos("samples")
-            need_k_list(self.n)
+            need_int_list("k_list", self.n)
         elif self.experiment == "duality-check":
             need_q(1.0, 2.0)
             need_pos("n")
-            if self.n is not None and self.n > 12:
+            if _is_int(self.n) and self.n > 12:
                 problems.append(f"n: the duality check is budgeted for n <= 12, got {self.n}")
-            if self.m is None or self.m < 0:
-                problems.append(f"m: need an integer >= 0, got {self.m!r}")
+            need_pos("m", 0)
             need_pos("samples")
         elif self.experiment == "mp-duality":
             need_p()
             need_pos("subspace_dim")
             need_pos("support_size")
-            if (self.subspace_dim is not None and self.support_size is not None
+            if (_is_int(self.subspace_dim) and _is_int(self.support_size)
                     and self.subspace_dim > self.support_size):
                 problems.append("subspace_dim: must not exceed support_size")
             need_pos("trials")
@@ -265,17 +279,17 @@ class ExperimentConfig:
             need_pos("subspace_dim")
             need_pos("support_size")
             need_pos("n")
-            if (self.n is not None and self.support_size is not None
+            if (_is_int(self.n) and _is_int(self.support_size)
                     and self.n > self.support_size):
                 problems.append(
                     f"n: cannot sample {self.n} points from {self.support_size} support points")
-            need_k_list(self.n)
+            need_int_list("k_list", self.n)
             need_pos("samples")
         elif self.experiment == "it2-octahedron":
             need_q()
             need_pos("n")
             need_pos("samples")
-            need_k_list(self.n)
+            need_int_list("k_list", self.n)
         if problems:
             raise ConfigValidationError(problems)
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import linprog
@@ -85,6 +86,8 @@ class NormedSpaceSpec:
             w = np.asarray(self.weights, dtype=float)
             if w.shape != (self.dim,):
                 raise DimensionMismatchError(self.dim, w.shape, "weight vector")
+            if not np.all(np.isfinite(w)):
+                raise ValueError("weights must be finite")
             if np.any(w <= 0):
                 raise ValueError("weights must be strictly positive")
             if abs(float(w.sum()) - 1.0) > _WEIGHT_TOL:
@@ -220,6 +223,8 @@ class Dictionary:
             raise EmptyDictionaryError("dictionary needs at least one atom")
         if atoms.shape[0] != self.space.dim:
             raise DimensionMismatchError(self.space.dim, atoms.shape[0], "atom")
+        if not np.all(np.isfinite(atoms)):
+            raise ValueError("atoms must be finite")
         object.__setattr__(self, "atoms", atoms)
         for j in range(atoms.shape[1]):
             nj = norm(self.space, atoms[:, j])
@@ -232,6 +237,13 @@ class Dictionary:
 
     def atom(self, j: int) -> np.ndarray:
         return self.atoms[:, j]
+
+    @cached_property
+    def _range(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Rank-truncated SVD (U_r, s_r, V_r) of the atom matrix."""
+        U, s, Vt = np.linalg.svd(self.atoms, full_matrices=False)
+        rank = int((s > (s[0] if s.size else 0.0) * 1e-12).sum())
+        return U[:, :rank], s[:rank], Vt[:rank]
 
     def pairings(self, f_coeffs: np.ndarray) -> np.ndarray:
         """Vector of <F, g_j> for a functional coefficient vector."""
@@ -254,17 +266,14 @@ def canonical_dictionary(dim: int, q: float) -> Dictionary:
 
 def _l1_lp(f: np.ndarray, dictionary: Dictionary,
            span_tol: float) -> tuple[float, np.ndarray]:
-    G = dictionary.atoms
     f = _check_dim(dictionary.space, f)
     n = dictionary.size
     fnorm2 = float(np.linalg.norm(f))
     if fnorm2 == 0.0:
         return 0.0, np.zeros(n)
-    U, s, Vt = np.linalg.svd(G, full_matrices=False)
-    rank = int((s > (s[0] if s.size else 0.0) * 1e-12).sum())
-    if rank == 0:
+    Ur, sr, Vr = dictionary._range
+    if sr.size == 0:
         raise SpanMembershipError(1.0, span_tol)
-    Ur, sr, Vr = U[:, :rank], s[:rank], Vt[:rank]
     coords = Ur.T @ f
     residual = float(np.linalg.norm(f - Ur @ coords)) / fnorm2
     if residual > span_tol:

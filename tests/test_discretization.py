@@ -22,6 +22,7 @@ from entrobound import (
     random_subspace,
     verify_transfer,
 )
+from entrobound.discretization import _dual_point_solve
 
 
 # ---------------------------------------------------------------------------
@@ -34,6 +35,8 @@ def test_measure_space_validation():
         MeasureSpace(np.array([1.5, -0.5]))
     with pytest.raises(ValueError):
         MeasureSpace(np.array([]))
+    with pytest.raises(ValueError, match="finite"):
+        MeasureSpace(np.array([np.nan, 1.0]))
     mu = MeasureSpace.uniform(4)
     assert mu.size == 4
     assert mu.weights == pytest.approx(np.full(4, 0.25))
@@ -56,6 +59,8 @@ def test_subspace_requires_orthonormal_basis():
         Subspace(MeasureSpace.uniform(4), np.ones((3, 1)))
     with pytest.raises(ValueError):
         Subspace(mu, np.ones((3, 0)))
+    with pytest.raises(ValueError, match="finite"):
+        Subspace(mu, np.array([[np.nan], [1.0], [1.0]]))
 
 
 def test_random_subspace_is_orthonormal_and_deterministic():
@@ -176,6 +181,28 @@ def test_hilbert_case_uses_kernel_rows():
     ddict = build_discretization_dictionary(sub, pts, 2.0)
     K = dirichlet_kernel(sub)
     assert ddict.w_vectors == pytest.approx(K[pts.indices], abs=1e-12)
+
+
+@pytest.mark.parametrize("p", [3.0, 4.0])
+@pytest.mark.parametrize("weighted", [False, True])
+def test_dictionary_comes_from_the_direct_route(p, weighted):
+    measure = None
+    if weighted:
+        w = np.random.default_rng(21).uniform(0.5, 1.5, 30)
+        measure = MeasureSpace(w / w.sum())
+    sub = random_subspace(4, 30, seed=22, measure=measure)
+    pts = SamplePointSet(np.arange(1, 30, 4))
+    ddict = build_discretization_dictionary(sub, pts, p)
+    # the same direct solves, run to the tighter decrement the
+    # representers need
+    assert ddict.m_p == m_p_direct(sub, p, tol=1e-15)
+    assert ddict.m_p == pytest.approx(m_p_direct(sub, p), rel=1e-8)
+    # the Hahn-Banach representer is unique, so the dual minimizer,
+    # solved tightly, lands on the same vector
+    for j, x in enumerate(pts.indices):
+        norm_x, v = _dual_point_solve(sub, int(x), p, 1e-15)
+        assert np.abs(ddict.w_vectors[j] - (sub._kernel[x] - v)).max() <= 1e-6
+        assert ddict.w_norms[j] == pytest.approx(norm_x, rel=1e-9)
 
 
 def test_build_rejects_out_of_range_points():

@@ -5,10 +5,12 @@ import math
 import numpy as np
 import pytest
 
+import entrobound._optim as optim
 from entrobound import (
     BudgetExceededError,
     Dictionary,
     EmptySampleError,
+    NonConvergenceError,
     Octahedron,
     ZeroVectorError,
     best_mterm_bruteforce,
@@ -207,3 +209,24 @@ def test_sigma_profile_tracks_the_worst_sample():
     assert prof.values == pytest.approx(prof.per_sample.max(axis=0))
     assert all(a >= b - 1e-12 for a, b in zip(prof.values, prof.values[1:]))
     assert prof.slope < 0.0
+
+
+# ---------------------------------------------------------------------------
+# the inner solver
+
+def test_non_convergence_reports_the_newton_iterations_taken(monkeypatch):
+    # a stage target looser than the final acceptance test ends every
+    # stage early, and the last decrement still fails that test
+    rng = np.random.default_rng(0)
+    A = rng.standard_normal((12, 3))
+    b = rng.standard_normal(12)
+    factored = []
+    cho_factor = optim.cho_factor
+    monkeypatch.setattr(optim, "cho_factor",
+                        lambda H: factored.append(1) or cho_factor(H))
+    with pytest.raises(NonConvergenceError) as exc:
+        optim.minimize_power_residual(A, b, np.full(12, 1.0 / 12), 3.0,
+                                      decrement_tol=1e-2)
+    assert exc.value.iterations == len(factored)
+    assert exc.value.iterations < 9 * 80  # stages * stage_iter
+    assert f"after {len(factored)} iterations" in str(exc.value)

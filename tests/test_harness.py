@@ -1,5 +1,6 @@
 """Experiment configs, reports, envelope fits, and the CLI."""
 
+import hashlib
 import json
 import math
 
@@ -103,6 +104,28 @@ def test_config_validation_edges():
                          support_size=256).resolved().validate()
 
 
+@pytest.mark.parametrize("experiment, field, value", [
+    ("ball-entropy", "n", 8.5),
+    ("sigma-decay", "samples", "4"),
+    ("mp-duality", "subspace_dim", 2.0),
+    ("it1", "support_size", True),
+    ("mp-duality", "trials", [2]),
+    ("duality-check", "m", 1.5),
+    ("ball-entropy", "p", float("inf")),
+    ("it1", "p", float("nan")),
+    ("sigma-decay", "q", float("inf")),
+    ("duality-check", "q", "1.5"),
+    ("it2-octahedron", "k_list", [3, "8"]),
+    ("sigma-decay", "m_list", [1, 2.0]),
+    ("ball-entropy", "out", ["report.csv"]),
+])
+def test_config_validation_checks_types(experiment, field, value):
+    cfg = ExperimentConfig(experiment=experiment, seed=0, **{field: value})
+    with pytest.raises(ConfigValidationError) as exc:
+        cfg.resolved().validate()
+    assert [problem.split(":")[0] for problem in exc.value.problems] == [field]
+
+
 def test_config_json_round_trip_rejects_unknown_fields():
     cfg = ExperimentConfig(experiment="mp-duality", seed=3, p=3.0).resolved()
     back = ExperimentConfig.from_json(cfg.to_json())
@@ -178,6 +201,30 @@ def test_runs_are_byte_identical(experiment):
     assert first == second
 
 
+# sha256 of the JSON report of each _TINY run at seed 1 with the exponent set
+# to 2: the closed-form paths must keep these bytes through any refactor
+_GOLDEN_EXPONENT_2 = {
+    "ball-entropy": "2ae8441e6d22c76b899581d8eda0596462e341af622ee7eb9fd027ac6ee77a5e",
+    "duality-check": "2b15e6a099d96e4cfc0aed15aff05d47003899c9f810a8fee5617588f917c66b",
+    "it1": "e178d32ac2d7ea4e642a2ce65a8f6cb2cdd7c22338860aca5e38ef03a5109762",
+    "it2-octahedron": "f59e02a618d57b25ba060b69c9773b07b0e7df65497314a800a22361fb6b8350",
+    "mp-duality": "041c86911d18d448d849e63928272e89b2e1c18e88f6b8bdc39c4e93013b52d7",
+    "sigma-decay": "3aecaea3f21c6e9eb7f71969115453e368fac18062dfcbd1a7f2fca651af220a",
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(_GOLDEN_EXPONENT_2))
+def test_exponent_2_reports_match_golden_digests(experiment):
+    params = dict(_TINY[experiment])
+    for key in ("p", "q"):
+        if key in params:
+            params[key] = 2.0
+    _, text = run(ExperimentConfig(experiment=experiment, seed=1,
+                                   format="json", **params))
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == _GOLDEN_EXPONENT_2[experiment]
+
+
 def test_run_rejects_invalid_configs():
     with pytest.raises(ConfigValidationError):
         run(ExperimentConfig(experiment="ball-entropy", seed=0, p=1.0))
@@ -241,3 +288,17 @@ def test_cli_reports_unreadable_configs(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["sigma-decay", "--config", str(bad), "--seed", "0"]) == 2
+
+
+@pytest.mark.parametrize("doc, problem", [
+    ({"seed": 0, "n": 8.5}, "error: n: need an integer >= 1, got 8.5"),
+    ({"seed": 0, "k_list": [3, "8"]},
+     "error: k_list: entries must be integers, got [3, '8']"),
+])
+def test_cli_rejects_mistyped_config_values(tmp_path, capsys, doc, problem):
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps(doc))
+    code = main(["ball-entropy", "--config", str(config)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.splitlines() == [problem]

@@ -80,6 +80,14 @@ def test_space_validation():
         NormedSpaceSpec(dim=2, q=2.0, norm_kind=NormKind.DISCRETE_LQ_MU)
 
 
+def test_space_rejects_non_finite_weights():
+    # a NaN weight slips past both the sign and the sum check
+    with pytest.raises(ValueError, match="finite"):
+        discrete_space([float("nan"), 1.0], 2.0)
+    with pytest.raises(ValueError, match="finite"):
+        discrete_space([float("inf"), 0.5], 2.0)
+
+
 def test_space_json_round_trip():
     for space in (sequence_space(5, 1.5), discrete_space([0.2, 0.3, 0.5], 3.0)):
         back = NormedSpaceSpec.from_json(space.to_json())
@@ -157,6 +165,15 @@ def test_dictionary_rejects_non_unit_atoms():
         Dictionary(np.zeros((2, 0)), space)
 
 
+def test_dictionary_rejects_non_finite_atoms():
+    # |nan - 1| > tol is False, so the unit-norm check alone lets NaN in
+    space = sequence_space(2, 2.0)
+    with pytest.raises(ValueError, match="finite"):
+        Dictionary(np.array([[np.nan], [1.0]]), space)
+    with pytest.raises(ValueError, match="finite"):
+        Dictionary(np.array([[np.inf, 1.0], [0.0, 0.0]]), space)
+
+
 def test_dictionary_pairings_and_json():
     space = discrete_space([0.25, 0.75], 2.0)
     atoms = np.array([[2.0, 0.0], [0.0, 2.0 / math.sqrt(3.0)]])
@@ -193,6 +210,26 @@ def test_norm_A_basic_properties():
         # unit atoms make the ambient norm a lower bound
         assert norm(space, f) <= na + 1e-9
         assert norm_A(2.5 * f, d) == pytest.approx(2.5 * na, abs=1e-8)
+
+
+def test_norm_A_factors_each_dictionary_once(monkeypatch):
+    rng = np.random.default_rng(6)
+    space = sequence_space(4, 1.5)
+    atoms = rng.standard_normal((4, 3))
+    atoms /= [norm(space, atoms[:, j]) for j in range(3)]
+    fs = [atoms @ rng.standard_normal(3) for _ in range(5)]
+    expected = [norm_A(f, Dictionary(atoms, space)) for f in fs]
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd",
+                        lambda *a, **k: calls.append(1) or svd(*a, **k))
+    d = Dictionary(atoms, space)
+    assert [norm_A(f, d) for f in fs] == expected
+    assert len(calls) == 1
+    # the span check still runs on every call
+    with pytest.raises(SpanMembershipError):
+        norm_A(rng.standard_normal(4), d)
+    assert len(calls) == 1
 
 
 def test_norm_A_outside_span_raises():
