@@ -225,6 +225,31 @@ def test_exponent_2_reports_match_golden_digests(experiment):
     assert digest == _GOLDEN_EXPONENT_2[experiment]
 
 
+# sha256 of the JSON report of each _TINY run at seed 1 with q = 1.5 or p = 3:
+# the smoothed-Newton paths must keep these bytes through any refactor
+_GOLDEN_EXPONENT_NOT_2 = {
+    "ball-entropy": "332920833b787cb44c2d1f717048bae2d6b91ee435e0c9a76d3e64b4acdbb25f",
+    "duality-check": "122ef79a65087a3eb6e93372b1ed7099775a98fe97461038b3d4e93b6055e97c",
+    "it1": "a5ae08300d3f282e358fb800bd1400e93b305111f3128d861024f88d983d02b8",
+    "it2-octahedron": "146929354bbb78daad0c2cb88f7d775d7dcf436123c82704896a9fc84cca232e",
+    "mp-duality": "82f56792a09dcabe22a402769177fd0bbae1911b56ef74dc098608978880d1b7",
+    "sigma-decay": "93cbd70c34bc404fc9fee9d1f60c85678054515bcebc30e622db9d2d5db25671",
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(_GOLDEN_EXPONENT_NOT_2))
+def test_exponent_not_2_reports_match_golden_digests(experiment):
+    params = dict(_TINY[experiment])
+    if experiment in ("sigma-decay", "duality-check", "it2-octahedron"):
+        params["q"] = 1.5
+    else:
+        params["p"] = 3.0
+    _, text = run(ExperimentConfig(experiment=experiment, seed=1,
+                                   format="json", **params))
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == _GOLDEN_EXPONENT_NOT_2[experiment]
+
+
 def test_run_rejects_invalid_configs():
     with pytest.raises(ConfigValidationError):
         run(ExperimentConfig(experiment="ball-entropy", seed=0, p=1.0))
