@@ -11,6 +11,7 @@ about the resulting stiffness.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,9 @@ class PowerSolveResult:
     stages: int
 
 
+# overflow is handled where it arises: the line search rejects non-finite
+# trial values and a non-finite objective at the iterate raises
+@np.errstate(over="ignore")
 def minimize_power_residual(A: np.ndarray, b: np.ndarray, weights: np.ndarray,
                             exponent: float,
                             *,
@@ -78,6 +82,8 @@ def minimize_power_residual(A: np.ndarray, b: np.ndarray, weights: np.ndarray,
             s2 = r * r + e2
             base = s2 ** (e / 2.0 - 1.0)
             f_cur = float(w @ (s2 * base))
+            if not math.isfinite(f_cur):  # overflow: no Newton step exists
+                raise NonConvergenceError(f_cur, iterations, decrement_tol)
             grad = -(A.T @ (w * e * r * base))
             h = w * e * base * ((e - 1.0) * r * r + e2) / s2
             H = (A * h[:, None]).T @ A

@@ -4,8 +4,10 @@ One subcommand per experiment; parameters come from an optional JSON
 config file with flag overrides on top (flags win).  The machine
 output goes to --out when given (stdout otherwise); the human summary
 goes to stdout alongside a written file, to stderr when the machine
-text occupies stdout.  Exit codes: 0 on success, 2 when the
-configuration fails validation, 3 when a verified property is breached.
+text occupies stdout.  Exit codes: 0 on success, 1 when the run fails
+(the solver does not converge, or the numbers it meets are unusable),
+2 when the configuration fails validation, 3 when a verified property
+is breached.  Exits 1 and 2 print one ``error:`` line per problem.
 """
 
 from __future__ import annotations
@@ -14,8 +16,8 @@ import argparse
 import json
 import sys
 
-from .errors import ConfigValidationError, PropertyViolationError
-from .harness import EXPERIMENTS, ExperimentConfig, run
+from .errors import ConfigValidationError, EntroboundError, PropertyViolationError
+from .harness import _REGISTRY, ExperimentConfig, run
 
 
 def _int_list(text: str) -> list[int]:
@@ -26,47 +28,24 @@ def _int_list(text: str) -> list[int]:
             f"expected comma-separated integers, got {text!r}")
 
 
-_FLAGS = {
-    "sigma-decay": (("--q", float), ("--n", int), ("--m-list", _int_list),
-                    ("--samples", int)),
-    "ball-entropy": (("--p", float), ("--n", int), ("--k-list", _int_list),
-                     ("--samples", int)),
-    "duality-check": (("--q", float), ("--n", int), ("--m", int),
-                      ("--samples", int)),
-    "mp-duality": (("--p", float), ("--subspace-dim", int),
-                   ("--support-size", int), ("--trials", int)),
-    "it1": (("--p", float), ("--subspace-dim", int), ("--support-size", int),
-            ("--n", int), ("--k-list", _int_list), ("--samples", int)),
-    "it2-octahedron": (("--q", float), ("--n", int), ("--k-list", _int_list),
-                       ("--samples", int)),
-}
-
-_HELP = {
-    "sigma-decay": "greedy m-term decay over octahedron samples",
-    "ball-entropy": "entropy profile of the l_p unit ball in the max norm",
-    "duality-check": "two-sided entropy sum comparison for hull and dual ball",
-    "mp-duality": "uniform-norm constant by direct and dual routes",
-    "it1": "entropy profile of a subspace L_p ball in a sample seminorm",
-    "it2-octahedron": "constructive covers of the canonical atom hull",
-}
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="entrobound",
         description="entropy-number experiments for atom hulls, balls, "
                     "and subspaces")
     sub = parser.add_subparsers(dest="experiment", required=True)
-    for name in EXPERIMENTS:
-        cmd = sub.add_parser(name, help=_HELP[name])
+    for name, entry in _REGISTRY.items():
+        cmd = sub.add_parser(name, help=entry.help)
         cmd.add_argument("--config", help="JSON config file")
         cmd.add_argument("--seed", type=int, help="random seed (required "
                          "here or in the config)")
         cmd.add_argument("--out", help="output file path")
         cmd.add_argument("--format", choices=("csv", "json"),
                          help="output format (default csv)")
-        for flag, kind in _FLAGS[name]:
-            cmd.add_argument(flag, type=kind)
+        for field in entry.fields:
+            kind = (_int_list if field.endswith("_list")
+                    else float if field in ("p", "q") else int)
+            cmd.add_argument("--" + field.replace("_", "-"), type=kind)
     return parser
 
 
@@ -107,6 +86,9 @@ def main(argv: list[str] | None = None) -> int:
     except PropertyViolationError as exc:
         print(f"property violation: {exc}", file=sys.stderr)
         return 3
+    except (EntroboundError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     if config.out is None:
         sys.stdout.write(text)
         sys.stderr.write(report.summary_text())

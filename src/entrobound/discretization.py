@@ -40,6 +40,7 @@ from .entropy import (
     EntropyProfile,
     PointwiseMaxMetric,
     _fps,
+    _packing_lowers,
     log_ratio_envelope,
     octahedron_cover_profile,
 )
@@ -118,13 +119,6 @@ class MeasureSpace:
 
     def inner(self, a: np.ndarray, b: np.ndarray) -> float:
         return float((self.weights * np.asarray(a)) @ np.asarray(b))
-
-    def to_json(self) -> dict:
-        return {"weights": self.weights.tolist()}
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "MeasureSpace":
-        return cls(np.asarray(doc["weights"], dtype=float))
 
 
 @dataclass(frozen=True, eq=False)
@@ -210,13 +204,6 @@ class SamplePointSet:
     @property
     def count(self) -> int:
         return int(self.indices.size)
-
-    def to_json(self) -> dict:
-        return {"indices": self.indices.tolist()}
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "SamplePointSet":
-        return cls(np.asarray(doc["indices"], dtype=int))
 
 
 def dirichlet_kernel(sub: Subspace) -> np.ndarray:
@@ -545,17 +532,8 @@ def it1_experiment(sub: Subspace, pts: SamplePointSet, p: float,
     sample = _function_witness(sub, ddict, p, witness_size, seed + 1)
     metric = PointwiseMaxMetric(pts.indices)
     Dm = metric.pairwise(sample, sample)
-    cap = min(sample.shape[0], 2 ** 14 + 1)
-    _, insertion = _fps(Dm, cap, 0)
-    lowers, lower_src = [], []
-    for k in k_list:
-        want = 2 ** k + 1
-        if want <= len(insertion):
-            lowers.append(insertion[want - 1] / 2.0)
-            lower_src.append("packing")
-        else:
-            lowers.append(0.0)
-            lower_src.append("none")
+    _, insertion = _fps(Dm, min(sample.shape[0], 2 ** k_list[-1] + 1), 0)
+    lowers, lower_src = _packing_lowers(insertion, k_list)
 
     profile = EntropyProfile.build(k_list, lowers, uppers, lower_src, upper_src)
     envelope = ddict.m_p * log_ratio_envelope(n, np.asarray(k_list), 1.0 / p)

@@ -92,9 +92,6 @@ class Metric:
         B = np.atleast_2d(np.asarray(B, dtype=float))
         return self._feature_dist(self.features(A), self.features(B))
 
-    def dist(self, x: np.ndarray, y: np.ndarray) -> float:
-        return float(self.pairwise(x[None, :], y[None, :])[0, 0])
-
     def to_json(self) -> dict:
         raise NotImplementedError
 
@@ -407,6 +404,26 @@ def _cover_feasible(Dm: np.ndarray, r: float, budget: int) -> bool:
     return _min_cover_count(Dm, r) <= budget
 
 
+def _greedy_search(Dm: np.ndarray, candidates: np.ndarray, budget: int,
+                   start: int) -> int:
+    """Binary search from ``start`` for a radius index where greedy fits.
+
+    Greedy counts are not monotone in r, but every feasible probe yields
+    a sound cover, so the smallest feasible index probed is kept; the
+    last index (the largest distance) covers with one center.
+    """
+    best = len(candidates) - 1
+    lo, hi = start, best
+    while lo <= hi:
+        mid = (lo + hi) // 2
+        if len(_greedy_indices_at(Dm, candidates[mid])) <= budget:
+            best = mid
+            hi = mid - 1
+        else:
+            lo = mid + 1
+    return best
+
+
 def _exact_restricted_radius(Dm: np.ndarray, budget: int) -> float:
     """Smallest pairwise-distance value at which ``budget`` centers cover.
 
@@ -421,18 +438,8 @@ def _exact_restricted_radius(Dm: np.ndarray, budget: int) -> float:
     if budget + 1 <= Dm.shape[0]:
         _, ins = _fps(Dm, budget + 1, 0)
         lo_val = ins[-1] / 2.0 - _DIST_TOL
-    hi_idx = len(candidates) - 1
     lo_idx = int(np.searchsorted(candidates, lo_val))
-    # shrink from above with greedy-only probes; feasible outcomes are sound
-    # even though greedy counts are not monotone in r
-    g_lo, g_hi = lo_idx, hi_idx
-    while g_lo <= g_hi:
-        mid = (g_lo + g_hi) // 2
-        if len(_greedy_indices_at(Dm, candidates[mid])) <= budget:
-            hi_idx = mid
-            g_hi = mid - 1
-        else:
-            g_lo = mid + 1
+    hi_idx = _greedy_search(Dm, candidates, budget, lo_idx)
     # candidates[hi_idx] is feasible (greedy said so); classic bisection below it
     while lo_idx < hi_idx:
         mid = (lo_idx + hi_idx) // 2
@@ -500,6 +507,26 @@ def _fps(Dm: np.ndarray, count: int, start: int) -> tuple[list[int], list[float]
         picked.append(j)
         np.minimum(dmin, Dm[j], out=dmin)
     return picked, insertion
+
+
+def _packing_lowers(insertion: list[float],
+                    k_list: list[int]) -> tuple[list[float], list[str]]:
+    """Half the separation of the first 2^k + 1 traversal points, per k.
+
+    ``insertion`` holds the insertion distances of one farthest-point
+    traversal, which visits the same points in the same order whatever
+    its length; a k whose 2^k + 1 points it does not reach gets 0.
+    """
+    lowers, sources = [], []
+    for k in k_list:
+        want = 2 ** k + 1
+        if want <= len(insertion):
+            lowers.append(insertion[want - 1] / 2.0)
+            sources.append("packing")
+        else:
+            lowers.append(0.0)
+            sources.append("none")
+    return lowers, sources
 
 
 def farthest_point_packing(W: np.ndarray, count: int, metric: Metric,
@@ -890,17 +917,8 @@ def ball_entropy_experiment(p: float, n: int, k_list: list[int], *,
         upper_src.append(cert.provenance)
 
     Dm = metric.pairwise(sample, sample)
-    cap = min(sample.shape[0], 2 ** 14 + 1)
-    _, insertion = _fps(Dm, cap, 0)
-    lowers, lower_src = [], []
-    for k in k_list:
-        want = 2 ** k + 1
-        if want <= len(insertion):
-            lowers.append(insertion[want - 1] / 2.0)
-            lower_src.append("packing")
-        else:
-            lowers.append(0.0)
-            lower_src.append("none")
+    _, insertion = _fps(Dm, min(sample.shape[0], 2 ** k_list[-1] + 1), 0)
+    lowers, lower_src = _packing_lowers(insertion, k_list)
 
     profile = EntropyProfile.build(k_list, lowers, uppers, lower_src, upper_src)
     return BallEntropyResult(p=p, n=n, profile=profile,
@@ -910,34 +928,13 @@ def ball_entropy_experiment(p: float, n: int, k_list: list[int], *,
 # ---------------------------------------------------------------------------
 # duality sum check
 
-def _bracket_upper(Dm: np.ndarray, k: int, *, exact: bool = True) -> tuple[float, str]:
+def _greedy_upper(Dm: np.ndarray, k: int) -> float:
+    """Greedy cover radius with 2^k centers; exact for a single center."""
     budget = 2 ** k
     if budget == 1:
-        # one center: best single point, exact either way
-        return float(Dm.max(axis=1).min()), "exact"
-    if exact and budget <= _EXACT_MAX_CENTERS and Dm.shape[0] <= _EXACT_MAX_POINTS:
-        return _exact_restricted_radius(Dm, budget), "exact"
-    # binary search over greedy radii: greedy counts are not monotone in r,
-    # but every feasible probe yields a sound cover, so track the best one
+        return float(Dm.max(axis=1).min())
     values = np.unique(Dm)
-    best = float(values[-1])
-    lo, hi = 0, len(values) - 1
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        if len(_greedy_indices_at(Dm, values[mid])) <= budget:
-            best = float(values[mid])
-            hi = mid - 1
-        else:
-            lo = mid + 1
-    return best, "greedy-cover"
-
-
-def _bracket_lower(Dm: np.ndarray, k: int) -> tuple[float, str]:
-    want = 2 ** k + 1
-    if want > Dm.shape[0]:
-        return 0.0, "none"
-    _, insertion = _fps(Dm, want, 0)
-    return insertion[-1] / 2.0, "packing"
+    return float(values[_greedy_search(Dm, values, budget, 0)])
 
 
 def _dual_ball_witness(space: NormedSpaceSpec, size: int, seed: int) -> np.ndarray:
@@ -1027,11 +1024,12 @@ def duality_sum_check(dictionary: Dictionary, m: int, *,
     rows = {"hull": ([], []), "dual": ([], [])}
     for Dm, key in ((hull_D, "hull"), (dual_D, "dual")):
         lo_list, hi_list = rows[key]
-        for k in k_list:
+        _, insertion = _fps(Dm, min(Dm.shape[0], 2 ** m + 1), 0)
+        lowers, _ = _packing_lowers(insertion, k_list)
+        for k, lo in zip(k_list, lowers):
             # greedy-only uppers: the sums only need a sound sandwich, and
             # the exact set-cover solves are slow on these symmetric sets
-            hi, _ = _bracket_upper(Dm, k, exact=False)
-            lo, _ = _bracket_lower(Dm, k)
+            hi = _greedy_upper(Dm, k)
             lo_list.append(min(lo, hi))
             hi_list.append(hi)
 

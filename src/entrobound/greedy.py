@@ -171,6 +171,8 @@ def wcga(f: np.ndarray, dictionary: Dictionary, m: int,
     if not 0 <= m <= n:
         raise ValueError(f"m must lie in [0, {n}], got {m}")
     f = np.asarray(f, dtype=float)
+    if not np.all(np.isfinite(f)):
+        raise ValueError("the vector to approximate must be finite")
     fnorm = norm(space, f)
     if fnorm == 0.0:
         raise ZeroVectorError("cannot run the greedy loop on the zero vector")

@@ -13,6 +13,7 @@ import csv
 import io
 import json
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, fields
 from enum import Enum
 from importlib import metadata as _importlib_metadata
@@ -48,15 +49,6 @@ __all__ = [
     "emit",
     "run",
 ]
-
-EXPERIMENTS = (
-    "sigma-decay",
-    "ball-entropy",
-    "duality-check",
-    "mp-duality",
-    "it1",
-    "it2-octahedron",
-)
 
 try:
     _VERSION = "entrobound " + _importlib_metadata.version("entrobound")
@@ -144,19 +136,6 @@ def fit_envelope(table, n: int | None = None,
 # ---------------------------------------------------------------------------
 # configuration
 
-_CONFIG_DEFAULTS: dict[str, dict] = {
-    "sigma-decay": {"q": 2.0, "n": 256, "m_list": [4, 8, 16, 32, 64],
-                    "samples": 50},
-    "ball-entropy": {"p": 2.0, "n": 32, "samples": 2048},
-    "duality-check": {"q": 2.0, "n": 8, "m": 6, "samples": 320},
-    "mp-duality": {"p": 2.0, "subspace_dim": 4, "support_size": 64,
-                   "trials": 20},
-    "it1": {"p": 2.0, "subspace_dim": 8, "support_size": 256, "n": 64,
-            "samples": 320},
-    "it2-octahedron": {"q": 2.0, "n": 64, "samples": 400},
-}
-
-
 def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
@@ -164,6 +143,55 @@ def _is_int(value) -> bool:
 def _is_real(value) -> bool:
     return (isinstance(value, (int, float, np.integer, np.floating))
             and not isinstance(value, bool) and math.isfinite(value))
+
+
+@dataclass(frozen=True)
+class _Experiment:
+    """What one experiment reads, checks and runs.
+
+    ``fields`` maps every config field the experiment reads to its
+    default, in validation order (``k_list: None`` derives the list from
+    ``n``); each field gets the check its name implies and one CLI flag.
+    ``checks`` are the cross-field checks: each takes the config and
+    returns a problem, or a falsy value when the config is fine.
+    ``q_max`` caps the exponent q.
+    """
+
+    help: str
+    fields: dict
+    checks: tuple
+    runner: Callable
+    q_max: float = math.inf
+
+
+def _field_problem(cfg: "ExperimentConfig", name: str, q_max: float) -> str | None:
+    """The problem with one field, judged by its name; None when it is fine."""
+    value = getattr(cfg, name)
+    if name == "q":
+        if not _is_real(value) or not 1.0 < value <= q_max:
+            span = f"(1.0, {q_max}]" if math.isfinite(q_max) else "finite q > 1.0"
+            return f"q: needs {span}, got {value!r}"
+    elif name == "p":
+        if not _is_real(value) or value < 2:
+            return ("p: the subspace and ball experiments require a finite "
+                    f"p >= 2, got {value!r}")
+    elif name.endswith("_list"):
+        cap = cfg.n
+        if value is None and not _is_int(cap):
+            return None  # derived from n, whose own problem is reported
+        if not isinstance(value, (list, tuple)) or not value:
+            return f"{name}: must be a nonempty list, got {value!r}"
+        if not all(_is_int(v) for v in value):
+            return f"{name}: entries must be integers, got {value!r}"
+        if sorted(value) != list(value) or value[0] < 1:
+            return f"{name}: must be increasing and >= 1, got {value!r}"
+        if _is_int(cap) and value[-1] > cap:
+            return f"{name}: entries must stay <= n = {cap}, got {value[-1]}"
+    else:
+        minimum = 0 if name == "m" else 1
+        if not _is_int(value) or value < minimum:
+            return f"{name}: need an integer >= {minimum}, got {value!r}"
+    return None
 
 
 @dataclass
@@ -189,26 +217,34 @@ class ExperimentConfig:
     m: int | None = None
     samples: int | None = None
     trials: int | None = None
-    tolerance: float | None = None
     out: str | None = None
     format: str = "csv"
 
     def resolved(self) -> "ExperimentConfig":
         """Fill experiment-specific defaults, leaving set fields alone."""
         values = {f.name: getattr(self, f.name) for f in fields(self)}
-        for key, default in _CONFIG_DEFAULTS.get(self.experiment, {}).items():
-            if values.get(key) is None:
+        entry = _REGISTRY.get(self.experiment)
+        defaults = entry.fields if entry is not None else {}
+        for key, default in defaults.items():
+            if values[key] is None:
                 values[key] = default
-        if values.get("k_list") is None and _is_int(values.get("n")):
+        if "k_list" in defaults and values["k_list"] is None and _is_int(values["n"]):
             lo = max(1, math.ceil(math.log2(max(values["n"], 2))))
             ks = sorted({lo, 2 * lo, 4 * lo, values["n"]})
             values["k_list"] = [k for k in ks if lo <= k <= values["n"]]
         return ExperimentConfig(**values)
 
     def validate(self) -> None:
-        """Collect every offending field into one structured error."""
+        """Collect every offending field into one structured error.
+
+        The experiment's cross-field checks run once all of its fields
+        pass their own checks, so they may rely on well-typed values.
+        """
         problems: list[str] = []
-        if self.experiment not in EXPERIMENTS:
+        entry = None
+        if self.experiment in EXPERIMENTS:
+            entry = _REGISTRY[self.experiment]
+        else:
             problems.append(
                 f"experiment: {self.experiment!r} is not one of {', '.join(EXPERIMENTS)}")
         if not isinstance(self.seed, int) or isinstance(self.seed, bool) or self.seed < 0:
@@ -217,79 +253,11 @@ class ExperimentConfig:
             problems.append(f"format: must be csv or json, got {self.format!r}")
         if self.out is not None and not isinstance(self.out, str):
             problems.append(f"out: must be a file path, got {self.out!r}")
-
-        def need_q(lo=1.0, hi=float("inf")):
-            if not _is_real(self.q) or not lo < self.q <= hi:
-                span = f"({lo}, {hi}]" if math.isfinite(hi) else f"finite q > {lo}"
-                problems.append(f"q: needs {span}, got {self.q!r}")
-
-        def need_p():
-            if not _is_real(self.p) or self.p < 2:
-                problems.append(
-                    "p: the subspace and ball experiments require a finite "
-                    f"p >= 2, got {self.p!r}")
-
-        def need_pos(name, minimum=1):
-            value = getattr(self, name)
-            if not _is_int(value) or value < minimum:
-                problems.append(f"{name}: need an integer >= {minimum}, got {value!r}")
-
-        def need_int_list(name, cap):
-            values = getattr(self, name)
-            if values is None and not _is_int(cap):
-                return  # derived from n, whose own problem is reported
-            if not isinstance(values, (list, tuple)) or not values:
-                problems.append(f"{name}: must be a nonempty list, got {values!r}")
-            elif not all(_is_int(v) for v in values):
-                problems.append(f"{name}: entries must be integers, got {values!r}")
-            elif sorted(values) != list(values) or values[0] < 1:
-                problems.append(
-                    f"{name}: must be increasing and >= 1, got {values!r}")
-            elif _is_int(cap) and values[-1] > cap:
-                problems.append(
-                    f"{name}: entries must stay <= n = {cap}, got {values[-1]}")
-
-        if self.experiment == "sigma-decay":
-            need_q()
-            need_pos("n")
-            need_pos("samples")
-            need_int_list("m_list", self.n)
-        elif self.experiment == "ball-entropy":
-            need_p()
-            need_pos("n")
-            need_pos("samples")
-            need_int_list("k_list", self.n)
-        elif self.experiment == "duality-check":
-            need_q(1.0, 2.0)
-            need_pos("n")
-            if _is_int(self.n) and self.n > 12:
-                problems.append(f"n: the duality check is budgeted for n <= 12, got {self.n}")
-            need_pos("m", 0)
-            need_pos("samples")
-        elif self.experiment == "mp-duality":
-            need_p()
-            need_pos("subspace_dim")
-            need_pos("support_size")
-            if (_is_int(self.subspace_dim) and _is_int(self.support_size)
-                    and self.subspace_dim > self.support_size):
-                problems.append("subspace_dim: must not exceed support_size")
-            need_pos("trials")
-        elif self.experiment == "it1":
-            need_p()
-            need_pos("subspace_dim")
-            need_pos("support_size")
-            need_pos("n")
-            if (_is_int(self.n) and _is_int(self.support_size)
-                    and self.n > self.support_size):
-                problems.append(
-                    f"n: cannot sample {self.n} points from {self.support_size} support points")
-            need_int_list("k_list", self.n)
-            need_pos("samples")
-        elif self.experiment == "it2-octahedron":
-            need_q()
-            need_pos("n")
-            need_pos("samples")
-            need_int_list("k_list", self.n)
+        if entry is not None:
+            found = [problem for name in entry.fields
+                     if (problem := _field_problem(self, name, entry.q_max))]
+            problems += found or [problem for check in entry.checks
+                                  if (problem := check(self))]
         if problems:
             raise ConfigValidationError(problems)
 
@@ -552,14 +520,45 @@ def _run_it2_octahedron(cfg: ExperimentConfig) -> Report:
         ])
 
 
-_RUNNERS = {
-    "sigma-decay": _run_sigma_decay,
-    "ball-entropy": _run_ball_entropy,
-    "duality-check": _run_duality_check,
-    "mp-duality": _run_mp_duality,
-    "it1": _run_it1,
-    "it2-octahedron": _run_it2_octahedron,
+_REGISTRY = {
+    "sigma-decay": _Experiment(
+        "greedy m-term decay over octahedron samples",
+        {"q": 2.0, "n": 256, "samples": 50, "m_list": [4, 8, 16, 32, 64]},
+        (lambda c: len(c.m_list) < 3 and
+         f"m_list: the envelope fit needs at least 3 entries, got {c.m_list!r}",),
+        _run_sigma_decay),
+    "ball-entropy": _Experiment(
+        "entropy profile of the l_p unit ball in the max norm",
+        {"p": 2.0, "n": 32, "samples": 2048, "k_list": None},
+        (),
+        _run_ball_entropy),
+    "duality-check": _Experiment(
+        "two-sided entropy sum comparison for hull and dual ball",
+        {"q": 2.0, "n": 8, "m": 6, "samples": 320},
+        (lambda c: c.n > 12 and
+         f"n: the duality check is budgeted for n <= 12, got {c.n}",),
+        _run_duality_check, q_max=2.0),
+    "mp-duality": _Experiment(
+        "uniform-norm constant by direct and dual routes",
+        {"p": 2.0, "subspace_dim": 4, "support_size": 64, "trials": 20},
+        (lambda c: c.subspace_dim > c.support_size and
+         "subspace_dim: must not exceed support_size",),
+        _run_mp_duality),
+    "it1": _Experiment(
+        "entropy profile of a subspace L_p ball in a sample seminorm",
+        {"p": 2.0, "subspace_dim": 8, "support_size": 256, "n": 64,
+         "k_list": None, "samples": 320},
+        (lambda c: c.n > c.support_size and
+         f"n: cannot sample {c.n} points from {c.support_size} support points",),
+        _run_it1),
+    "it2-octahedron": _Experiment(
+        "constructive covers of the canonical atom hull",
+        {"q": 2.0, "n": 64, "samples": 400, "k_list": None},
+        (),
+        _run_it2_octahedron),
 }
+
+EXPERIMENTS = tuple(_REGISTRY)
 
 
 def run(config: ExperimentConfig) -> tuple[Report, str]:
@@ -570,6 +569,6 @@ def run(config: ExperimentConfig) -> tuple[Report, str]:
     """
     cfg = config.resolved()
     cfg.validate()
-    report = _RUNNERS[cfg.experiment](cfg)
+    report = _REGISTRY[cfg.experiment].runner(cfg)
     text = emit(report, cfg.format, cfg.out)
     return report, text

@@ -97,6 +97,9 @@ def test_wcga_validates_inputs():
         wcga(f, d, 4)
     with pytest.raises(ZeroVectorError):
         wcga(np.zeros(3), d, 1)
+    for q, bad in ((2.0, np.nan), (1.5, np.nan), (1.5, np.inf)):
+        with pytest.raises(ValueError, match="must be finite"):
+            wcga(np.array([bad, 1.0, 0.0]), canonical_dictionary(3, q), 2)
 
 
 def test_weak_parameter_still_converges():
@@ -230,3 +233,14 @@ def test_non_convergence_reports_the_newton_iterations_taken(monkeypatch):
     assert exc.value.iterations == len(factored)
     assert exc.value.iterations < 9 * 80  # stages * stage_iter
     assert f"after {len(factored)} iterations" in str(exc.value)
+
+
+def test_non_finite_objective_raises_instead_of_reaching_the_factorization():
+    # an exponent this large overflows the objective at the first iterate
+    rng = np.random.default_rng(0)
+    A = rng.standard_normal((8, 2))
+    b = 4.0 * rng.standard_normal(8)
+    with pytest.raises(NonConvergenceError) as exc:
+        optim.minimize_power_residual(A, b, np.full(8, 1.0 / 8), 1e9)
+    assert exc.value.iterations == 1
+    assert "residual measure inf" in str(exc.value)

@@ -1,8 +1,11 @@
 """Experiment configs, reports, envelope fits, and the CLI."""
 
+import argparse
 import hashlib
+import importlib
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +20,8 @@ from entrobound import (
     log_ratio_envelope,
     run,
 )
-from entrobound.cli import main
+import entrobound.harness as harness
+from entrobound.cli import build_parser, main
 
 
 # ---------------------------------------------------------------------------
@@ -126,12 +130,24 @@ def test_config_validation_checks_types(experiment, field, value):
     assert [problem.split(":")[0] for problem in exc.value.problems] == [field]
 
 
+@pytest.mark.parametrize("p, fields", [(1.0, ["p"]), (3.0, ["subspace_dim"])])
+def test_config_cross_field_checks_wait_for_well_typed_fields(p, fields):
+    cfg = ExperimentConfig(experiment="mp-duality", seed=0, p=p,
+                           subspace_dim=8, support_size=4)
+    with pytest.raises(ConfigValidationError) as exc:
+        cfg.resolved().validate()
+    assert [problem.split(":")[0] for problem in exc.value.problems] == fields
+
+
 def test_config_json_round_trip_rejects_unknown_fields():
     cfg = ExperimentConfig(experiment="mp-duality", seed=3, p=3.0).resolved()
     back = ExperimentConfig.from_json(cfg.to_json())
     assert back == cfg
     with pytest.raises(ConfigValidationError):
         ExperimentConfig.from_json({"experiment": "it1", "seed": 0, "bogus": 1})
+    with pytest.raises(ConfigValidationError, match="tolerance: unknown"):
+        ExperimentConfig.from_json({"experiment": "it1", "seed": 0,
+                                    "tolerance": 1e-9})
     with pytest.raises(ConfigValidationError):
         ExperimentConfig.from_json({"experiment": "it1"})
 
@@ -327,3 +343,56 @@ def test_cli_rejects_mistyped_config_values(tmp_path, capsys, doc, problem):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err.splitlines() == [problem]
+
+
+@pytest.mark.parametrize("argv, code, problem", [
+    ("sigma-decay --seed 0 --m-list 1,2", 2,
+     "error: m_list: the envelope fit needs at least 3 entries, got [1, 2]"),
+    # with one sample the greedy reaches some sigma values exactly
+    ("sigma-decay --seed 0 --n 8 --m-list 1,2,4 --samples 1", 1,
+     "error: fit needs positive values"),
+    # exponents this large overflow the inner solver's objective
+    ("mp-duality --seed 0 --p 1e9 --subspace-dim 3 --support-size 8 "
+     "--trials 1", 1, "error: inner solver stopped"),
+    ("it1 --seed 0 --p 1e6 --subspace-dim 3 --support-size 8 --n 4 "
+     "--k-list 2,4 --samples 8", 1, "error: inner solver stopped"),
+    ("it2-octahedron --seed 0 --q 1e9 --n 8 --k-list 3,8 --samples 16", 1,
+     "error: inner solver stopped"),
+])
+def test_cli_failed_runs_end_in_one_line(capsys, argv, code, problem):
+    assert main(argv.split()) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith(problem)
+
+
+def test_cli_flags_are_the_registry_fields():
+    parser = build_parser()
+    sub = next(action for action in parser._actions
+               if isinstance(action, argparse._SubParsersAction))
+    assert tuple(sub.choices) == harness.EXPERIMENTS
+    common = {"help", "config", "seed", "out", "format"}
+    for name, entry in harness._REGISTRY.items():
+        dests = [action.dest for action in sub.choices[name]._actions]
+        assert [d for d in dests if d not in common] == list(entry.fields)
+
+
+# ---------------------------------------------------------------------------
+# benchmark hooks
+
+def test_benchmark_tracer_finds_every_traced_attribute(monkeypatch):
+    # perfbench/tracing.py wraps package attributes by name; a refactor that
+    # drops one would otherwise fail only when the benchmark runs
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+    tracing = importlib.import_module("tracing")
+    original = harness.m_p_direct
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        run(ExperimentConfig(experiment="it1", seed=1, **_TINY["it1"]))
+    finally:
+        tracer.uninstall()
+    assert harness.m_p_direct is original
+    assert tracer.spans["discretization.it1"].calls == 1
+    assert tracer.spans["entropy.fps"].calls == 1
