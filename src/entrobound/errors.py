@@ -42,10 +42,11 @@ class BudgetExceededError(EntroboundError):
 
 
 class NonConvergenceError(EntroboundError):
-    def __init__(self, grad_norm, iterations, tol):
+    def __init__(self, grad_norm, iterations, tol, cause=None):
         super().__init__(
             f"inner solver stopped after {iterations} iterations with "
-            f"residual measure {grad_norm:.3e} (target {tol:.1e})")
+            f"residual measure {grad_norm:.3e} (target {tol:.1e})"
+            + (f": {cause}" if cause else ""))
         self.grad_norm = grad_norm
         self.iterations = iterations
         self.tol = tol

@@ -226,8 +226,8 @@ class ExperimentConfig:
         entry = _REGISTRY.get(self.experiment)
         defaults = entry.fields if entry is not None else {}
         for key, default in defaults.items():
-            if values[key] is None:
-                values[key] = default
+            if values[key] is None:  # copied, so the registry default stays put
+                values[key] = list(default) if isinstance(default, list) else default
         if "k_list" in defaults and values["k_list"] is None and _is_int(values["n"]):
             lo = max(1, math.ceil(math.log2(max(values["n"], 2))))
             ks = sorted({lo, 2 * lo, 4 * lo, values["n"]})

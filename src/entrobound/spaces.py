@@ -114,7 +114,14 @@ class NormedSpaceSpec:
     def weight_vector(self) -> np.ndarray:
         if self.norm_kind is NormKind.DISCRETE_LQ_MU:
             return self.weights
-        return np.ones(self.dim)
+        return self._unit_weights
+
+    @cached_property
+    def _unit_weights(self) -> np.ndarray:
+        """Read-only vector of ones, built once per sequence space."""
+        ones = np.ones(self.dim)
+        ones.flags.writeable = False
+        return ones
 
     def to_json(self) -> dict:
         doc = {"dim": self.dim, "q": self.q, "norm_kind": self.norm_kind.value}

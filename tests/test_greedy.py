@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import entrobound._optim as optim
 from entrobound import (
@@ -244,3 +245,57 @@ def test_non_finite_objective_raises_instead_of_reaching_the_factorization():
         optim.minimize_power_residual(A, b, np.full(8, 1.0 / 8), 1e9)
     assert exc.value.iterations == 1
     assert "residual measure inf" in str(exc.value)
+    assert "the objective overflowed" in str(exc.value)
+
+
+def test_overflowing_hessian_raises_instead_of_passing_as_converged():
+    # the objective is finite at x = 0, but A^T diag(h) A overflows
+    A = np.array([[1e200, 0.0], [0.0, 1e200], [1e200, 1e200]])
+    b = np.array([1.0, -1.0, 0.5])
+    with pytest.raises(NonConvergenceError) as exc:
+        optim.minimize_power_residual(A, b, np.ones(3), 3.0)
+    assert exc.value.iterations == 1
+    assert "the Newton system overflowed" in str(exc.value)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 24, 60, 154])
+def test_newton_kernel_matches_scipy_bit_for_bit(n):
+    # the kernel's LAPACK calls must reproduce scipy's wrappers exactly,
+    # so that replacing one by the other keeps every report's bytes
+    rng = np.random.default_rng(n)
+    for _ in range(5):
+        A = rng.standard_normal((n + 7, n))
+        h = rng.uniform(0.1, 3.0, n + 7)
+        H = (A * h[:, None]).T @ A
+        g = rng.standard_normal(n)
+        c = optim.cho_factor(H)
+        assert np.array_equal(c, scipy.linalg.cho_factor(H)[0])
+        d, info = optim._potrs(c, -g, lower=0)
+        assert info == 0
+        assert np.array_equal(d, scipy.linalg.cho_solve((c, False), -g))
+
+
+def test_singular_hessian_falls_back_to_the_ridge_solve(monkeypatch):
+    # two identical columns make every Hessian singular
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((10, 2))
+    A = np.column_stack([a[:, 0], a[:, 0], a[:, 1]])
+    b = rng.standard_normal(10)
+    w = np.full(10, 0.1)
+    failures = []
+    cho_factor = optim.cho_factor
+
+    def counted(H):
+        try:
+            return cho_factor(H)
+        except scipy.linalg.LinAlgError:
+            failures.append(1)
+            raise
+
+    monkeypatch.setattr(optim, "cho_factor", counted)
+    res = optim.minimize_power_residual(A, b, w, 1.5)
+    assert failures
+    assert np.all(np.isfinite(res.x))
+    # the duplicate column adds nothing: the minimum is that of the reduced problem
+    reduced = optim.minimize_power_residual(A[:, 1:], b, w, 1.5)
+    assert res.value == pytest.approx(reduced.value, rel=1e-8)

@@ -15,11 +15,14 @@ from entrobound import (
     ExperimentConfig,
     FitModel,
     Report,
+    canonical_dictionary,
     emit,
     fit_envelope,
     log_ratio_envelope,
     run,
 )
+import entrobound._optim as optim
+import entrobound.greedy as greedy
 import entrobound.harness as harness
 from entrobound.cli import build_parser, main
 
@@ -78,6 +81,12 @@ def test_fit_input_validation():
 def test_config_fills_experiment_defaults():
     cfg = ExperimentConfig(experiment="sigma-decay", seed=0).resolved()
     assert (cfg.q, cfg.n, cfg.samples) == (2.0, 256, 50)
+    assert cfg.m_list == [4, 8, 16, 32, 64]
+
+
+def test_resolved_configs_do_not_share_list_defaults():
+    ExperimentConfig(experiment="sigma-decay", seed=0).resolved().m_list.append(128)
+    cfg = ExperimentConfig(experiment="sigma-decay", seed=0).resolved()
     assert cfg.m_list == [4, 8, 16, 32, 64]
 
 
@@ -396,3 +405,25 @@ def test_benchmark_tracer_finds_every_traced_attribute(monkeypatch):
     assert harness.m_p_direct is original
     assert tracer.spans["discretization.it1"].calls == 1
     assert tracer.spans["entropy.fps"].calls == 1
+
+
+def test_benchmark_tracer_counts_every_newton_iteration(monkeypatch):
+    # the benchmark counts Newton iterations through _optim.cho_factor; a
+    # kernel that bypassed it would report 0 iterations and 0 us per iteration
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+    tracing = importlib.import_module("tracing")
+    factored = []
+    cho_factor = optim.cho_factor
+    monkeypatch.setattr(optim, "cho_factor",
+                        lambda H: factored.append(1) or cho_factor(H))
+    d = canonical_dictionary(6, 1.5)
+    f = np.random.default_rng(3).standard_normal(6)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        greedy.wcga(f, d, 3)
+    finally:
+        tracer.uninstall()
+    metrics = tracer.layer_metrics()
+    assert metrics["optim.newton_iters"] == len(factored) > 0
+    assert metrics["optim.iter_us"] > 0.0

@@ -88,6 +88,17 @@ def test_space_rejects_non_finite_weights():
         discrete_space([float("inf"), 0.5], 2.0)
 
 
+def test_weight_vector_is_built_once_and_read_only():
+    space = sequence_space(4, 1.5)
+    w = space.weight_vector()
+    assert w is space.weight_vector()
+    assert np.array_equal(w, np.ones(4))
+    with pytest.raises(ValueError):
+        w[0] = 2.0
+    measured = discrete_space([0.25, 0.75], 3.0)
+    assert measured.weight_vector() is measured.weights
+
+
 def test_space_json_round_trip():
     for space in (sequence_space(5, 1.5), discrete_space([0.2, 0.3, 0.5], 3.0)):
         back = NormedSpaceSpec.from_json(space.to_json())
