@@ -94,7 +94,9 @@ def minimize_power_residual(A: np.ndarray, b: np.ndarray, weights: np.ndarray,
     iterations = 0
     eps_levels: list[float] = []
     eps = 0.1
-    while eps > eps_rel:
+    # stop short of eps_rel: repeated * 0.1 lands just above it (1e-8 comes
+    # out as 1.0000000000000004e-08), which would run that stage twice
+    while eps > 1.5 * eps_rel:
         eps_levels.append(eps)
         eps *= 0.1
     eps_levels.append(eps_rel)

@@ -13,10 +13,13 @@ labeled as such by its certificate.  Three bound sources exist:
   first-uncovered-point cover and farthest-point traversal; a packing
   of more than 2^k points with separation s certifies a lower bound
   s/2.
-* ``cover_from_sparse``: the constructive cover of an atom hull built
-  from m-term greedy approximants with coefficients truncated to an
-  l1-ball integer grid.  The center count is a combinatorial product
-  that is asserted, never assumed, to stay at or below 2^k.
+* ``cover_from_sparse`` and the l_p-ball profile: constructive covers
+  from m-term approximants whose coefficients are truncated onto an
+  integer grid, built by one routine for both sets.  The atom hull
+  (the octahedron) takes greedy approximants on an l1-ball grid; the
+  l_p ball keeps each point's m largest coordinates on a cube grid.
+  The center count is a combinatorial product that is asserted, never
+  assumed, to stay at or below 2^k.
 
 Certificates are JSON-serializable and re-verifiable through checkers
 that use only the stored metric, never the construction that produced
@@ -33,7 +36,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 from scipy.spatial.distance import cdist
-from scipy.stats import qmc
 
 from .errors import (
     BudgetExceededError,
@@ -554,7 +556,7 @@ def farthest_point_packing(W: np.ndarray, count: int, metric: Metric,
 
 
 # ---------------------------------------------------------------------------
-# constructive covers from sparse approximants
+# constructive covers from quantized sparse approximants
 
 def _l1_grid_count(m: int, M: int) -> int:
     """Number of integer vectors z in Z^m with sum |z_i| <= M."""
@@ -564,23 +566,96 @@ def _l1_grid_count(m: int, M: int) -> int:
     return total
 
 
-def _max_l1_radius(m: int, target: int) -> int:
-    """Largest M >= 0 with _l1_grid_count(m, M) <= target."""
+def _max_grid_radius(count, m: int, target: int) -> int:
+    """Largest M >= 0 with count(m, M) <= target, or -1 when target < 1.
+
+    ``count(m, M)`` must grow without bound in M, which every grid count
+    does for m >= 1.  The search doubles past the target and then
+    bisects, in exact integer arithmetic.
+    """
     if target < 1:
         return -1
-    hi = 1
-    while _l1_grid_count(m, hi) <= target:
-        hi *= 2
-        if hi > 10 ** 18:
-            break
-    lo = 0
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if _l1_grid_count(m, mid) <= target:
+    lo, hi = 0, 1  # count(m, lo) <= target throughout
+    while count(m, hi) <= target:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if count(m, mid) <= target:
             lo = mid
         else:
-            hi = mid - 1
+            hi = mid
     return lo
+
+
+def _row_norms(metric: Metric, R: np.ndarray) -> np.ndarray:
+    """The norm of every row of R in a cover metric.
+
+    Ambient rows take the weighted l_q norm with the peak factored out,
+    as ``spaces.norm`` does; point-evaluation rows take the max.
+    """
+    if isinstance(metric, PointwiseMaxMetric):
+        return np.abs(R[:, metric.indices]).max(axis=1)
+    space = metric.space
+    ax = np.abs(R)
+    top = ax.max(axis=1)
+    scaled = ax / np.where(top > 0.0, top, 1.0)[:, None]
+    return top * np.power(np.power(scaled, space.q) @ space.weight_vector(),
+                          1.0 / space.q)
+
+
+def _quantized_cover(sample: np.ndarray, atoms: np.ndarray, level, grid_count,
+                     metric: Metric, k: int, m_max: int,
+                     set_id: str) -> CoverCertificate:
+    """Cover a witness sample by grid-quantized m-term approximants.
+
+    ``atoms`` holds the n atoms as columns.  ``level(m)`` returns every
+    witness's m-term support (a runs x m index array, padded with n), its
+    coefficients (zero-padded) and a bound B on them: truncating c onto
+    the step-B/M grid lands in the grid of ``grid_count(m, M)`` points.
+    Each m <= min(k, m_max) whose support count times the largest
+    fitting grid stays within 2^k centers is one option, next to the
+    zero center; every option's radius is measured in one array pass,
+    and the smallest wins (the first among ties).  Only the winner's
+    centers are deduplicated into the certificate.
+    """
+    if k < 0:
+        raise QuantizationBudgetError(f"k must be nonnegative, got {k}")
+    runs = sample.shape[0]
+    dim, n = atoms.shape
+    best = (float(_row_norms(metric, sample).max()), 0, 0, 0.0, None)
+    for m in range(1, min(k, m_max) + 1):
+        # comb(n, m) is not monotone in m, so infeasible m never break the scan
+        M = _max_grid_radius(grid_count, m, (1 << k) // math.comb(n, m))
+        if M < 1:
+            continue
+        support, coef, bound = level(m)
+        delta = bound / M if bound > 0 else 0.0
+        z = np.trunc(coef / delta) if delta > 0 else np.zeros_like(coef)
+        quantized = np.zeros((runs, n + 1))  # column n takes the padding
+        quantized[np.arange(runs)[:, None], support] = z * delta
+        centers = quantized[:, :n] @ atoms.T
+        radius = float(_row_norms(metric, sample - centers).max())
+        if radius < best[0]:
+            best = (radius, m, M, delta, (support, z, centers))
+
+    radius, m, M, delta, chosen = best
+    if m == 0:
+        centers, count = np.zeros((1, dim)), 1
+    else:
+        support, z, centers = chosen
+        first = {}
+        for i, key in enumerate(zip(map(tuple, support.tolist()),
+                                    map(tuple, z.tolist()))):
+            first.setdefault(key, i)
+        centers = centers[list(first.values())]
+        count = math.comb(n, m) * grid_count(m, M)
+    if count > (1 << k):
+        raise QuantizationBudgetError(
+            f"certified count {count} exceeds 2^{k}; pick a larger k")
+    return CoverCertificate(
+        centers=centers, radius=radius, k=k, count_bound=count,
+        metric=metric, provenance="sparse-cover" if m > 0 else "trivial",
+        set_id=set_id, extra={"m": m, "grid_radius": M, "grid_step": delta})
 
 
 def _octahedron_witness(dictionary: Dictionary, size: int, seed: int) -> np.ndarray:
@@ -647,89 +722,6 @@ def _dyadic_segment_cover(octa: Octahedron, k: int, sample: np.ndarray,
         extra={"m": 1, "grid": "dyadic-offset"})
 
 
-def _sparse_cover_at_k(octa: Octahedron, k: int, sample: np.ndarray,
-                       runs: list, sigma: np.ndarray, metric: Metric,
-                       set_id: str, seed: int) -> CoverCertificate:
-    dictionary = octa.dictionary
-    space = dictionary.space
-    n = dictionary.size
-    if k < 0:
-        raise QuantizationBudgetError(f"k must be nonnegative, got {k}")
-    if n == 1:
-        return _dyadic_segment_cover(octa, k, sample, metric, set_id)
-    m_max = len(sigma) - 1
-    norms0 = np.array([norm(space, f) for f in sample])
-
-    # feasible (m, M) pairs within the 2^k center budget
-    options = [(float(norms0.max()), 0, 0, 0.0)]
-    for m in range(1, min(k, n, m_max) + 1):
-        # comb(n, m) is not monotone in m, so infeasible m never break the scan
-        target = (1 << k) // math.comb(n, m)
-        if target < 1:
-            continue
-        M = _max_l1_radius(m, target)
-        if M < 1:
-            continue
-        B = 0.0
-        for run in runs:
-            if run is None or not run.step_coefficients:
-                continue
-            c = run.step_coefficients[min(m, len(run.step_coefficients)) - 1]
-            B = max(B, float(np.abs(c).sum()))
-        delta = B / M if B > 0 else 0.0
-        options.append((float(sigma[m]) + m * delta, m, M, delta))
-
-    best = None
-    for _, m, M, delta in options:
-        if m == 0:
-            radius = float(norms0.max())
-            centers = {(): np.zeros(space.dim)}
-            count = 1
-        else:
-            centers = {}
-            radius = 0.0
-            for i, run in enumerate(runs):
-                if run is None or not run.step_coefficients:
-                    key = ()
-                    center = np.zeros(space.dim)
-                else:
-                    steps = min(m, len(run.step_coefficients))
-                    c = run.step_coefficients[steps - 1]
-                    sup = tuple(run.support[:steps])
-                    if delta > 0:
-                        z = np.trunc(c / delta)
-                        chat = z * delta
-                    else:
-                        z, chat = c, c
-                    key = (sup, tuple(np.asarray(z).tolist()))
-                    center = dictionary.atoms[:, list(sup)] @ chat
-                centers[key] = center
-                radius = max(radius, norm(space, sample[i] - center))
-            count = support_count_total(n, m, M)
-        if best is None or radius < best[0]:
-            best = (radius, m, M, delta, centers, count)
-
-    radius, m, M, delta, centers, count = best
-    if count > (1 << k):
-        raise QuantizationBudgetError(
-            f"certified count {count} exceeds 2^{k}; pick a larger k")
-    center_arr = np.stack(list(centers.values())) if centers else np.zeros((1, space.dim))
-    return CoverCertificate(
-        centers=center_arr, radius=float(radius), k=k, count_bound=count,
-        metric=metric, provenance="sparse-cover" if m > 0 else "trivial",
-        set_id=set_id,
-        extra={"m": m, "grid_radius": M, "grid_step": delta, "seed": seed,
-               "sigma_m": float(sigma[m]),
-               "predicted": float(sigma[m]) + m * delta})
-
-
-def support_count_total(n: int, m: int, M: int) -> int:
-    """Certified center count: supports times l1-grid points."""
-    if m == 0:
-        return 1
-    return math.comb(n, m) * _l1_grid_count(m, M)
-
-
 def cover_from_sparse(octa: Octahedron, k: int, *, sample: np.ndarray | None = None,
                       sample_size: int = 400, seed: int = 0,
                       project_tol: float = 1e-8, m_cap: int = 24) -> CoverCertificate:
@@ -752,7 +744,12 @@ def octahedron_cover_profile(octa: Octahedron, k_list: list[int], *,
                              sample_size: int = 400, seed: int = 0,
                              project_tol: float = 1e-8,
                              m_cap: int = 24) -> dict[int, CoverCertificate]:
-    """Constructive covers for several budgets, sharing one greedy pass."""
+    """Constructive covers for several budgets, sharing one greedy pass.
+
+    A witness's m-term approximant is its greedy run after min(m, steps
+    taken) steps; the grid bound is the largest l1 norm of those
+    coefficients over the witnesses.
+    """
     dictionary = octa.dictionary
     n = dictionary.size
     if sample is None:
@@ -772,9 +769,30 @@ def octahedron_cover_profile(octa: Octahedron, k_list: list[int], *,
                   if math.comb(n, m) <= (1 << k_max)]
     m_max = max(feasible_m, default=0)
     runs, sigma = _wcga_snapshots(sample, dictionary, m_max, project_tol)
-    return {int(k): _sparse_cover_at_k(octa, int(k), sample, runs, sigma,
-                                       metric, set_id, seed)
-            for k in k_list}
+
+    def greedy_level(m):
+        support = np.full((len(runs), m), n)
+        coef = np.zeros((len(runs), m))
+        bound = 0.0
+        for i, run in enumerate(runs):
+            if run is None or not run.step_coefficients:
+                continue
+            steps = min(m, len(run.step_coefficients))
+            c = run.step_coefficients[steps - 1]
+            support[i, :steps] = run.support[:steps]
+            coef[i, :steps] = c
+            bound = max(bound, float(np.abs(c).sum()))
+        return support, coef, bound
+
+    certs = {}
+    for k in k_list:
+        cert = _quantized_cover(sample, dictionary.atoms, greedy_level,
+                                _l1_grid_count, metric, int(k), m_max, set_id)
+        m = cert.extra["m"]
+        cert.extra.update(seed=seed, sigma_m=float(sigma[m]),
+                          predicted=float(sigma[m]) + m * cert.extra["grid_step"])
+        certs[int(k)] = cert
+    return certs
 
 
 # ---------------------------------------------------------------------------
@@ -796,6 +814,8 @@ def _ball_witness(p: float, n: int, size: int, seed: int) -> np.ndarray:
     have = sum(r.shape[0] for r in rows)
     extra = max(size - have, 0)
     if extra:
+        from scipy.stats import qmc  # scipy.stats is slow to import; only this needs it
+
         sob = qmc.Sobol(d=n, scramble=False).random(2 ** math.ceil(math.log2(extra)))
         pts = 2.0 * sob[:extra] - 1.0
         norms = np.power(np.power(np.abs(pts), p).sum(axis=1), 1.0 / p)
@@ -804,78 +824,6 @@ def _ball_witness(p: float, n: int, size: int, seed: int) -> np.ndarray:
         radial = np.where(np.arange(extra) % 4 == 3, 0.5, 1.0)
         rows.append(pts / norms[:, None] * radial[:, None])
     return np.vstack(rows)
-
-
-def _int_root(x: int, m: int) -> int:
-    """floor(x ** (1/m)) in exact integer arithmetic."""
-    if x < 2 or m == 1:
-        return x
-    r = 1 << ((x.bit_length() + m - 1) // m)
-    while True:
-        nr = ((m - 1) * r + x // r ** (m - 1)) // m
-        if nr >= r:
-            break
-        r = nr
-    while r ** m > x:
-        r -= 1
-    while (r + 1) ** m <= x:
-        r += 1
-    return r
-
-
-def _cube_grid_radius(m: int, target: int) -> int:
-    """Largest M >= 0 with (2M + 1)^m <= target."""
-    if target < 1:
-        return -1
-    root = _int_root(target, m)  # 2M + 1 can be at most this
-    return (root - 1) // 2
-
-
-def _lp_sparse_cover_at_k(sample: np.ndarray, sorted_abs: np.ndarray,
-                          order: np.ndarray, n: int, k: int, metric: Metric,
-                          set_id: str) -> CoverCertificate:
-    """Keep the m largest coordinates, truncate them to a step-1/M grid."""
-    # m = 0 is the zero-center trivial cover
-    best = (float(sorted_abs[:, 0].max()), 0, 0)
-    for m in range(1, min(k, n) + 1):
-        target = (1 << k) // math.comb(n, m)
-        if target < 1:
-            continue
-        M = _cube_grid_radius(m, target)
-        if M < 1:
-            continue
-        delta = 1.0 / M
-        kept = np.take_along_axis(sample, order[:, :m], axis=1)
-        err_kept = np.abs(kept - np.trunc(kept / delta) * delta).max(axis=1)
-        err_tail = sorted_abs[:, m] if m < n else np.zeros(len(sample))
-        radius = float(np.maximum(err_kept, err_tail).max())
-        if radius < best[0]:
-            best = (radius, m, M)
-
-    radius, m, M = best
-    if m == 0:
-        centers = np.zeros((1, n))
-        count = 1
-    else:
-        delta = 1.0 / M
-        centers_map = {}
-        for i in range(sample.shape[0]):
-            idx = np.sort(order[i, :m])
-            z = np.trunc(sample[i, idx] / delta)
-            key = (tuple(idx.tolist()), tuple(z.tolist()))
-            if key not in centers_map:
-                center = np.zeros(n)
-                center[idx] = z * delta
-                centers_map[key] = center
-        centers = np.stack(list(centers_map.values()))
-        count = math.comb(n, m) * (2 * M + 1) ** m
-    if count > (1 << k):
-        raise QuantizationBudgetError(
-            f"certified count {count} exceeds 2^{k}; pick a larger k")
-    return CoverCertificate(
-        centers=centers, radius=float(radius), k=k, count_bound=count,
-        metric=metric, provenance="sparse-cover" if m > 0 else "trivial",
-        set_id=set_id, extra={"m": m, "grid_radius": M})
 
 
 @dataclass
@@ -891,10 +839,11 @@ def ball_entropy_experiment(p: float, n: int, k_list: list[int], *,
                             sample_size: int = 2048, seed: int = 0) -> BallEntropyResult:
     """Bracketed entropy profile of the unit l_p ball in the max norm.
 
-    Upper entries come from the constructive keep-m-coordinates covers
-    (clamped by the trivial zero-center bound, which never exceeds 1);
-    lower entries from farthest-point packings of the witness sample.
-    Everything refers to the sampled ball; k stops at n.
+    Upper entries come from the constructive keep-m-coordinates covers:
+    each witness keeps its m largest coordinates, truncated onto the
+    step-1/M cube grid (clamped by the trivial zero-center bound, which
+    never exceeds 1); lower entries from farthest-point packings of the
+    witness sample.  Everything refers to the sampled ball; k stops at n.
     """
     if p < 2:
         raise ValueError(f"p must be >= 2, got {p}")
@@ -906,13 +855,17 @@ def ball_entropy_experiment(p: float, n: int, k_list: list[int], *,
     sample = _ball_witness(p, n, sample_size, seed)
     metric = PointwiseMaxMetric(np.arange(n))
     set_id = f"lp-ball[p={p},n={n}]"
-    sorted_abs = np.sort(np.abs(sample), axis=1)[:, ::-1]
     order = np.argsort(-np.abs(sample), axis=1, kind="stable")
+
+    def largest_coordinates(m):
+        support = np.sort(order[:, :m], axis=1)
+        return support, np.take_along_axis(sample, support, axis=1), 1.0
 
     uppers, upper_src = [], []
     for k in k_list:
-        cert = _lp_sparse_cover_at_k(sample, sorted_abs, order, n, k,
-                                     metric, set_id)
+        cert = _quantized_cover(sample, np.eye(n), largest_coordinates,
+                                lambda m, M: (2 * M + 1) ** m, metric, k, n,
+                                set_id)
         uppers.append(cert.radius)
         upper_src.append(cert.provenance)
 

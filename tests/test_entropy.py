@@ -1,16 +1,23 @@
 """Covers, packings, exact oracles, and the entropy experiments.
 
 The exact restricted-centers oracle is cross-checked against direct
-subset enumeration; the experiment outputs are pinned to frozen values
-so a refactor that shifts any radius is caught immediately.
+subset enumeration, and the batched quantized cover against a loop that
+measures one witness at a time; the experiment outputs are pinned to
+frozen values so a refactor that shifts any radius is caught immediately.
 """
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import entrobound
 from entrobound import (
     AmbientMetric,
     BudgetExceededError,
@@ -22,8 +29,10 @@ from entrobound import (
     Octahedron,
     PackingCertificate,
     PointwiseMaxMetric,
+    SamplePointSet,
     UNormMetric,
     ball_entropy_experiment,
+    build_discretization_dictionary,
     canonical_dictionary,
     cover_from_sparse,
     duality_sum_check,
@@ -35,12 +44,20 @@ from entrobound import (
     metric_from_json,
     norm,
     octahedron_cover_profile,
+    random_subspace,
     sample_octahedron,
     sequence_space,
     verify_cover,
     verify_packing,
+    wcga,
 )
-from entrobound.entropy import _cube_grid_radius, _int_root, support_count_total
+from entrobound.entropy import (
+    _ball_witness,
+    _l1_grid_count,
+    _max_grid_radius,
+    _octahedron_witness,
+    _quantized_cover,
+)
 
 EUCLID2 = AmbientMetric(sequence_space(2, 2.0))
 
@@ -246,34 +263,54 @@ def test_farthest_point_packing_properties():
 # ---------------------------------------------------------------------------
 # integer grid helpers
 
-def test_int_root_is_exactly_floor():
+def _cube_count(m, M):
+    return (2 * M + 1) ** m
+
+
+_GRID_COUNTS = (_l1_grid_count, _cube_count)
+
+
+def _assert_max_grid_radius(count, m, t):
+    M = _max_grid_radius(count, m, t)
+    if t < 1:
+        assert M == -1
+    else:
+        assert count(m, M) <= t < count(m, M + 1)
+
+
+def test_max_grid_radius_is_maximal_on_wide_targets():
     rng = np.random.default_rng(4)
     for _ in range(200):
         m = int(rng.integers(1, 9))
-        x = int(rng.integers(0, 2 ** 63))
-        r = _int_root(x, m)
-        assert r ** m <= x < (r + 1) ** m
-    assert _int_root(0, 3) == 0
-    assert _int_root(1, 5) == 1
-    assert _int_root(8, 3) == 2
-    assert _int_root(7, 3) == 1
+        t = int(rng.integers(0, 2 ** 63))
+        for count in _GRID_COUNTS:
+            _assert_max_grid_radius(count, m, t)
+    for count in _GRID_COUNTS:
+        for m, t in ((3, 0), (5, 1), (3, 8), (3, 7), (1, 2 ** 200)):
+            _assert_max_grid_radius(count, m, t)
 
 
-def test_cube_grid_radius_is_maximal():
+def test_max_grid_radius_is_maximal():
     rng = np.random.default_rng(5)
     for _ in range(200):
         m = int(rng.integers(1, 7))
         t = int(rng.integers(1, 2 ** 60))
-        M = _cube_grid_radius(m, t)
-        assert (2 * M + 1) ** m <= t < (2 * M + 3) ** m
-    assert _cube_grid_radius(3, 0) == -1
-    assert _cube_grid_radius(2, 1) == 0
+        for count in _GRID_COUNTS:
+            _assert_max_grid_radius(count, m, t)
+    for count in _GRID_COUNTS:
+        assert _max_grid_radius(count, 3, 0) == -1
+        assert _max_grid_radius(count, 3, -5) == -1
+        assert _max_grid_radius(count, 2, 1) == 0
 
 
-def test_support_count_total():
-    assert support_count_total(8, 0, 5) == 1
-    assert support_count_total(8, 2, 3) == math.comb(8, 2) * 25
+def test_l1_grid_count():
     # the l1 grid in 2 coordinates with radius 3 holds 25 points
+    assert _l1_grid_count(2, 3) == 25
+    for m in range(1, 4):
+        for M in range(5):
+            grid = itertools.product(range(-M, M + 1), repeat=m)
+            assert _l1_grid_count(m, M) == sum(
+                1 for z in grid if sum(map(abs, z)) <= M)
 
 
 # ---------------------------------------------------------------------------
@@ -319,6 +356,125 @@ def test_octahedron_cover_radii_shrink_with_budget():
         octahedron_cover_profile(octa, [11], sample_size=40)
 
 
+def _per_witness_reference(dictionary, k, sample, runs, m_max):
+    """The octahedron cover measured one witness and one option at a time.
+
+    Returns the (m, grid radius, count bound, provenance) choice and the
+    radius, with every distance a scalar ``norm`` call.
+    """
+    space = dictionary.space
+    n = dictionary.size
+    best = (max(norm(space, f) for f in sample), (0, 0, 1, "trivial"))
+    for m in range(1, min(k, m_max) + 1):
+        M = _max_grid_radius(_l1_grid_count, m, 2 ** k // math.comb(n, m))
+        if M < 1:
+            continue
+        levels = []
+        for run in runs:
+            if run is None or not run.step_coefficients:
+                levels.append(None)
+            else:
+                steps = min(m, len(run.step_coefficients))
+                levels.append((run.support[:steps], run.step_coefficients[steps - 1]))
+        bound = max((float(np.abs(c).sum()) for _, c in filter(None, levels)),
+                    default=0.0)
+        delta = bound / M
+        radius = 0.0
+        for f, lev in zip(sample, levels):
+            center = np.zeros(space.dim)
+            if lev is not None:
+                sup, c = lev
+                center = dictionary.atoms[:, sup] @ (np.trunc(c / delta) * delta)
+            radius = max(radius, norm(space, f - center))
+        if radius < best[0]:
+            count = math.comb(n, m) * _l1_grid_count(m, M)
+            best = (radius, (m, M, count, "sparse-cover"))
+    return best
+
+
+def _it1_u_dictionary():
+    sub = random_subspace(4, 64, 3)
+    pts = SamplePointSet(np.arange(0, 64, 4))
+    return build_discretization_dictionary(sub, pts, 3.0).u_dictionary()
+
+
+@pytest.mark.parametrize("make_dictionary", [
+    lambda: canonical_dictionary(12, 1.5), _it1_u_dictionary,
+], ids=["canonical-q1.5", "it1-u-dictionary"])
+def test_quantized_cover_matches_the_per_witness_reference(make_dictionary):
+    dictionary = make_dictionary()
+    n = dictionary.size
+    sample = _octahedron_witness(dictionary, 120, 4)
+    runs = [None if norm(dictionary.space, f) == 0.0 else
+            wcga(f, dictionary, n, project_tol=1e-8, record_steps=True)
+            for f in sample]
+    ks = list(range(1, n + 1))
+    certs = octahedron_cover_profile(Octahedron(dictionary), ks, sample=sample)
+    chosen = set()
+    for k in ks:
+        cert = certs[k]
+        radius, choice = _per_witness_reference(dictionary, k, sample, runs, n)
+        got = (cert.extra["m"], cert.extra["grid_radius"], cert.count_bound,
+               cert.provenance)
+        assert got == choice
+        assert cert.radius == pytest.approx(radius, rel=1e-14, abs=0.0)
+        assert verify_cover(cert, sample)
+        chosen.add(choice[0])
+    assert 0 in chosen and len(chosen) > 2  # trivial and several sparse choices
+
+
+_FEW = settings(max_examples=30, derandomize=True, deadline=None)
+
+
+@_FEW
+@given(n=st.integers(1, 8), q=st.sampled_from([1.5, 2.0, 3.0]),
+       canonical=st.booleans(), seed=st.integers(0, 2 ** 16))
+def test_octahedron_covers_verify_within_budget(n, q, canonical, seed):
+    if canonical:
+        dictionary = canonical_dictionary(n, q)
+    else:
+        space = sequence_space(n + 2, q)
+        atoms = np.random.default_rng(seed).standard_normal((n + 2, n))
+        dictionary = Dictionary(
+            atoms / [norm(space, a) for a in atoms.T], space)
+    sample = _octahedron_witness(dictionary, 40, seed)
+    trivial = max(norm(dictionary.space, f) for f in sample)
+    ks = list(range(0, n + 1))
+    certs = octahedron_cover_profile(Octahedron(dictionary), ks, sample=sample)
+    for k in ks:
+        cert = certs[k]
+        assert cert.count_bound <= 2 ** k
+        assert cert.radius <= trivial * (1.0 + 1e-12)  # round-off only
+        assert verify_cover(cert, sample)
+
+
+@_FEW
+@given(n=st.integers(1, 8), p=st.sampled_from([2.0, 3.0, 4.0]),
+       seed=st.integers(0, 2 ** 16))
+def test_ball_covers_verify_within_budget(n, p, seed):
+    sample = _ball_witness(p, n, 96, seed)
+    order = np.argsort(-np.abs(sample), axis=1, kind="stable")
+
+    def largest(m):
+        support = np.sort(order[:, :m], axis=1)
+        return support, np.take_along_axis(sample, support, axis=1), 1.0
+
+    metric = PointwiseMaxMetric(np.arange(n))
+    trivial = float(np.abs(sample).max())
+    ks = list(range(1, n + 1))
+    radii = []
+    for k in ks:
+        cert = _quantized_cover(sample, np.eye(n), largest, _cube_count,
+                                metric, k, n, "ball")
+        assert cert.count_bound <= 2 ** k
+        assert cert.radius <= trivial
+        assert verify_cover(cert, sample)
+        radii.append(cert.radius)
+    # the experiment builds the same covers, then takes the monotone envelope
+    res = ball_entropy_experiment(p, n, ks, sample_size=96, seed=seed)
+    assert np.array_equal(res.profile.upper, np.minimum.accumulate(radii))
+
+
 # ---------------------------------------------------------------------------
 # ball experiment
 
@@ -353,6 +509,18 @@ def test_ball_entropy_validation():
         ball_entropy_experiment(2.0, 4, [5])
     with pytest.raises(ValueError):
         ball_entropy_experiment(2.0, 4, [])
+
+
+def test_importing_the_package_leaves_scipy_stats_unloaded():
+    # only the ball witness needs scipy.stats (its Sobol points), and the
+    # import costs a large share of the package's start-up
+    src = os.path.dirname(os.path.dirname(entrobound.__file__))
+    code = "import sys, entrobound; print('scipy.stats' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 # ---------------------------------------------------------------------------

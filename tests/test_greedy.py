@@ -232,8 +232,20 @@ def test_non_convergence_reports_the_newton_iterations_taken(monkeypatch):
         optim.minimize_power_residual(A, b, np.full(12, 1.0 / 12), 3.0,
                                       decrement_tol=1e-2)
     assert exc.value.iterations == len(factored)
-    assert exc.value.iterations < 9 * 80  # stages * stage_iter
+    assert exc.value.iterations < 8 * 80  # stages * stage_iter
     assert f"after {len(factored)} iterations" in str(exc.value)
+
+
+@pytest.mark.parametrize("eps_rel, stages", [(1e-8, 8), (1e-6, 6), (1e-3, 3)])
+def test_each_smoothing_stage_runs_once(eps_rel, stages):
+    # eps walks 0.1, 0.01, ... down to eps_rel; the product that lands just
+    # above eps_rel (1.0000000000000004e-08 for the default) is not a stage
+    rng = np.random.default_rng(1)
+    A = rng.standard_normal((12, 3))
+    b = rng.standard_normal(12)
+    res = optim.minimize_power_residual(A, b, np.full(12, 1.0 / 12), 1.5,
+                                        eps_rel=eps_rel)
+    assert res.stages == stages
 
 
 def test_non_finite_objective_raises_instead_of_reaching_the_factorization():
