@@ -6,8 +6,12 @@ labeled as such by its certificate.  Three bound sources exist:
 
 * ``exact_entropy_small``: the exact best radius achievable with at
   most 2^k centers chosen from the sample itself (binary search over
-  the sorted pairwise distances, exact set cover underneath).  With
-  centers restricted to the set the value sits between the true
+  the sorted pairwise distances, exact set cover underneath).  Each
+  probe tries, in order: the greedy cover; more than 2^k points no two
+  of which share a center; the set-cover LP on the cover matrix with
+  dominated centers dropped; the exact MILP on that matrix.  A cover
+  found at a probe moves the upper end down to the cover's own radius.
+  With centers restricted to the set the value sits between the true
   entropy radius and twice it.
 * ``greedy_cover`` / ``farthest_point_packing``: the classical
   first-uncovered-point cover and farthest-point traversal; a packing
@@ -374,36 +378,85 @@ def _greedy_indices_at(Dm: np.ndarray, r: float) -> list[int]:
     return picked
 
 
-def _min_cover_count(Dm: np.ndarray, r: float) -> int:
+def _cover_matrix(Dm: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
+    """0/1 cover matrix at radius r with dominated centers dropped.
+
+    Rows are points and columns candidate centers.  A column whose
+    covered set lies strictly inside another column's is dropped, and
+    of equal columns only the first is kept; every row stays.  Returns
+    the reduced matrix and the kept columns' indices in ``Dm``.
+    """
     cov = (Dm <= r + _DIST_TOL).astype(float)
-    num = Dm.shape[0]
+    shared = cov.T @ cov
+    size = np.diag(shared)
+    order = np.arange(len(size))
+    inside = shared == size[:, None]  # column c's set lies inside column d's
+    dominated = inside & ((size[None, :] > size[:, None])
+                          | ((size[None, :] == size[:, None])
+                             & (order[None, :] < order[:, None])))
+    cols = np.flatnonzero(~dominated.any(axis=1))
+    return cov[:, cols], cols
+
+
+def _min_cover_count(cov: np.ndarray, cols: np.ndarray) -> tuple[int, np.ndarray]:
+    """Exact set cover of a reduced cover matrix: its size and centers."""
+    num = cov.shape[0]
     res = milp(
-        c=np.ones(num),
+        c=np.ones(cov.shape[1]),
         constraints=LinearConstraint(cov, lb=np.ones(num), ub=np.full(num, np.inf)),
-        integrality=np.ones(num),
+        integrality=np.ones(cov.shape[1]),
         bounds=Bounds(0, 1),
     )
     if res.status != 0:
         raise CertificateError(f"set-cover solve failed with status {res.status}")
-    return int(round(res.fun))
+    return int(round(res.fun)), cols[res.x > 0.5]
 
 
-def _cover_feasible(Dm: np.ndarray, r: float, budget: int) -> bool:
-    """Can ``budget`` balls of radius r centered in the set cover it?
+def _separated_count(cov: np.ndarray, budget: int) -> int:
+    """Size of a greedy set of points no two of which share a center.
 
-    Greedy success certifies yes; a fractional set-cover value above
-    the budget certifies no; only the remaining sliver goes to the
-    exact integer solve.
+    Each such point needs a center of its own.  Points with the fewest
+    sharers go first; the scan stops once the set exceeds ``budget``.
     """
-    if len(_greedy_indices_at(Dm, r)) <= budget:
-        return True
-    cov = (Dm <= r + _DIST_TOL).astype(float)
-    num = Dm.shape[0]
-    relax = linprog(np.ones(num), A_ub=-cov, b_ub=-np.ones(num),
+    share = (cov @ cov.T) > 0.0
+    blocked = np.zeros(cov.shape[0], dtype=bool)
+    count = 0
+    for i in np.argsort(share.sum(axis=1), kind="stable"):
+        if not blocked[i]:
+            count += 1
+            if count > budget:
+                break
+            blocked |= share[i]
+    return count
+
+
+def _cover_feasible(Dm: np.ndarray, r: float, budget: int) -> np.ndarray | None:
+    """Centers of a cover by at most ``budget`` radius-r balls, or None.
+
+    The probes run cheapest first:
+
+    1. a greedy cover that fits answers yes;
+    2. more than ``budget`` points that pairwise share no center answer
+       no;
+    3. a set-cover LP value above the budget answers no, on the cover
+       matrix with dominated centers dropped;
+    4. the exact MILP on that matrix decides the rest.
+
+    The returned centers may cover at a smaller radius than r; the
+    caller's search moves its upper end to that radius.
+    """
+    picked = _greedy_indices_at(Dm, r)
+    if len(picked) <= budget:
+        return np.asarray(picked)
+    cov, cols = _cover_matrix(Dm, r)
+    if _separated_count(cov, budget) > budget:
+        return None
+    relax = linprog(np.ones(cov.shape[1]), A_ub=-cov, b_ub=-np.ones(cov.shape[0]),
                     bounds=(0, 1), method="highs")
     if relax.status == 0 and relax.fun > budget + 1e-6:
-        return False
-    return _min_cover_count(Dm, r) <= budget
+        return None
+    count, centers = _min_cover_count(cov, cols)
+    return centers if count <= budget else None
 
 
 def _greedy_search(Dm: np.ndarray, candidates: np.ndarray, budget: int,
@@ -431,7 +484,10 @@ def _exact_restricted_radius(Dm: np.ndarray, budget: int) -> float:
 
     The search window is narrowed first by two cheap certificates: a
     (budget+1)-point packing rules out radii below half its separation,
-    and the best greedy-feasible value is already an upper bound.
+    and the best greedy-feasible value is already an upper bound.  Each
+    probe that finds a cover moves the upper end to the radius that
+    cover actually reaches, which is itself a candidate; coverage is
+    monotone in r, so the value found is the one plain bisection finds.
     """
     if budget == 1:
         return float(Dm.max(axis=1).min())
@@ -442,23 +498,39 @@ def _exact_restricted_radius(Dm: np.ndarray, budget: int) -> float:
         lo_val = ins[-1] / 2.0 - _DIST_TOL
     lo_idx = int(np.searchsorted(candidates, lo_val))
     hi_idx = _greedy_search(Dm, candidates, budget, lo_idx)
-    # candidates[hi_idx] is feasible (greedy said so); classic bisection below it
+    # candidates[hi_idx] is feasible (greedy said so); bisection below it
     while lo_idx < hi_idx:
         mid = (lo_idx + hi_idx) // 2
-        if _cover_feasible(Dm, candidates[mid], budget):
-            hi_idx = mid
-        else:
+        centers = _cover_feasible(Dm, candidates[mid], budget)
+        if centers is None:
             lo_idx = mid + 1
+            continue
+        # the cover's own radius is a candidate at which it is feasible
+        # too; indices below lo_idx were ruled out, so it clamps there
+        reached = Dm[:, centers].min(axis=1).max()
+        hi_idx = min(mid, max(lo_idx, int(np.searchsorted(candidates, reached))))
     return float(candidates[hi_idx])
+
+
+def _sample_points(W) -> np.ndarray:
+    """W as a 2-D float array of points; empty or non-finite W raises."""
+    W = np.atleast_2d(np.asarray(W, dtype=float))
+    if W.shape[0] == 0:
+        raise EmptySampleError("the sample has no points")
+    if not np.all(np.isfinite(W)):
+        raise ValueError("points must be finite")
+    return W
 
 
 def exact_cover_count(W: np.ndarray, radius: float, metric: Metric) -> int:
     """Exact minimal number of radius-balls centered in W that cover W."""
-    W = np.atleast_2d(np.asarray(W, dtype=float))
+    W = _sample_points(W)
+    if not (math.isfinite(radius) and radius >= 0):
+        raise ValueError(f"radius must be finite and nonnegative, got {radius}")
     if W.shape[0] > _EXACT_MAX_POINTS:
         raise BudgetExceededError(
             f"{W.shape[0]} points exceed the exact-oracle limit {_EXACT_MAX_POINTS}")
-    return _min_cover_count(metric.pairwise(W, W), radius)
+    return _min_cover_count(*_cover_matrix(metric.pairwise(W, W), radius))[0]
 
 
 def exact_entropy_small(W: np.ndarray, k: int, metric: Metric) -> float:
@@ -466,11 +538,15 @@ def exact_entropy_small(W: np.ndarray, k: int, metric: Metric) -> float:
 
     Restricted to centers inside the set, so the value lies between the
     free-center entropy radius and twice it.  Binary search over the
-    sorted pairwise distances; each feasibility probe is answered by
-    the greedy cover when it already fits and by exact set cover
-    otherwise.  Budgeted at |W| <= 512 and 2^k <= 16.
+    sorted pairwise distances.  Each feasibility probe is answered by
+    the first of: the greedy cover when it fits (yes); more than 2^k
+    points that pairwise share no center (no); the set-cover LP on the
+    cover matrix with dominated centers dropped (no when above 2^k);
+    the exact MILP on that matrix.  A cover found by greedy or the MILP
+    moves the upper end of the search to the cover's own radius.
+    Budgeted at |W| <= 512 and 2^k <= 16.
     """
-    W = np.atleast_2d(np.asarray(W, dtype=float))
+    W = _sample_points(W)
     num = W.shape[0]
     if num > _EXACT_MAX_POINTS:
         raise BudgetExceededError(
@@ -484,11 +560,9 @@ def exact_entropy_small(W: np.ndarray, k: int, metric: Metric) -> float:
 def greedy_cover(W: np.ndarray, epsilon: float, metric: Metric,
                  *, set_id: str = "") -> CoverCertificate:
     """First-uncovered-point cover of the sample at a fixed radius."""
-    W = np.atleast_2d(np.asarray(W, dtype=float))
-    if W.shape[0] == 0:
-        raise EmptySampleError("cannot cover an empty sample")
-    if epsilon < 0:
-        raise ValueError("epsilon must be nonnegative")
+    W = _sample_points(W)
+    if not epsilon >= 0:
+        raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
     Dm = metric.pairwise(W, W)
     picked = _greedy_indices_at(Dm, epsilon)
     count = len(picked)
@@ -538,7 +612,7 @@ def farthest_point_packing(W: np.ndarray, count: int, metric: Metric,
     The reported separation is the recomputed minimal pairwise distance
     of the selected points, not the traversal's bookkeeping.
     """
-    W = np.atleast_2d(np.asarray(W, dtype=float))
+    W = _sample_points(W)
     num = W.shape[0]
     if not 1 <= count <= num:
         raise ValueError(f"count must lie in [1, {num}], got {count}")
@@ -752,6 +826,9 @@ def octahedron_cover_profile(octa: Octahedron, k_list: list[int], *,
     """
     dictionary = octa.dictionary
     n = dictionary.size
+    k_list = [int(k) for k in k_list]
+    if not k_list or min(k_list) < 0:
+        raise ValueError(f"k_list must hold at least one k >= 0, got {k_list}")
     if sample is None:
         sample = _octahedron_witness(dictionary, sample_size, seed)
     sample = np.atleast_2d(np.asarray(sample, dtype=float))
@@ -760,9 +837,9 @@ def octahedron_cover_profile(octa: Octahedron, k_list: list[int], *,
     metric = AmbientMetric(dictionary.space)
     set_id = f"octahedron[n={n}]"
     if n == 1:
-        return {k: _dyadic_segment_cover(octa, int(k), sample, metric, set_id)
+        return {k: _dyadic_segment_cover(octa, k, sample, metric, set_id)
                 for k in k_list}
-    k_max = max(int(k) for k in k_list)
+    k_max = max(k_list)
     if k_max > n:
         raise ValueError(f"cover budgets stop at k = n = {n}, got k = {k_max}")
     feasible_m = [m for m in range(1, min(n, m_cap, k_max) + 1)
@@ -787,11 +864,11 @@ def octahedron_cover_profile(octa: Octahedron, k_list: list[int], *,
     certs = {}
     for k in k_list:
         cert = _quantized_cover(sample, dictionary.atoms, greedy_level,
-                                _l1_grid_count, metric, int(k), m_max, set_id)
+                                _l1_grid_count, metric, k, m_max, set_id)
         m = cert.extra["m"]
         cert.extra.update(seed=seed, sigma_m=float(sigma[m]),
                           predicted=float(sigma[m]) + m * cert.extra["grid_step"])
-        certs[int(k)] = cert
+        certs[k] = cert
     return certs
 
 

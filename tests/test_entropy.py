@@ -51,15 +51,22 @@ from entrobound import (
     verify_packing,
     wcga,
 )
+import entrobound.entropy as entropy_module
 from entrobound.entropy import (
+    _DIST_TOL,
     _ball_witness,
+    _cover_feasible,
+    _cover_matrix,
     _l1_grid_count,
     _max_grid_radius,
+    _min_cover_count,
     _octahedron_witness,
     _quantized_cover,
+    _separated_count,
 )
 
 EUCLID2 = AmbientMetric(sequence_space(2, 2.0))
+_FEW = settings(max_examples=30, derandomize=True, deadline=None)
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +231,120 @@ def test_exact_oracle_budget_guards():
         exact_cover_count(big, 1.0, EUCLID2)
 
 
+def test_frozen_instance_needs_two_lp_and_two_milp_solves(monkeypatch):
+    calls = {"linprog": 0, "milp": 0}
+
+    def counted(name):
+        solve = getattr(entropy_module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return solve(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(entropy_module, name, counted(name))
+    W = np.random.default_rng(7).normal(size=(60, 2))
+    assert exact_entropy_small(W, 3, EUCLID2) == 0.8317272868234514
+    assert calls["linprog"] <= 2 and calls["milp"] <= 2
+
+
+def _lattice_and_random_sets():
+    rng = np.random.default_rng(11)
+    grid = np.array(list(itertools.product(range(6), range(6))), dtype=float)
+    cube = np.array(list(itertools.product((0.0, 1.0), repeat=4)))
+    yield grid, EUCLID2
+    yield grid, PointwiseMaxMetric(np.arange(2))
+    yield cube, AmbientMetric(sequence_space(4, 2.0))
+    for dim in (2, 3):
+        W = rng.normal(size=(40, dim))
+        yield np.vstack([W, W[:5]]), AmbientMetric(sequence_space(dim, 2.0))
+
+
+def test_separated_points_never_outnumber_the_optimal_cover():
+    for W, metric in _lattice_and_random_sets():
+        Dm = metric.pairwise(W, W)
+        for r in np.quantile(np.unique(Dm), [0.0, 0.02, 0.05, 0.1, 0.2, 0.4]):
+            cov, _ = _cover_matrix(Dm, r)
+            assert _separated_count(cov, len(W)) <= exact_cover_count(W, r, metric)
+
+
+def test_dropping_dominated_centers_keeps_the_optimal_count():
+    for W, metric in _lattice_and_random_sets():
+        Dm = metric.pairwise(W, W)
+        for r in np.quantile(np.unique(Dm), [0.05, 0.2]):
+            full = (Dm <= r + _DIST_TOL).astype(float)
+            cov, cols = _cover_matrix(Dm, r)
+            assert np.array_equal(cov, full[:, cols])
+            for c in np.setdiff1d(np.arange(len(W)), cols):
+                assert (full[:, [c]] <= cov).all(axis=0).any()
+            count, centers = _min_cover_count(full, np.arange(len(W)))
+            assert _min_cover_count(cov, cols)[0] == count == len(centers)
+
+
+def test_feasibility_probes_return_covers_that_cover():
+    for W, metric in _lattice_and_random_sets():
+        Dm = metric.pairwise(W, W)
+        for r in np.quantile(np.unique(Dm), [0.05, 0.1, 0.2, 0.3]):
+            optimal = exact_cover_count(W, r, metric)
+            for budget in (2, 4, 8, 16):
+                centers = _cover_feasible(Dm, r, budget)
+                assert (centers is None) == (optimal > budget)
+                if centers is not None:
+                    assert len(centers) <= budget
+                    assert Dm[:, centers].min(axis=1).max() <= r + _DIST_TOL
+
+
+@st.composite
+def _small_point_sets(draw):
+    """At most 12 points in dimension 1-3 on an integer or a 1/8 lattice,
+    with some rows repeated, so that distances tie and vanish."""
+    dim = draw(st.integers(1, 3))
+    span = draw(st.sampled_from([2, 40]))
+    coordinate = st.integers(-span, span)
+    rows = draw(st.lists(st.lists(coordinate, min_size=dim, max_size=dim),
+                         min_size=1, max_size=10))
+    repeats = draw(st.lists(st.integers(0, len(rows) - 1), max_size=12 - len(rows)))
+    W = np.array(rows + [rows[i] for i in repeats], dtype=float)
+    return W if span == 2 else W / 8.0
+
+
+@_FEW
+@given(W=_small_point_sets(), k=st.integers(0, 2), chebyshev=st.booleans())
+def test_exact_oracle_matches_subset_enumeration(W, k, chebyshev):
+    dim = W.shape[1]
+    metric = (PointwiseMaxMetric(np.arange(dim)) if chebyshev
+              else AmbientMetric(sequence_space(dim, 2.0)))
+    radius = exact_entropy_small(W, k, metric)
+    assert radius == _bruteforce_restricted(W, 2 ** k, metric)
+    assert exact_cover_count(W, radius, metric) <= 2 ** k
+
+
+def test_exact_entropy_small_rejects_non_finite_points():
+    W = np.random.default_rng(7).normal(size=(20, 2))
+    W[3, 1] = np.nan
+    with pytest.raises(ValueError):
+        exact_entropy_small(W, 3, EUCLID2)
+
+
+def test_exact_oracles_reject_an_empty_sample():
+    empty = np.zeros((0, 2))
+    with pytest.raises(EmptySampleError):
+        exact_entropy_small(empty, 1, EUCLID2)
+    with pytest.raises(EmptySampleError):
+        exact_cover_count(empty, 1.0, EUCLID2)
+
+
+def test_exact_cover_count_rejects_non_finite_input():
+    W = np.random.default_rng(7).normal(size=(20, 2))
+    for radius in (np.nan, np.inf, -0.5):
+        with pytest.raises(ValueError):
+            exact_cover_count(W, radius, EUCLID2)
+    W[3, 1] = np.inf
+    with pytest.raises(ValueError):
+        exact_cover_count(W, 0.5, EUCLID2)
+
+
 def test_greedy_cover_on_the_unit_square():
     rng = np.random.default_rng(0)
     W = rng.uniform(-1.0, 1.0, size=(100, 2))
@@ -242,6 +363,22 @@ def test_greedy_cover_validation():
         greedy_cover(np.zeros((3, 2)), -0.1, EUCLID2)
     with pytest.raises(EmptySampleError):
         greedy_cover(np.zeros((0, 2)), 0.1, EUCLID2)
+    with pytest.raises(ValueError):
+        greedy_cover(np.zeros((3, 2)), np.nan, EUCLID2)
+
+
+def test_greedy_cover_rejects_non_finite_points():
+    W = np.random.default_rng(7).normal(size=(20, 2))
+    W[3, 1] = np.nan
+    with pytest.raises(ValueError):
+        greedy_cover(W, 0.5, EUCLID2)
+
+
+def test_farthest_point_packing_rejects_non_finite_points():
+    W = np.random.default_rng(7).normal(size=(20, 2))
+    W[3, 1] = -np.inf
+    with pytest.raises(ValueError):
+        farthest_point_packing(W, 4, EUCLID2)
 
 
 def test_farthest_point_packing_properties():
@@ -356,6 +493,22 @@ def test_octahedron_cover_radii_shrink_with_budget():
         octahedron_cover_profile(octa, [11], sample_size=40)
 
 
+@pytest.mark.parametrize("n", [1, 4])
+def test_octahedron_cover_profile_rejects_a_negative_budget(n):
+    octa = Octahedron(canonical_dictionary(n, 2.0))
+    with pytest.raises(ValueError):
+        octahedron_cover_profile(octa, [-2], sample_size=10)
+    with pytest.raises(ValueError):
+        octahedron_cover_profile(octa, [1, -1], sample_size=10)
+
+
+@pytest.mark.parametrize("n", [1, 4])
+def test_octahedron_cover_profile_rejects_an_empty_k_list(n):
+    with pytest.raises(ValueError, match="k_list"):
+        octahedron_cover_profile(Octahedron(canonical_dictionary(n, 2.0)), [],
+                                 sample_size=10)
+
+
 def _per_witness_reference(dictionary, k, sample, runs, m_max):
     """The octahedron cover measured one witness and one option at a time.
 
@@ -421,9 +574,6 @@ def test_quantized_cover_matches_the_per_witness_reference(make_dictionary):
         assert verify_cover(cert, sample)
         chosen.add(choice[0])
     assert 0 in chosen and len(chosen) > 2  # trivial and several sparse choices
-
-
-_FEW = settings(max_examples=30, derandomize=True, deadline=None)
 
 
 @_FEW
