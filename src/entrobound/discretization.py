@@ -7,7 +7,7 @@ computes its reproducing kernel and the uniform-norm constant
     M_p = sup { ||f||_inf / ||f||_{L_p(mu)} : f in the subspace }
 
 by two independent routes: direct maximization per point, and the dual
-distance-to-complement problem, whose agreement is the classical
+minimal-norm representer problem, whose agreement is the classical
 duality test.  The direct route also builds the pointwise-evaluation
 dictionary w_j / g_j for a chosen set of sample points: the extremal
 function of each direct solve gives the Hahn-Banach representer of
@@ -22,9 +22,12 @@ seminorm, compared against the (log(2n/k)/k)^(1/p) envelope.
 Both inner problems are convex for p in [2, inf): the direct problem
 minimizes a p-th power over an affine slice of coefficients (d - 1
 unknowns for a d-dimensional subspace), the dual one a p'-th power
-over the orthogonal complement (N - d unknowns on N points, p' in
-(1, 2]).  Both use the shared smoothed-Newton solver; p = 2
-short-circuits to closed forms, where w_j is the kernel row D(x^j, .).
+(p' in (1, 2]) over the functions g on the N points that represent
+evaluation, B^T(mu g) = B[x], each Newton step solving one d x d Schur
+system.  Both use the stage loop of the shared smoothed-Newton solver,
+the direct problem in its residual form and the dual one in its
+constrained form; p = 2 short-circuits to closed forms, where w_j is
+the kernel row D(x^j, .).
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from functools import cached_property
 import numpy as np
 from scipy.linalg import null_space
 
-from ._optim import minimize_power_residual
+from ._optim import minimize_power_constrained, minimize_power_residual
 from .entropy import (
     EntropyProfile,
     PointwiseMaxMetric,
@@ -164,14 +167,6 @@ class Subspace:
     def _kernel(self) -> np.ndarray:
         return self.basis @ self.basis.T
 
-    @cached_property
-    def _complement(self) -> np.ndarray:
-        # orthonormal basis of the complement in the half-weighted frame:
-        # v is mu-orthogonal to the subspace iff sqrt(mu) v lies in
-        # null((sqrt(mu) basis)^T)
-        root = np.sqrt(self.measure.weights)
-        return null_space((root[:, None] * self.basis).T)
-
     def evaluate(self, coefficients: np.ndarray) -> np.ndarray:
         return self.basis @ np.asarray(coefficients, dtype=float)
 
@@ -258,27 +253,36 @@ def m_p_direct(sub: Subspace, p: float, tol: float = 1e-9) -> float:
 
 def _dual_point_solve(sub: Subspace, x: int, p: float,
                       tol: float) -> tuple[float, np.ndarray]:
-    """min over complement elements v of ||D(x,.) - v||_{p'}, with minimizer."""
+    """min ||g||_{p'} over the representers g of evaluation at x, with the minimizer.
+
+    A representer reproduces evaluation on the subspace, B^T(mu g) = B[x].
+    The kernel row D(x, .) is one, because the basis is mu-orthonormal,
+    and the others differ from it by the complement's elements.  The
+    constrained solve starts there, with constraint matrix C = mu B, so
+    each Newton step solves one d x d Schur system.  A full space has
+    that row as its only representer.
+    """
     mu = sub.measure.weights
     Dx = sub._kernel[x]
     pp = p / (p - 1.0)
-    K = sub._complement
-    if K.shape[1] == 0:  # full space: the complement is {0}
-        return sub.measure.norm(Dx, pp), np.zeros(sub.support_size)
-    root = np.sqrt(mu)
-    Kw = K / root[:, None]  # complement columns as functions
-    res = minimize_power_residual(Kw, Dx, mu, pp, decrement_tol=tol)
-    v = Kw @ res.x
-    return float(res.value ** (1.0 / pp)), v
+    if sub.dim == sub.support_size:
+        return sub.measure.norm(Dx, pp), Dx.copy()
+    res = minimize_power_constrained(mu[:, None] * sub.basis, Dx, mu, pp,
+                                     decrement_tol=tol)
+    return float(res.value ** (1.0 / pp)), res.x
 
 
 def m_p_dual(sub: Subspace, p: float, tol: float = 1e-9) -> float:
-    """The same constant through the distance-to-complement problem.
+    """The same constant through the minimal-norm representer problem.
 
     For each point, the norm of the evaluation functional equals the
-    L_{p'} distance from the kernel section D(x, .) to the orthogonal
-    complement of the subspace.  Agreement with ``m_p_direct`` is the
-    duality cross-check.  p = 2 collapses to ||D(x, .)||_2, the Hilbert
+    least L_{p'} norm of a representer g of evaluation, B^T(mu g) = B[x]:
+    the distance from the kernel section D(x, .) to the orthogonal
+    complement of the subspace.  Each point is one constrained solve
+    started at D(x, .); a point where every subspace element vanishes
+    has the zero representer and takes no solve.  Agreement with
+    ``m_p_direct``, which solves the primal problem, is the duality
+    cross-check.  p = 2 collapses to ||D(x, .)||_2, the Hilbert
     projection onto the complement being zero.
     """
     _validate_p(p)
@@ -358,9 +362,9 @@ def build_discretization_dictionary(sub: Subspace, pts: SamplePointSet,
     sample point x the extremal f* yields the Hahn-Banach representer
     w = |f*|^(p-2) f* / ||f*||_p^p, whose L_{p'} norm is the norm of
     the evaluation functional, followed by one projection that makes it
-    reproduce evaluation to round-off.  The dual distance-to-complement
-    route (``m_p_dual``) stays the independent cross-check.  For p = 2,
-    w_j is the kernel row D(x^j, .).  Both dictionary invariants are
+    reproduce evaluation to round-off.  The dual minimal-norm
+    representer route (``m_p_dual``) stays the independent cross-check.
+    For p = 2, w_j is the kernel row D(x^j, .).  Both dictionary invariants are
     checked here: the reproducing identity on the basis to 1e-8, and
     the norm bound ||w_j||_{p'} <= 2 M_p + tol.
     """

@@ -44,6 +44,7 @@ from scipy.spatial.distance import cdist
 from .errors import (
     BudgetExceededError,
     CertificateError,
+    DimensionMismatchError,
     EmptySampleError,
     QuantizationBudgetError,
 )
@@ -93,9 +94,16 @@ class Metric:
     def _feature_dist(self, FA: np.ndarray, FB: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def _check_dim(self, cols: int) -> None:
+        """Reject points with ``cols`` coordinates unless they fit the metric."""
+        if cols != self._dim:
+            raise DimensionMismatchError(self._dim, cols, "point")
+
     def pairwise(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         A = np.atleast_2d(np.asarray(A, dtype=float))
         B = np.atleast_2d(np.asarray(B, dtype=float))
+        self._check_dim(A.shape[1])
+        self._check_dim(B.shape[1])
         return self._feature_dist(self.features(A), self.features(B))
 
     def to_json(self) -> dict:
@@ -109,6 +117,7 @@ class AmbientMetric(Metric):
 
     def __init__(self, space: NormedSpaceSpec):
         self.space = space
+        self._dim = space.dim
 
     def features(self, X):
         return X
@@ -128,6 +137,7 @@ class UNormMetric(Metric):
 
     def __init__(self, dictionary: Dictionary):
         self.dictionary = dictionary
+        self._dim = dictionary.atoms.shape[0]
         w = dictionary.space.weight_vector()
         self._paired_atoms = w[:, None] * dictionary.atoms
 
@@ -148,6 +158,11 @@ class PointwiseMaxMetric(Metric):
 
     def __init__(self, indices: np.ndarray):
         self.indices = np.asarray(indices, dtype=int)
+
+    def _check_dim(self, cols):
+        need = int(self.indices.max(initial=-1)) + 1
+        if cols < need:
+            raise DimensionMismatchError(f"at least {need}", cols, "point")
 
     def features(self, X):
         return X[:, self.indices]

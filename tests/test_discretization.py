@@ -5,7 +5,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import null_space
 
+import entrobound._optim as optim
 from entrobound import (
     DimensionMismatchError,
     GramDefectError,
@@ -152,6 +156,94 @@ def test_m_p_rejects_small_exponents():
         m_p_dual(sub, 1.5)
 
 
+def _complement_route(sub, x, p, tol):
+    """Reference dual solve: the distance from D(x, .) to the complement.
+
+    The complement of the subspace gets an orthonormal basis in the
+    half-weighted frame, and the p'-th power is minimized over its
+    N - d coefficients by the residual form.
+    """
+    mu = sub.measure.weights
+    Dx = sub._kernel[x]
+    pp = p / (p - 1.0)
+    root = np.sqrt(mu)
+    Kw = null_space((root[:, None] * sub.basis).T) / root[:, None]
+    if Kw.shape[1] == 0:
+        return sub.measure.norm(Dx, pp)
+    res = optim.minimize_power_residual(Kw, Dx, mu, pp, decrement_tol=tol)
+    return res.value ** (1.0 / pp)
+
+
+@st.composite
+def _subspaces(draw):
+    dim = draw(st.integers(1, 5))
+    size = draw(st.integers(max(dim, 2), 24))
+    seed = draw(st.integers(0, 2 ** 31 - 1))
+    measure = None
+    if draw(st.booleans()):
+        w = np.random.default_rng(seed).uniform(0.5, 1.5, size)
+        measure = MeasureSpace(w / w.sum())
+    return random_subspace(dim, size, seed, measure=measure)
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(sub=_subspaces(), p=st.sampled_from([2.5, 3.0, 4.0]))
+def test_dual_minimizer_satisfies_the_kkt_conditions(sub, p):
+    # min sum mu |g|^p' subject to B^T(mu g) = B[x]: the minimizer is
+    # feasible, and the gradient |g|^(p'-2) g lies in span(B).  Smoothing
+    # at eps = 1e-8 times the data scale moves each gradient entry by less
+    # than (eps)^(p'-1), which bounds the stationarity residual.
+    mu = sub.measure.weights
+    B = sub.basis
+    pp = p / (p - 1.0)
+    for x in range(sub.support_size):
+        value, g = _dual_point_solve(sub, x, p, 1e-15)
+        scale = float(np.abs(sub._kernel[x]).max())
+        assert np.abs(B.T @ (mu * g) - B[x]).max() <= 1e-10 * scale
+        grad = np.sign(g) * np.abs(g) ** (pp - 1.0)
+        residual = grad - B @ (B.T @ (mu * grad))
+        assert np.abs(residual).max() <= (1e-8 * scale) ** (pp - 1.0)
+        assert value == pytest.approx(sub.measure.norm(g, pp), rel=1e-12)
+        assert value == pytest.approx(_complement_route(sub, x, p, 1e-15), rel=1e-12)
+
+
+def test_dual_route_is_zero_without_a_solve_where_every_function_vanishes(monkeypatch):
+    # both basis functions vanish at the last point, so every subspace
+    # element does, and the zero representer is the minimizer there
+    u = np.array([1.0, -1.0, 1.0, -1.0, 0.0]) * math.sqrt(5.0 / 4.0)
+    v = np.array([1.0, 1.0, -1.0, -1.0, 0.0]) * math.sqrt(5.0 / 4.0)
+    sub = Subspace(MeasureSpace.uniform(5), np.column_stack([u, v]))
+    factored = []
+    cho_factor = optim.cho_factor
+    monkeypatch.setattr(optim, "cho_factor",
+                        lambda H: factored.append(1) or cho_factor(H))
+    for p in (3.0, 4.0):
+        factored.clear()
+        value, g = _dual_point_solve(sub, 4, p, 1e-9)
+        assert value == 0.0
+        assert np.array_equal(g, np.zeros(5))
+        assert not factored
+        assert m_p_dual(sub, p) == pytest.approx(m_p_direct(sub, p), abs=1e-8)
+        assert factored
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_dual_route_on_a_full_space(weighted):
+    # every function is in the subspace, so evaluation at x has the one
+    # representer 1_x / mu_x, of L_p' norm mu_x^(-1/p)
+    measure = None
+    if weighted:
+        w = np.random.default_rng(23).uniform(0.5, 1.5, 7)
+        measure = MeasureSpace(w / w.sum())
+    sub = random_subspace(7, 7, seed=24, measure=measure)
+    mu = sub.measure.weights
+    for p in (3.0, 4.0):
+        assert m_p_dual(sub, p) == pytest.approx(float((mu ** (-1.0 / p)).max()), rel=1e-9)
+        value, g = _dual_point_solve(sub, 2, p, 1e-9)
+        assert g == pytest.approx(np.eye(7)[2] / mu[2], abs=1e-9)
+        assert value == pytest.approx(mu[2] ** (-1.0 / p), rel=1e-9)
+
+
 # ---------------------------------------------------------------------------
 # evaluation dictionaries
 
@@ -200,8 +292,8 @@ def test_dictionary_comes_from_the_direct_route(p, weighted):
     # the Hahn-Banach representer is unique, so the dual minimizer,
     # solved tightly, lands on the same vector
     for j, x in enumerate(pts.indices):
-        norm_x, v = _dual_point_solve(sub, int(x), p, 1e-15)
-        assert np.abs(ddict.w_vectors[j] - (sub._kernel[x] - v)).max() <= 1e-6
+        norm_x, g = _dual_point_solve(sub, int(x), p, 1e-15)
+        assert np.abs(ddict.w_vectors[j] - g).max() <= 1e-6
         assert ddict.w_norms[j] == pytest.approx(norm_x, rel=1e-9)
 
 

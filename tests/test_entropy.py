@@ -24,6 +24,7 @@ from entrobound import (
     CertificateError,
     CoverCertificate,
     Dictionary,
+    DimensionMismatchError,
     EmptySampleError,
     EntropyProfile,
     Octahedron,
@@ -35,6 +36,7 @@ from entrobound import (
     build_discretization_dictionary,
     canonical_dictionary,
     cover_from_sparse,
+    discrete_space,
     duality_sum_check,
     exact_cover_count,
     exact_entropy_small,
@@ -99,6 +101,41 @@ def test_pointwise_max_metric_reads_only_its_indices():
     A = np.array([[1.0, 99.0, 3.0]])
     B = np.array([[0.0, -99.0, 1.0]])
     assert metric.pairwise(A, B)[0, 0] == pytest.approx(2.0)
+
+
+@pytest.mark.parametrize("space", [sequence_space(3, 2.0),
+                                   discrete_space(np.array([0.2, 0.3, 0.5]), 2.0)])
+def test_ambient_metric_rejects_points_of_another_dimension(space):
+    # before the check the plain space measured the 2-d points in l2 and
+    # the weighted one failed inside scipy on the weight length
+    W = np.random.default_rng(0).standard_normal((10, 2))
+    metric = AmbientMetric(space)
+    with pytest.raises(DimensionMismatchError):
+        exact_entropy_small(W, 1, metric)
+    with pytest.raises(DimensionMismatchError):
+        greedy_cover(W, 0.5, metric)
+    with pytest.raises(DimensionMismatchError):
+        metric.pairwise(np.zeros((2, 3)), W)
+    assert metric.pairwise(np.zeros((2, 3)), np.ones((1, 3))).shape == (2, 1)
+
+
+def test_unorm_metric_rejects_points_that_do_not_match_its_atoms():
+    metric = UNormMetric(canonical_dictionary(3, 2.0))
+    W = np.random.default_rng(1).standard_normal((6, 4))
+    with pytest.raises(DimensionMismatchError):
+        exact_entropy_small(W, 1, metric)
+    with pytest.raises(DimensionMismatchError):
+        metric.pairwise(np.zeros((1, 3)), np.zeros((1, 2)))
+
+
+def test_pointwise_max_metric_needs_its_largest_index():
+    metric = PointwiseMaxMetric(np.array([0, 2]))
+    with pytest.raises(DimensionMismatchError, match="at least 3"):
+        metric.pairwise(np.zeros((1, 2)), np.zeros((1, 3)))
+    with pytest.raises(DimensionMismatchError):
+        greedy_cover(np.zeros((4, 2)), 0.5, metric)
+    # a seminorm on some coordinates: longer points fit
+    assert metric.pairwise(np.zeros((1, 5)), np.ones((1, 3)))[0, 0] == 1.0
 
 
 def test_metric_json_round_trips():

@@ -253,21 +253,24 @@ def test_non_finite_objective_raises_instead_of_reaching_the_factorization():
     rng = np.random.default_rng(0)
     A = rng.standard_normal((8, 2))
     b = 4.0 * rng.standard_normal(8)
-    with pytest.raises(NonConvergenceError) as exc:
-        optim.minimize_power_residual(A, b, np.full(8, 1.0 / 8), 1e9)
-    assert exc.value.iterations == 1
-    assert "residual measure inf" in str(exc.value)
-    assert "the objective overflowed" in str(exc.value)
+    for solve in (optim.minimize_power_residual, optim.minimize_power_constrained):
+        with pytest.raises(NonConvergenceError) as exc:
+            solve(A, b, np.full(8, 1.0 / 8), 1e9)
+        assert exc.value.iterations == 1
+        assert "residual measure inf" in str(exc.value)
+        assert "the objective overflowed" in str(exc.value)
 
 
 def test_overflowing_hessian_raises_instead_of_passing_as_converged():
-    # the objective is finite at x = 0, but A^T diag(h) A overflows
+    # the objective is finite at the start, but A^T diag(h) A overflows, and
+    # so does the Schur system A^T diag(1/h) A of the constrained form
     A = np.array([[1e200, 0.0], [0.0, 1e200], [1e200, 1e200]])
     b = np.array([1.0, -1.0, 0.5])
-    with pytest.raises(NonConvergenceError) as exc:
-        optim.minimize_power_residual(A, b, np.ones(3), 3.0)
-    assert exc.value.iterations == 1
-    assert "the Newton system overflowed" in str(exc.value)
+    for solve in (optim.minimize_power_residual, optim.minimize_power_constrained):
+        with pytest.raises(NonConvergenceError) as exc:
+            solve(A, b, np.ones(3), 3.0)
+        assert exc.value.iterations == 1
+        assert "the Newton system overflowed" in str(exc.value)
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 24, 60, 154])
@@ -310,4 +313,12 @@ def test_singular_hessian_falls_back_to_the_ridge_solve(monkeypatch):
     assert np.all(np.isfinite(res.x))
     # the duplicate column adds nothing: the minimum is that of the reduced problem
     reduced = optim.minimize_power_residual(A[:, 1:], b, w, 1.5)
+    assert res.value == pytest.approx(reduced.value, rel=1e-8)
+    # the same columns as constraints make the Schur system singular; the
+    # ridge keeps each step feasible to about 1e-12 relative
+    failures.clear()
+    res = optim.minimize_power_constrained(A, b, w, 1.5)
+    assert failures
+    assert A.T @ res.x == pytest.approx(A.T @ b, rel=1e-9)
+    reduced = optim.minimize_power_constrained(A[:, 1:], b, w, 1.5)
     assert res.value == pytest.approx(reduced.value, rel=1e-8)

@@ -19,9 +19,11 @@ from entrobound import (
     emit,
     fit_envelope,
     log_ratio_envelope,
+    random_subspace,
     run,
 )
 import entrobound._optim as optim
+import entrobound.discretization as discretization
 import entrobound.greedy as greedy
 import entrobound.harness as harness
 from entrobound.cli import build_parser, main
@@ -257,7 +259,7 @@ _GOLDEN_EXPONENT_NOT_2 = {
     "duality-check": "122ef79a65087a3eb6e93372b1ed7099775a98fe97461038b3d4e93b6055e97c",
     "it1": "a5ae08300d3f282e358fb800bd1400e93b305111f3128d861024f88d983d02b8",
     "it2-octahedron": "146929354bbb78daad0c2cb88f7d775d7dcf436123c82704896a9fc84cca232e",
-    "mp-duality": "82f56792a09dcabe22a402769177fd0bbae1911b56ef74dc098608978880d1b7",
+    "mp-duality": "ab66d97aebac813583dd5fc22a6c196df22270a54a925f3a04115a54e1356fd3",
     "sigma-decay": "93cbd70c34bc404fc9fee9d1f60c85678054515bcebc30e622db9d2d5db25671",
 }
 
@@ -427,3 +429,14 @@ def test_benchmark_tracer_counts_every_newton_iteration(monkeypatch):
     metrics = tracer.layer_metrics()
     assert metrics["optim.newton_iters"] == len(factored) > 0
     assert metrics["optim.iter_us"] > 0.0
+    # the dual route's Schur systems are factored there too
+    factored.clear()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        discretization.m_p_dual(random_subspace(3, 12, seed=4), 3.0)
+    finally:
+        tracer.uninstall()
+    metrics = tracer.layer_metrics()
+    assert metrics["optim.newton_iters"] == len(factored) > 0
+    assert tracer.spans["discretization.m_p_dual"].calls == 1
