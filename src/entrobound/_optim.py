@@ -41,6 +41,8 @@ from .errors import NonConvergenceError
 
 _ARMIJO_C = 1e-4
 _MAX_BACKTRACKS = 60
+_EPS_REL = 1e-8  # the final smoothing stage
+_STAGE_ITER = 80  # Newton iterations allowed per stage
 _OVERFLOW = "the objective overflowed, so the exponent is too large for the data"
 _STEP_OVERFLOW = "the Newton system overflowed, so the data are too large for the exponent"
 
@@ -163,8 +165,8 @@ def minimize_power_residual(A: np.ndarray, b: np.ndarray, weights: np.ndarray,
                             *,
                             x0: np.ndarray | None = None,
                             decrement_tol: float = 1e-12,
-                            eps_rel: float = 1e-8,
-                            stage_iter: int = 80) -> PowerSolveResult:
+                            eps_rel: float = _EPS_REL,
+                            stage_iter: int = _STAGE_ITER) -> PowerSolveResult:
     """Minimize sum_i weights_i |b_i - (A x)_i|**exponent over x.
 
     The residual form of the shared stage loop: the unknowns are the
@@ -204,9 +206,7 @@ def minimize_power_residual(A: np.ndarray, b: np.ndarray, weights: np.ndarray,
 def minimize_power_constrained(C: np.ndarray, g0: np.ndarray, weights: np.ndarray,
                                exponent: float,
                                *,
-                               decrement_tol: float = 1e-12,
-                               eps_rel: float = 1e-8,
-                               stage_iter: int = 80) -> PowerSolveResult:
+                               decrement_tol: float = 1e-12) -> PowerSolveResult:
     """Minimize sum_i weights_i |g_i|**exponent over g with C^T g = C^T g0.
 
     The constrained form of the shared stage loop, started at the
@@ -241,4 +241,4 @@ def minimize_power_constrained(C: np.ndarray, g0: np.ndarray, weights: np.ndarra
 
     gs = g0 / scale
     return _smoothed_newton(direction, trial, gs, gs, w, e, scale,
-                            decrement_tol, eps_rel, stage_iter)
+                            decrement_tol, _EPS_REL, _STAGE_ITER)

@@ -293,7 +293,10 @@ def verify_cover(cert: CoverCertificate, witness: np.ndarray,
             f"{centers.shape[0]} materialized centers exceed the "
             f"certified bound {cert.count_bound}")
     witness = np.atleast_2d(np.asarray(witness, dtype=float))
-    dists = cert.metric.pairwise(witness, centers).min(axis=1)
+    try:
+        dists = cert.metric.pairwise(witness, centers).min(axis=1)
+    except DimensionMismatchError as exc:
+        raise CertificateError(f"centers or witness do not fit the metric: {exc}") from exc
     worst = float(dists.max())
     if worst > cert.radius + tol:
         raise CertificateError(

@@ -180,6 +180,17 @@ def test_verify_cover_rejects_each_violation():
                                       provenance="greedy-cover"), W)
 
 
+def test_verify_cover_names_centers_and_witness_that_do_not_fit_the_metric():
+    cert, W = _toy_cover()
+    doc = cert.to_json()
+    doc["centers"] = [[0.0, 0.0, 0.0]]  # a 3-dimensional center in a 2-dimensional space
+    wrong = CoverCertificate.from_json(doc)
+    with pytest.raises(CertificateError, match="do not fit the metric"):
+        verify_cover(wrong, W)
+    with pytest.raises(CertificateError, match="do not fit the metric"):
+        verify_cover(cert, np.zeros((2, 3)))
+
+
 def test_packing_certificate_bounds():
     pts = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]])
     cert = PackingCertificate(points=pts, separation=2.0, metric=EUCLID2)
