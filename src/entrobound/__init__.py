@@ -9,7 +9,6 @@ its (log2(2n/k)/k)^r envelope.
 
 from .discretization import (
     DiscretizationDictionary,
-    MeasureSpace,
     SamplePointSet,
     Subspace,
     SubspaceEntropyResult,
@@ -84,7 +83,7 @@ from .harness import (
 )
 from .spaces import (
     Dictionary,
-    DualFunctional,
+    MeasureSpace,
     NormedSpaceSpec,
     NormKind,
     canonical_dictionary,

@@ -1,7 +1,9 @@
 """Sampling discretization on finite measure spaces.
 
 A subspace of functions on finitely many weighted points is given by a
-basis that is orthonormal in the weighted inner product.  This module
+basis that is orthonormal in the weighted inner product; the points and
+their weights are a ``spaces.MeasureSpace``, which checks the weights
+and supplies the L_p(mu) norm.  This module
 computes its reproducing kernel and the uniform-norm constant
 
     M_p = sup { ||f||_inf / ||f||_{L_p(mu)} : f in the subspace }
@@ -55,10 +57,9 @@ from .errors import (
     PropertyViolationError,
 )
 from .greedy import Octahedron
-from .spaces import Dictionary, discrete_space
+from .spaces import Dictionary, MeasureSpace, discrete_space, norm_U
 
 __all__ = [
-    "MeasureSpace",
     "Subspace",
     "SamplePointSet",
     "DiscretizationDictionary",
@@ -83,45 +84,6 @@ _REPRESENTER_TOL = 1e-15
 def _validate_p(p: float) -> None:
     if not p >= 2:
         raise ValueError(f"the exponent must satisfy p >= 2, got {p}")
-
-
-@dataclass(frozen=True, eq=False)
-class MeasureSpace:
-    """Finitely many points with positive weights summing to one."""
-
-    weights: np.ndarray
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        object.__setattr__(self, "weights", w)
-        if w.ndim != 1 or w.size == 0:
-            raise ValueError("weights must be a nonempty vector")
-        if not np.all(np.isfinite(w)):
-            raise ValueError("weights must be finite")
-        if np.any(w <= 0):
-            raise ValueError("weights must be strictly positive")
-        if abs(w.sum() - 1.0) > 1e-12:
-            raise ValueError(f"weights must sum to 1, got {w.sum()!r}")
-
-    @property
-    def size(self) -> int:
-        return int(self.weights.size)
-
-    @classmethod
-    def uniform(cls, size: int) -> "MeasureSpace":
-        return cls(np.full(size, 1.0 / size))
-
-    def norm(self, values: np.ndarray, p: float) -> float:
-        values = np.asarray(values, dtype=float)
-        if np.isinf(p):
-            return float(np.abs(values).max())
-        peak = np.abs(values).max()
-        if peak == 0.0:
-            return 0.0
-        return float(peak * (self.weights @ np.abs(values / peak) ** p) ** (1.0 / p))
-
-    def inner(self, a: np.ndarray, b: np.ndarray) -> float:
-        return float((self.weights * np.asarray(a)) @ np.asarray(b))
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,15 +131,6 @@ class Subspace:
 
     def evaluate(self, coefficients: np.ndarray) -> np.ndarray:
         return self.basis @ np.asarray(coefficients, dtype=float)
-
-    def to_json(self) -> dict:
-        return {"weights": self.measure.weights.tolist(),
-                "basis_rows": self.basis.tolist()}
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "Subspace":
-        return cls(MeasureSpace(np.asarray(doc["weights"], dtype=float)),
-                   np.asarray(doc["basis_rows"], dtype=float))
 
 
 @dataclass(frozen=True, eq=False)
@@ -323,20 +276,11 @@ class DiscretizationDictionary:
     def dual_exponent(self) -> float:
         return self.p / (self.p - 1.0)
 
-    @property
-    def max_w_norm(self) -> float:
-        return float(self.w_norms.max())
-
     def u_dictionary(self) -> Dictionary:
         """The g_j atoms as a dictionary in L_{p'}(mu)."""
         space = discrete_space(self.subspace.measure.weights,
                                self.dual_exponent)
         return Dictionary(self.atoms, space)
-
-    def norm_u(self, values: np.ndarray) -> float:
-        """max_j |<f, g_j>_mu| for a function given by its point values."""
-        mu = self.subspace.measure.weights
-        return float(np.abs((mu * np.asarray(values, dtype=float)) @ self.atoms).max())
 
 
 def _representer(sub: Subspace, x: int, f: np.ndarray, p: float) -> np.ndarray:
@@ -432,13 +376,14 @@ def verify_transfer(sub: Subspace, ddict: DiscretizationDictionary,
     rng = np.random.default_rng(seed)
     bound = 2.0 * ddict.m_p
     idx = ddict.points.indices
+    u_dict = ddict.u_dictionary()
     max_ratio = 0.0
     worst = (0.0, 0.0)
     for _ in range(trials):
         c = rng.standard_normal(sub.dim)
         f = sub.evaluate(c)
         left = float(np.abs(f[idx]).max())
-        right = ddict.norm_u(f)
+        right = norm_U(f, u_dict)
         if left > bound * right + 1e-8:
             raise PropertyViolationError(
                 f"transfer inequality violated: {left!r} > "

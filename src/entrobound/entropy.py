@@ -49,7 +49,15 @@ from .errors import (
     QuantizationBudgetError,
 )
 from .greedy import Octahedron, sample_octahedron, wcga
-from .spaces import Dictionary, NormedSpaceSpec, NormKind, dual_norm, norm
+from .spaces import (
+    Dictionary,
+    NormedSpaceSpec,
+    NormKind,
+    _power_norm,
+    dual_norm,
+    norm,
+    pair,
+)
 
 __all__ = [
     "Metric",
@@ -78,6 +86,10 @@ __all__ = [
 _EXACT_MAX_POINTS = 512
 _EXACT_MAX_CENTERS = 16
 _DIST_TOL = 1e-12
+# the octahedron cover's greedy runs: at most this many terms, each
+# projection solved to this relative Newton decrement
+_COVER_M_CAP = 24
+_COVER_PROJECT_TOL = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -682,17 +694,12 @@ def _max_grid_radius(count, m: int, target: int) -> int:
 def _row_norms(metric: Metric, R: np.ndarray) -> np.ndarray:
     """The norm of every row of R in a cover metric.
 
-    Ambient rows take the weighted l_q norm with the peak factored out,
-    as ``spaces.norm`` does; point-evaluation rows take the max.
+    Ambient rows take the space's weighted l_q norm; point-evaluation
+    rows take the max.
     """
     if isinstance(metric, PointwiseMaxMetric):
         return np.abs(R[:, metric.indices]).max(axis=1)
-    space = metric.space
-    ax = np.abs(R)
-    top = ax.max(axis=1)
-    scaled = ax / np.where(top > 0.0, top, 1.0)[:, None]
-    return top * np.power(np.power(scaled, space.q) @ space.weight_vector(),
-                          1.0 / space.q)
+    return _power_norm(R, metric.space.weight_vector(), metric.space.q)
 
 
 def _quantized_cover(sample: np.ndarray, atoms: np.ndarray, level, grid_count,
@@ -770,8 +777,8 @@ def _octahedron_witness(dictionary: Dictionary, size: int, seed: int) -> np.ndar
     return np.vstack(rows)
 
 
-def _wcga_snapshots(sample: np.ndarray, dictionary: Dictionary, m_max: int,
-                    project_tol: float) -> tuple[list, np.ndarray]:
+def _wcga_snapshots(sample: np.ndarray, dictionary: Dictionary,
+                    m_max: int) -> tuple[list, np.ndarray]:
     """One greedy run per witness point, keeping per-step coefficients."""
     runs = []
     space = dictionary.space
@@ -780,7 +787,7 @@ def _wcga_snapshots(sample: np.ndarray, dictionary: Dictionary, m_max: int,
         if norm(space, f) == 0.0:
             runs.append(None)
             continue
-        run = wcga(f, dictionary, m_max, project_tol=project_tol,
+        run = wcga(f, dictionary, m_max, project_tol=_COVER_PROJECT_TOL,
                    record_steps=True)
         runs.append(run)
         hist = run.history
@@ -794,8 +801,7 @@ def _dyadic_segment_cover(octa: Octahedron, k: int, sample: np.ndarray,
     # one atom: the hull is the segment [-g, g]; offset grid is optimal
     g = octa.dictionary.atoms[:, 0]
     space = octa.dictionary.space
-    coeff = np.array([float((space.weight_vector() * f) @ g) /
-                      float((space.weight_vector() * g) @ g) for f in sample])
+    coeff = np.array([pair(space, f, g) / pair(space, g, g) for f in sample])
     if k == 0:
         centers = np.zeros((1, space.dim))
         radius = max(norm(space, f) for f in sample)
@@ -815,8 +821,7 @@ def _dyadic_segment_cover(octa: Octahedron, k: int, sample: np.ndarray,
 
 
 def cover_from_sparse(octa: Octahedron, k: int, *, sample: np.ndarray | None = None,
-                      sample_size: int = 400, seed: int = 0,
-                      project_tol: float = 1e-8, m_cap: int = 24) -> CoverCertificate:
+                      sample_size: int = 400, seed: int = 0) -> CoverCertificate:
     """Constructive cover of the atom hull within the 2^k center budget.
 
     Greedy m-term approximants with coefficients truncated onto an
@@ -826,16 +831,14 @@ def cover_from_sparse(octa: Octahedron, k: int, *, sample: np.ndarray | None = N
     on the witness sample, so the certificate covers the sampled hull.
     """
     certs = octahedron_cover_profile(
-        octa, [k], sample=sample, sample_size=sample_size, seed=seed,
-        project_tol=project_tol, m_cap=m_cap)
+        octa, [k], sample=sample, sample_size=sample_size, seed=seed)
     return certs[k]
 
 
 def octahedron_cover_profile(octa: Octahedron, k_list: list[int], *,
                              sample: np.ndarray | None = None,
-                             sample_size: int = 400, seed: int = 0,
-                             project_tol: float = 1e-8,
-                             m_cap: int = 24) -> dict[int, CoverCertificate]:
+                             sample_size: int = 400,
+                             seed: int = 0) -> dict[int, CoverCertificate]:
     """Constructive covers for several budgets, sharing one greedy pass.
 
     A witness's m-term approximant is its greedy run after min(m, steps
@@ -860,10 +863,10 @@ def octahedron_cover_profile(octa: Octahedron, k_list: list[int], *,
     k_max = max(k_list)
     if k_max > n:
         raise ValueError(f"cover budgets stop at k = n = {n}, got k = {k_max}")
-    feasible_m = [m for m in range(1, min(n, m_cap, k_max) + 1)
+    feasible_m = [m for m in range(1, min(n, _COVER_M_CAP, k_max) + 1)
                   if math.comb(n, m) <= (1 << k_max)]
     m_max = max(feasible_m, default=0)
-    runs, sigma = _wcga_snapshots(sample, dictionary, m_max, project_tol)
+    runs, sigma = _wcga_snapshots(sample, dictionary, m_max)
 
     def greedy_level(m):
         support = np.full((len(runs), m), n)

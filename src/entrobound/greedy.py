@@ -45,6 +45,7 @@ __all__ = [
 ]
 
 _BRUTE_FORCE_BUDGET = 10 ** 6
+_MEMBERSHIP_TOL = 1e-9  # slack of the hull test norm_A <= 1
 
 
 @dataclass
@@ -75,11 +76,10 @@ class Octahedron:
     """The norm_A unit ball of a dictionary (absolutely convex atom hull)."""
 
     dictionary: Dictionary
-    membership_tol: float = 1e-9
 
     def contains(self, f: np.ndarray) -> bool:
         try:
-            return norm_A(f, self.dictionary) <= 1.0 + self.membership_tol
+            return norm_A(f, self.dictionary) <= 1.0 + _MEMBERSHIP_TOL
         except SpanMembershipError:
             return False
 
@@ -98,6 +98,8 @@ def chebyshev_project(f: np.ndarray, support: list[int], dictionary: Dictionary,
     f = np.asarray(f, dtype=float)
     if f.shape != (space.dim,):
         raise DimensionMismatchError(space.dim, f.shape)
+    if not np.all(np.isfinite(f)):
+        raise ValueError("the vector to project must be finite")
     if len(support) == 0:
         return np.zeros(0)
     G = dictionary.atoms[:, list(support)]
@@ -138,7 +140,6 @@ def best_mterm_bruteforce(f: np.ndarray, dictionary: Dictionary, m: int,
             f"comb({n}, {m}) = {count} supports exceed the brute-force budget "
             f"{_BRUTE_FORCE_BUDGET}; use wcga for this size")
     f = np.asarray(f, dtype=float)
-    fnorm = norm(dictionary.space, f)
     best: SparseApproximant | None = None
     for combo in itertools.combinations(range(n), m):
         support = list(combo)
@@ -146,8 +147,9 @@ def best_mterm_bruteforce(f: np.ndarray, dictionary: Dictionary, m: int,
         r = _residual_norm(f, support, coeffs, dictionary)
         if best is None or r < best.residual_norm:
             best = SparseApproximant(support=support, coefficients=coeffs,
-                                     residual_norm=r, history=[fnorm, r])
+                                     residual_norm=r, history=[])
     assert best is not None
+    fnorm = norm(dictionary.space, f)
     best.history = [fnorm] if m == 0 else [fnorm, best.residual_norm]
     return best
 
@@ -186,8 +188,7 @@ def wcga(f: np.ndarray, dictionary: Dictionary, m: int,
         if history[-1] <= tol:
             tol_reached = True
             break
-        F = norming_functional(space, residual)
-        vals = np.abs(dictionary.pairings(F.coefficients))
+        vals = np.abs(dictionary.pairings(norming_functional(space, residual)))
         if support:
             vals[support] = -1.0
         j = int(np.argmax(vals))
@@ -208,12 +209,11 @@ def wcga(f: np.ndarray, dictionary: Dictionary, m: int,
         step_coefficients=snaps if record_steps else None)
 
 
-def sample_octahedron(dictionary: Dictionary, count: int, seed: int,
-                      *, alpha: float = 1.0) -> list[dict]:
+def sample_octahedron(dictionary: Dictionary, count: int, seed: int) -> list[dict]:
     """Draw signed Dirichlet mixtures of atoms from the norm_A unit ball.
 
     Support sizes are log-uniform over [1, n] so that both near-vertex
-    and spread-out elements appear; coefficients are Dirichlet(alpha)
+    and spread-out elements appear; coefficients are flat Dirichlet
     with independent signs, hence sum |c_j| = 1 exactly.  Returns dicts
     with the vector and its generating (indices, coefficients) pair.
     """
@@ -226,7 +226,7 @@ def sample_octahedron(dictionary: Dictionary, count: int, seed: int,
         k = int(round(math.exp(rng.uniform(0.0, math.log(n))))) if n > 1 else 1
         k = min(max(k, 1), n)
         idx = np.sort(rng.choice(n, size=k, replace=False))
-        theta = rng.dirichlet(np.full(k, alpha))
+        theta = rng.dirichlet(np.ones(k))
         signs = rng.choice([-1.0, 1.0], size=k)
         c = signs * theta
         vec = dictionary.atoms[:, idx] @ c
@@ -246,9 +246,7 @@ class SigmaProfile:
 
 
 def sigma_profile(samples: list[np.ndarray], dictionary: Dictionary,
-                  m_list: list[int], *, t: float = 1.0,
-                  project_tol: float = 1e-10,
-                  membership_tol: float = 1e-9) -> SigmaProfile:
+                  m_list: list[int], *, t: float = 1.0) -> SigmaProfile:
     """Empirical m-term error of the atom hull over a witness sample.
 
     Every sample must pass the hull membership test (norm_A <= 1 plus
@@ -263,13 +261,13 @@ def sigma_profile(samples: list[np.ndarray], dictionary: Dictionary,
         raise ValueError("m_list must be increasing positive integers")
     for i, f in enumerate(samples):
         value = norm_A(f, dictionary)
-        if value > 1.0 + membership_tol:
+        if value > 1.0 + _MEMBERSHIP_TOL:
             raise ValueError(
                 f"sample {i} lies outside the octahedron: norm_A = {value!r}")
     m_max = m_list[-1]
     table = np.zeros((len(samples), len(m_list)))
     for i, f in enumerate(samples):
-        run = wcga(f, dictionary, m_max, t=t, project_tol=project_tol)
+        run = wcga(f, dictionary, m_max, t=t)
         hist = run.history
         for j, m in enumerate(m_list):
             table[i, j] = hist[m] if m < len(hist) else hist[-1]

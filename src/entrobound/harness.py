@@ -21,7 +21,6 @@ from importlib import metadata as _importlib_metadata
 import numpy as np
 
 from .discretization import (
-    MeasureSpace,
     SamplePointSet,
     it1_experiment,
     m_p_direct,
@@ -37,7 +36,7 @@ from .entropy import (
 )
 from .errors import ConfigValidationError
 from .greedy import Octahedron, SigmaProfile, sample_octahedron, sigma_profile
-from .spaces import canonical_dictionary
+from .spaces import MeasureSpace, canonical_dictionary
 
 __all__ = [
     "EXPERIMENTS",
@@ -116,9 +115,10 @@ def fit_envelope(table, n: int | None = None,
         predictor = np.log2(2.0 * n / xs) / xs
     else:
         predictor = xs
-    bad = [int(i) for i in np.nonzero(values <= 0)[0]]
+    bad = [int(i) for i in np.nonzero(~(np.isfinite(values) & (values > 0)))[0]]
     if bad:
-        raise ValueError(f"fit needs positive values; entries {bad} are not")
+        raise ValueError(
+            f"fit needs positive values; entries {bad} are not positive and finite")
     if len(values) < 3:
         raise ValueError(f"fit needs at least 3 points, got {len(values)}")
     lx = np.log2(predictor)

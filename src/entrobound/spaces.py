@@ -1,9 +1,17 @@
-"""Finite-dimensional normed spaces and dictionary-induced norms.
+"""Finite-dimensional normed spaces, their measure, and dictionary norms.
 
 Two norm families are supported: plain l_q on R^dim and L_q(mu) over a
 discrete probability measure.  Both are uniformly smooth for q > 1; for
 q in (1, 2] the modulus of smoothness satisfies rho(u) <= u^q / q, for
 q >= 2 it satisfies rho(u) <= (q - 1) u^2 / 2.
+
+The module owns the measure: ``MeasureSpace`` is the one place where
+weights are checked (finite, strictly positive, summing to one), and
+one weighted power norm serves ``norm``, ``dual_norm``,
+``MeasureSpace.norm`` and the row norms of the cover metrics.  A
+functional is a plain coefficient vector; ``pair`` integrates it
+against the measure, and ``norming_functional`` returns the
+coefficients of the functional that norms a vector.
 
 On top of the ambient norm the module provides the two norms attached
 to a dictionary D = {g_1, ..., g_n} of unit atoms:
@@ -39,10 +47,10 @@ from .errors import (
 )
 
 __all__ = [
+    "MeasureSpace",
     "NormKind",
     "NormedSpaceSpec",
     "Dictionary",
-    "DualFunctional",
     "sequence_space",
     "discrete_space",
     "canonical_dictionary",
@@ -59,6 +67,59 @@ __all__ = [
 
 _WEIGHT_TOL = 1e-12
 _ATOM_TOL = 1e-10
+_SPAN_TOL = 1e-8  # relative least-squares residual that still counts as in the span
+
+
+def _power_norm(values: np.ndarray, w: np.ndarray, q: float):
+    """(sum_i w_i |v_i|^q)^(1/q) of a vector, or of every row of a matrix.
+
+    The peak is factored out so that large q does not underflow; at
+    q = inf the weighted sum is raised to the power 0, which leaves the
+    peak.  A vector pairs as w @ v and a matrix as M @ w, and the two
+    round differently, so a vector never goes through the matrix path.
+    """
+    a = np.abs(values)
+    if a.ndim == 1:
+        top = float(a.max(initial=0.0))
+        if top == 0.0:
+            return 0.0
+        return top * float(np.power(w @ np.power(a / top, q), 1.0 / q))
+    top = a.max(axis=1)
+    scaled = a / np.where(top > 0.0, top, 1.0)[:, None]
+    return top * np.power(np.power(scaled, q) @ w, 1.0 / q)
+
+
+@dataclass(frozen=True, eq=False)
+class MeasureSpace:
+    """Finitely many points with positive weights summing to one."""
+
+    weights: np.ndarray
+
+    def __post_init__(self):
+        w = np.asarray(self.weights, dtype=float)
+        object.__setattr__(self, "weights", w)
+        if w.ndim != 1 or w.size == 0:
+            raise ValueError("weights must be a nonempty vector")
+        if not np.all(np.isfinite(w)):
+            raise ValueError("weights must be finite")
+        if np.any(w <= 0):
+            raise ValueError("weights must be strictly positive")
+        if abs(float(w.sum()) - 1.0) > _WEIGHT_TOL:
+            raise ValueError(
+                f"weights must sum to 1 within {_WEIGHT_TOL:.0e}, "
+                f"got {float(w.sum())!r}")
+
+    @property
+    def size(self) -> int:
+        return int(self.weights.size)
+
+    @classmethod
+    def uniform(cls, size: int) -> "MeasureSpace":
+        return cls(np.full(size, 1.0 / size))
+
+    def norm(self, values: np.ndarray, p: float) -> float:
+        """||values||_{L_p(mu)}; p = inf gives the largest magnitude."""
+        return _power_norm(values, self.weights, p)
 
 
 class NormKind(Enum):
@@ -86,15 +147,7 @@ class NormedSpaceSpec:
             w = np.asarray(self.weights, dtype=float)
             if w.shape != (self.dim,):
                 raise DimensionMismatchError(self.dim, w.shape, "weight vector")
-            if not np.all(np.isfinite(w)):
-                raise ValueError("weights must be finite")
-            if np.any(w <= 0):
-                raise ValueError("weights must be strictly positive")
-            if abs(float(w.sum()) - 1.0) > _WEIGHT_TOL:
-                raise ValueError(
-                    f"weights must sum to 1 within {_WEIGHT_TOL:.0e}, "
-                    f"got {float(w.sum())!r}")
-            object.__setattr__(self, "weights", w)
+            object.__setattr__(self, "weights", MeasureSpace(w).weights)
         elif self.weights is not None:
             raise ValueError("sequence spaces take no weights")
 
@@ -159,14 +212,7 @@ def _check_dim(space: NormedSpaceSpec, x: np.ndarray, what: str = "vector") -> n
 
 def norm(space: NormedSpaceSpec, x: np.ndarray) -> float:
     """(Sum w_i |x_i|^q)^(1/q)."""
-    x = _check_dim(space, x)
-    ax = np.abs(x)
-    top = float(ax.max(initial=0.0))
-    if top == 0.0:
-        return 0.0
-    # factor out the peak so large q does not underflow
-    w = space.weight_vector()
-    return top * float(np.power(w @ np.power(ax / top, space.q), 1.0 / space.q))
+    return _power_norm(_check_dim(space, x), space.weight_vector(), space.q)
 
 
 def pair(space: NormedSpaceSpec, f_coeffs: np.ndarray, x: np.ndarray) -> float:
@@ -178,32 +224,12 @@ def pair(space: NormedSpaceSpec, f_coeffs: np.ndarray, x: np.ndarray) -> float:
 
 def dual_norm(space: NormedSpaceSpec, f_coeffs: np.ndarray) -> float:
     """Norm of a functional in the dual exponent q' = q / (q - 1)."""
-    dual = NormedSpaceSpec(dim=space.dim, q=space.dual_exponent,
-                           norm_kind=space.norm_kind,
-                           weights=space.weights)
-    return norm(dual, f_coeffs)
+    return _power_norm(_check_dim(space, f_coeffs, "functional"),
+                       space.weight_vector(), space.dual_exponent)
 
 
-@dataclass(frozen=True, eq=False)
-class DualFunctional:
-    """A functional on the space, represented by its coefficient vector."""
-
-    coefficients: np.ndarray
-    space: NormedSpaceSpec
-
-    def __post_init__(self):
-        object.__setattr__(self, "coefficients",
-                           _check_dim(self.space, self.coefficients, "functional"))
-
-    def pair(self, x: np.ndarray) -> float:
-        return pair(self.space, self.coefficients, x)
-
-    def dual_norm(self) -> float:
-        return dual_norm(self.space, self.coefficients)
-
-
-def norming_functional(space: NormedSpaceSpec, f: np.ndarray) -> DualFunctional:
-    """The unique functional with ||F||* = 1 and <F, f> = ||f||.
+def norming_functional(space: NormedSpaceSpec, f: np.ndarray) -> np.ndarray:
+    """Coefficients of the unique functional with ||F||* = 1 and <F, f> = ||f||.
 
     Closed form F_i = sign(f_i) |f_i / ||f|| |^(q-1); raises on the zero
     vector, where no norming functional is defined.
@@ -212,9 +238,7 @@ def norming_functional(space: NormedSpaceSpec, f: np.ndarray) -> DualFunctional:
     nf = norm(space, f)
     if nf == 0.0:
         raise ZeroVectorError("the zero vector has no norming functional")
-    scaled = np.abs(f) / nf
-    coeffs = np.sign(f) * np.power(scaled, space.q - 1.0)
-    return DualFunctional(coefficients=coeffs, space=space)
+    return np.sign(f) * np.power(np.abs(f) / nf, space.q - 1.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -271,31 +295,32 @@ def canonical_dictionary(dim: int, q: float) -> Dictionary:
     return Dictionary(atoms=np.eye(dim), space=sequence_space(dim, q))
 
 
-def _l1_lp(f: np.ndarray, dictionary: Dictionary,
-           span_tol: float) -> tuple[float, np.ndarray]:
+def _l1_lp(f: np.ndarray, dictionary: Dictionary) -> tuple[float, np.ndarray]:
     f = _check_dim(dictionary.space, f)
+    if not np.all(np.isfinite(f)):
+        raise ValueError("the vector to represent must be finite")
     n = dictionary.size
     fnorm2 = float(np.linalg.norm(f))
     if fnorm2 == 0.0:
         return 0.0, np.zeros(n)
     Ur, sr, Vr = dictionary._range
     if sr.size == 0:
-        raise SpanMembershipError(1.0, span_tol)
+        raise SpanMembershipError(1.0, _SPAN_TOL)
     coords = Ur.T @ f
     residual = float(np.linalg.norm(f - Ur @ coords)) / fnorm2
-    if residual > span_tol:
-        raise SpanMembershipError(residual, span_tol)
+    if residual > _SPAN_TOL:
+        raise SpanMembershipError(residual, _SPAN_TOL)
     # split c = c+ - c-; equality constraints projected onto the column space
     A_eq = np.hstack([sr[:, None] * Vr, -(sr[:, None] * Vr)])
     res = linprog(c=np.ones(2 * n), A_eq=A_eq, b_eq=coords,
                   bounds=(0, None), method="highs")
     if res.status != 0:
-        raise SpanMembershipError(residual, span_tol)
+        raise SpanMembershipError(residual, _SPAN_TOL)
     x = np.asarray(res.x)
     return max(float(res.fun), 0.0), x[:n] - x[n:]
 
 
-def norm_A(f: np.ndarray, dictionary: Dictionary, *, span_tol: float = 1e-8) -> float:
+def norm_A(f: np.ndarray, dictionary: Dictionary) -> float:
     """Minimal sum |c_j| over exact representations f = sum c_j g_j.
 
     Solved as an exact linear program after projecting the equality
@@ -303,29 +328,31 @@ def norm_A(f: np.ndarray, dictionary: Dictionary, *, span_tol: float = 1e-8) -> 
     SpanMembershipError (naming the relative least-squares residual)
     when f lies outside the span.
     """
-    return _l1_lp(f, dictionary, span_tol)[0]
+    return _l1_lp(f, dictionary)[0]
 
 
-def minimal_l1_coefficients(f: np.ndarray, dictionary: Dictionary,
-                            *, span_tol: float = 1e-8) -> np.ndarray:
+def minimal_l1_coefficients(f: np.ndarray, dictionary: Dictionary) -> np.ndarray:
     """A coefficient vector attaining norm_A(f); same LP, solution returned."""
-    return _l1_lp(f, dictionary, span_tol)[1]
+    return _l1_lp(f, dictionary)[1]
 
 
-def norm_U(F, dictionary: Dictionary) -> float:
-    """max_j |<F, g_j>| for a functional F (DualFunctional or coefficients).
+def norm_U(F: np.ndarray, dictionary: Dictionary) -> float:
+    """max_j |<F, g_j>| for a functional F given by its coefficients.
 
     Equals the supremum of |<F, f>| over the norm_A unit ball: the hull
     is absolutely convex, so the supremum sits at an atom with a sign.
     """
-    coeffs = F.coefficients if isinstance(F, DualFunctional) else F
-    return float(np.abs(dictionary.pairings(coeffs)).max())
+    return float(np.abs(dictionary.pairings(F)).max())
+
+
+def _check_u(u: float) -> None:
+    if not (math.isfinite(u) and u >= 0):
+        raise ValueError(f"u must be finite and nonnegative, got {u!r}")
 
 
 def smoothness_bound(space: NormedSpaceSpec, u: float) -> float:
     """Analytic upper bound for the modulus of smoothness at u >= 0."""
-    if u < 0:
-        raise ValueError("u must be nonnegative")
+    _check_u(u)
     q = space.q
     if q <= 2.0:
         return (u ** q) / q
@@ -345,8 +372,7 @@ def estimate_modulus(space: NormedSpaceSpec, u: float,
     backtracking.  Every evaluation uses feasible points, so the result
     is a true lower bound up to float rounding.
     """
-    if u < 0:
-        raise ValueError("u must be nonnegative")
+    _check_u(u)
     if u == 0.0:
         return 0.0
     rng = np.random.default_rng(seed)
@@ -356,12 +382,11 @@ def estimate_modulus(space: NormedSpaceSpec, u: float,
         return 0.5 * (norm(space, x + u * y) + norm(space, x - u * y)) - 1.0
 
     def grad_of_norm(v):
-        # gradient of ||.|| at v (the norming functional scaled by weights)
-        nv = norm(space, v)
-        if nv == 0.0:
+        # gradient of ||.|| at v: the norming functional scaled by the weights
+        try:
+            return space.weight_vector() * norming_functional(space, v)
+        except ZeroVectorError:
             return np.zeros_like(v)
-        w = space.weight_vector()
-        return w * np.sign(v) * np.power(np.abs(v) / nv, space.q - 1.0)
 
     def ascend(x, y):
         best = value(x, y)

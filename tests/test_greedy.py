@@ -103,6 +103,36 @@ def test_wcga_validates_inputs():
             wcga(np.array([bad, 1.0, 0.0]), canonical_dictionary(3, q), 2)
 
 
+def test_octahedron_contains_rejects_non_finite_input():
+    octa = Octahedron(canonical_dictionary(3, 1.5))
+    assert octa.contains(np.array([0.5, -0.25, 0.25]))
+    assert not octa.contains(np.array([0.5, -0.5, 0.25]))
+    with pytest.raises(ValueError, match="finite"):
+        octa.contains(np.array([np.nan, 1.0, 1.0]))
+
+
+def test_sigma_profile_rejects_non_finite_samples():
+    d = canonical_dictionary(3, 1.5)
+    with pytest.raises(ValueError, match="finite"):
+        sigma_profile([np.array([0.5, 0.0, 0.0]), np.array([np.nan, 1.0, 1.0])],
+                      d, [1, 2])
+
+
+def test_chebyshev_project_rejects_non_finite_input():
+    # at q = 1.5 the solver used to blame an overflowing objective
+    f = np.array([np.nan, 1.0, 0.0])
+    for q in (1.5, 2.0):
+        with pytest.raises(ValueError, match="finite"):
+            chebyshev_project(f, [0, 1], canonical_dictionary(3, q))
+
+
+def test_best_mterm_bruteforce_rejects_non_finite_input():
+    d = canonical_dictionary(3, 1.5)
+    for m in (0, 2):
+        with pytest.raises(ValueError, match="finite"):
+            best_mterm_bruteforce(np.array([1.0, np.inf, 0.0]), d, m)
+
+
 def test_weak_parameter_still_converges():
     d = _random_unit_dictionary(6, 20, 1.5, seed=14)
     f = np.random.default_rng(15).standard_normal(6)
@@ -125,7 +155,7 @@ def test_chebyshev_project_matches_least_squares_for_q2():
 
 @pytest.mark.parametrize("q", [1.5, 3.0])
 def test_chebyshev_project_satisfies_first_order_optimality(q):
-    from entrobound import norming_functional
+    from entrobound import norming_functional, pair
 
     d = _random_unit_dictionary(5, 9, q, seed=18)
     f = np.random.default_rng(19).standard_normal(5)
@@ -135,7 +165,7 @@ def test_chebyshev_project_satisfies_first_order_optimality(q):
     F = norming_functional(d.space, residual)
     # at the minimizer the residual's norming functional kills the span
     for j in support:
-        assert abs(F.pair(d.atom(j))) <= 1e-6
+        assert abs(pair(d.space, F, d.atom(j))) <= 1e-6
 
 
 def test_chebyshev_project_recovers_span_members():

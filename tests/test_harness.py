@@ -77,6 +77,13 @@ def test_fit_input_validation():
                      model=FitModel.LOG_RATIO_K)
 
 
+def test_fit_rejects_non_finite_values():
+    # NaN passed the positivity test and came back as an exponent of NaN
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="entries \\[1\\] .* finite"):
+            fit_envelope(([1, 2, 3], [1.0, bad, 2.0]))
+
+
 # ---------------------------------------------------------------------------
 # configs
 
@@ -440,3 +447,21 @@ def test_benchmark_tracer_counts_every_newton_iteration(monkeypatch):
     metrics = tracer.layer_metrics()
     assert metrics["optim.newton_iters"] == len(factored) > 0
     assert tracer.spans["discretization.m_p_dual"].calls == 1
+
+
+def test_benchmark_workloads_call_the_library_as_it_stands(monkeypatch):
+    # perfbench/workloads.py builds subspaces, dictionaries and configs
+    # through the public API; a moved constructor or a removed keyword
+    # would otherwise fail only when the benchmark runs
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    wanted = {
+        "closed-form": ("octahedron_cover_profile:q=2", "it1_experiment:p=2",
+                        "exact_entropy_small"),
+        "subspace-newton": ("run:mp-duality", "it1_experiment:p=4"),
+    }
+    for workload, prefixes in wanted.items():
+        ops = workloads.WORKLOADS[workload](1)
+        for prefix in prefixes:
+            op = next(op for op in ops if op.name.startswith(prefix))
+            assert op.check(op.call()) == [], (workload, op.name)

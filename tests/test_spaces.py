@@ -4,13 +4,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from entrobound import (
+    AmbientMetric,
     AtomNormalizationError,
     Dictionary,
     DimensionMismatchError,
-    DualFunctional,
     EmptyDictionaryError,
+    MeasureSpace,
     NormedSpaceSpec,
     NormKind,
     SpanMembershipError,
@@ -28,6 +32,27 @@ from entrobound import (
     sequence_space,
     smoothness_bound,
 )
+from entrobound.entropy import _row_norms
+
+_FEW = settings(max_examples=30, derandomize=True, deadline=None)
+
+
+@st.composite
+def _spaces_and_rows(draw, weighted=None):
+    """A sequence or weighted space with q in (1, 6], and a few vectors in it."""
+    dim = draw(st.integers(1, 8))
+    q = draw(st.floats(1.0, 6.0, exclude_min=True))
+    if weighted is None:
+        weighted = draw(st.booleans())
+    if weighted:
+        w = np.array(draw(st.lists(st.floats(0.1, 10.0), min_size=dim, max_size=dim)))
+        space = discrete_space(w / w.sum(), q)
+    else:
+        space = sequence_space(dim, q)
+    entries = st.floats(-1e3, 1e3, allow_subnormal=False)
+    rows = draw(st.lists(st.lists(entries, min_size=dim, max_size=dim),
+                         min_size=1, max_size=6))
+    return space, np.array(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -78,6 +103,25 @@ def test_space_validation():
         NormedSpaceSpec(dim=2, q=2.0, weights=np.array([0.5, 0.5]))
     with pytest.raises(ValueError):
         NormedSpaceSpec(dim=2, q=2.0, norm_kind=NormKind.DISCRETE_LQ_MU)
+
+
+@_FEW
+@given(case=_spaces_and_rows(weighted=True))
+def test_measure_space_norm_is_the_space_norm(case):
+    space, X = case
+    mu = MeasureSpace(space.weights)
+    for x in X:
+        assert mu.norm(x, space.q) == norm(space, x)
+
+
+@_FEW
+@given(case=_spaces_and_rows())
+def test_row_norms_match_the_norm_of_each_row(case):
+    # rows sum as M @ w and a vector as w @ v, so they may differ in the last bits
+    space, X = case
+    rows = _row_norms(AmbientMetric(space), X)
+    for x, value in zip(X, rows):
+        assert value == pytest.approx(norm(space, x), rel=1e-15, abs=0.0)
 
 
 def test_space_rejects_non_finite_weights():
@@ -135,9 +179,9 @@ def test_norming_functional_closed_form():
     # q = 1.5, f = (1, 1): coordinates sign * |f / ||f|| |^(q-1) = 2^(-1/3)
     space = sequence_space(2, 1.5)
     F = norming_functional(space, np.array([1.0, 1.0]))
-    assert F.coefficients == pytest.approx(np.full(2, 2.0 ** (-1.0 / 3.0)), abs=1e-14)
-    assert F.pair(np.array([1.0, 1.0])) == pytest.approx(2.0 ** (2.0 / 3.0), abs=1e-12)
-    assert F.dual_norm() == pytest.approx(1.0, abs=1e-12)
+    assert F == pytest.approx(np.full(2, 2.0 ** (-1.0 / 3.0)), abs=1e-14)
+    assert pair(space, F, np.array([1.0, 1.0])) == pytest.approx(2.0 ** (2.0 / 3.0), abs=1e-12)
+    assert dual_norm(space, F) == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("q", [1.5, 2.0, 4.0])
@@ -147,8 +191,20 @@ def test_norming_functional_is_norming(q):
     for _ in range(25):
         f = rng.standard_normal(4)
         F = norming_functional(space, f)
-        assert F.dual_norm() == pytest.approx(1.0, abs=1e-9)
-        assert F.pair(f) == pytest.approx(norm(space, f), abs=1e-9)
+        assert dual_norm(space, F) == pytest.approx(1.0, abs=1e-9)
+        assert pair(space, F, f) == pytest.approx(norm(space, f), abs=1e-9)
+
+
+@_FEW
+@given(case=_spaces_and_rows())
+def test_norming_functional_has_dual_norm_one_and_norms_f(case):
+    space, X = case
+    for f in X:
+        if norm(space, f) == 0.0:
+            continue
+        F = norming_functional(space, f)
+        assert dual_norm(space, F) == pytest.approx(1.0, rel=1e-12)
+        assert pair(space, F, f) == pytest.approx(norm(space, f), rel=1e-12)
 
 
 def test_norming_functional_rejects_zero():
@@ -258,8 +314,41 @@ def test_norm_U_is_the_max_pairing():
     F = rng.standard_normal(4)
     expected = float(np.abs(d.pairings(F)).max())
     assert norm_U(F, d) == pytest.approx(expected, abs=1e-15)
-    wrapped = DualFunctional(coefficients=F, space=space)
-    assert norm_U(wrapped, d) == pytest.approx(expected, abs=1e-15)
+
+
+@_FEW
+@given(case=_spaces_and_rows(), count=st.integers(1, 6),
+       seed=st.integers(0, 2 ** 31 - 1))
+def test_norm_U_is_the_lp_supremum_over_the_hull(case, count, seed):
+    # sup <F, A c> over sum |c| <= 1, as an LP in c = c+ - c-; the LP
+    # solver's tolerances are absolute, so it sees the pairings scaled to
+    # unit l1 norm
+    space, X = case
+    atoms = np.random.default_rng(seed).standard_normal((space.dim, count))
+    atoms /= [norm(space, atoms[:, j]) for j in range(count)]
+    d = Dictionary(atoms, space)
+    for F in X:
+        obj = (space.weight_vector() * F) @ atoms
+        scale = float(np.abs(obj).sum())
+        if scale == 0.0:
+            assert norm_U(F, d) == 0.0
+            continue
+        res = linprog(c=np.concatenate([-obj, obj]) / scale,
+                      A_ub=np.ones((1, 2 * count)), b_ub=[1.0],
+                      bounds=(0, None), method="highs")
+        assert res.status == 0
+        assert norm_U(F, d) == pytest.approx(-res.fun * scale, rel=1e-9)
+
+
+def test_norm_A_rejects_non_finite_input():
+    # scipy's linprog would otherwise reject b_eq with its own message
+    d = canonical_dictionary(3, 1.5)
+    for bad in (np.nan, np.inf):
+        f = np.array([bad, 1.0, 1.0])
+        with pytest.raises(ValueError, match="finite"):
+            norm_A(f, d)
+        with pytest.raises(ValueError, match="finite"):
+            minimal_l1_coefficients(f, d)
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +365,25 @@ def test_smoothness_exponent_and_constant():
     assert sequence_space(3, 3.0).smoothness_exponent == pytest.approx(2.0)
     assert sequence_space(3, 1.5).smoothness_constant == pytest.approx(1.0 / 1.5)
     assert sequence_space(3, 3.0).smoothness_constant == pytest.approx(1.0)
+
+
+def test_smoothness_bound_rejects_non_finite_u():
+    space = sequence_space(2, 1.5)
+    for u in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            smoothness_bound(space, u)
+    with pytest.raises(ValueError):
+        smoothness_bound(space, -0.5)
+
+
+def test_estimate_modulus_rejects_non_finite_u():
+    # NaN passed the sign test and came back as a modulus of 0
+    space = sequence_space(2, 3.0)
+    for u in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            estimate_modulus(space, u)
+    with pytest.raises(ValueError):
+        estimate_modulus(space, -0.5)
 
 
 @pytest.mark.parametrize("q", [1.5, 2.0, 3.0])
