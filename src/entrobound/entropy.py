@@ -294,8 +294,12 @@ def verify_cover(cert: CoverCertificate, witness: np.ndarray,
     """Re-check a cover certificate against a witness sample.
 
     Uses only the stored metric and centers.  Raises CertificateError
-    naming the first violated condition.
+    naming the first violated condition, and ValueError for a witness
+    that is not finite.
     """
+    witness = np.atleast_2d(np.asarray(witness, dtype=float))
+    if not np.all(np.isfinite(witness)):
+        raise ValueError("witness points must be finite")
     if cert.count_bound > 2 ** cert.k:
         raise CertificateError(
             f"count bound {cert.count_bound} exceeds 2^{cert.k}")
@@ -304,27 +308,34 @@ def verify_cover(cert: CoverCertificate, witness: np.ndarray,
         raise CertificateError(
             f"{centers.shape[0]} materialized centers exceed the "
             f"certified bound {cert.count_bound}")
-    witness = np.atleast_2d(np.asarray(witness, dtype=float))
+    if not (np.all(np.isfinite(centers)) and math.isfinite(cert.radius)):
+        raise CertificateError("centers and radius must be finite")
     try:
         dists = cert.metric.pairwise(witness, centers).min(axis=1)
     except DimensionMismatchError as exc:
         raise CertificateError(f"centers or witness do not fit the metric: {exc}") from exc
     worst = float(dists.max())
-    if worst > cert.radius + tol:
+    if not worst <= cert.radius + tol:  # written so that NaN fails
         raise CertificateError(
             f"witness point at distance {worst!r} exceeds radius {cert.radius!r}")
     return True
 
 
 def verify_packing(cert: PackingCertificate, *, tol: float = 1e-9) -> bool:
-    """Re-check that the stored points are pairwise >= separation apart."""
+    """Re-check that the stored points are pairwise >= separation apart.
+
+    Raises CertificateError when they are not, or when the points or the
+    separation are not finite.
+    """
     pts = np.atleast_2d(np.asarray(cert.points, dtype=float))
+    if not (np.all(np.isfinite(pts)) and math.isfinite(cert.separation)):
+        raise CertificateError("packing points and separation must be finite")
     if pts.shape[0] < 2:
         return True
     D = cert.metric.pairwise(pts, pts)
     off = D + np.diag(np.full(len(D), np.inf))
     smallest = float(off.min())
-    if smallest < cert.separation - tol:
+    if not smallest >= cert.separation - tol:  # written so that NaN fails
         raise CertificateError(
             f"pair at distance {smallest!r} below separation {cert.separation!r}")
     return True

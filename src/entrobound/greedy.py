@@ -92,7 +92,9 @@ def chebyshev_project(f: np.ndarray, support: list[int], dictionary: Dictionary,
     q = 2 is closed form (weighted least squares, minimum-norm solution
     when atoms on the support are dependent).  Other q minimize the
     q-th-power objective by smoothed Newton down to a relative Newton
-    decrement of tol.
+    decrement of tol, except when the support's atoms are nonzero on
+    exactly as many coordinates as there are atoms (coordinate atoms, for
+    one): then one square solve reaches the minimum exactly.
     """
     space = dictionary.space
     f = np.asarray(f, dtype=float)

@@ -306,8 +306,11 @@ def _l1_lp(f: np.ndarray, dictionary: Dictionary) -> tuple[float, np.ndarray]:
     Ur, sr, Vr = dictionary._range
     if sr.size == 0:
         raise SpanMembershipError(1.0, _SPAN_TOL)
-    coords = Ur.T @ f
-    residual = float(np.linalg.norm(f - Ur @ coords)) / fnorm2
+    # HiGHS's tolerances are absolute, so the LP sees f / ||f||_2 and the
+    # value and coefficients are scaled back
+    fs = f / fnorm2
+    coords = Ur.T @ fs
+    residual = float(np.linalg.norm(fs - Ur @ coords))
     if residual > _SPAN_TOL:
         raise SpanMembershipError(residual, _SPAN_TOL)
     # split c = c+ - c-; equality constraints projected onto the column space
@@ -317,7 +320,7 @@ def _l1_lp(f: np.ndarray, dictionary: Dictionary) -> tuple[float, np.ndarray]:
     if res.status != 0:
         raise SpanMembershipError(residual, _SPAN_TOL)
     x = np.asarray(res.x)
-    return max(float(res.fun), 0.0), x[:n] - x[n:]
+    return max(float(res.fun), 0.0) * fnorm2, (x[:n] - x[n:]) * fnorm2
 
 
 def norm_A(f: np.ndarray, dictionary: Dictionary) -> float:

@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import entrobound
@@ -191,6 +191,30 @@ def test_verify_cover_names_centers_and_witness_that_do_not_fit_the_metric():
         verify_cover(cert, np.zeros((2, 3)))
 
 
+def test_verify_cover_rejects_non_finite_data():
+    # a NaN distance compares false either way, so an unchecked NaN witness
+    # point would pass and carry the far point (5, 5, 5, 5) through with it
+    cert = cover_from_sparse(Octahedron(canonical_dictionary(4, 2.0)), 3,
+                             seed=0, sample_size=40)
+    with pytest.raises(ValueError, match="finite"):
+        verify_cover(cert, np.array([[np.nan, 0.0, 0.0, 0.0], [5.0, 5.0, 5.0, 5.0]]))
+    cert, W = _toy_cover()
+    for centers, radius in ((np.array([[np.nan, 0.0]]), 1.0),
+                            (cert.centers, np.nan), (cert.centers, np.inf)):
+        bad = CoverCertificate(centers=centers, radius=radius, k=0, count_bound=1,
+                               metric=EUCLID2, provenance="greedy-cover")
+        with pytest.raises(CertificateError, match="finite"):
+            verify_cover(bad, W)
+
+
+def test_verify_packing_rejects_non_finite_data():
+    pts = np.array([[0.0, 0.0], [np.nan, 0.0], [2.0, 0.0]])
+    for points, separation in ((pts, 2.0), (pts[[0, 2]], np.nan)):
+        bad = PackingCertificate(points=points, separation=separation, metric=EUCLID2)
+        with pytest.raises(CertificateError, match="finite"):
+            verify_packing(bad)
+
+
 def test_packing_certificate_bounds():
     pts = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]])
     cert = PackingCertificate(points=pts, separation=2.0, metric=EUCLID2)
@@ -228,6 +252,38 @@ def test_entropy_profile_enforces_monotone_envelopes():
     with pytest.raises(CertificateError):
         EntropyProfile.build([1, 2], [0.5, 2.0], [1.0, 1.0],
                              ["packing", "packing"], ["exact", "exact"])
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from([0.0, 0.25, 0.5]),
+                          st.sampled_from([0.5, 1.0, 2.0]),
+                          st.sampled_from([0.0, 5e-13, 2e-12])),
+                min_size=1, max_size=8))
+@example([(0.5, 0.5, 5e-13)])  # within the slack
+@example([(0.5, 0.5, 2e-12)])  # beyond it
+def test_entropy_profile_build_is_the_monotone_envelope(entries):
+    # values from a small grid make ties and near-crossings common; the
+    # third entry nudges a lower bound just under or just over 1e-12 slack
+    lower = np.array([lo + nudge for lo, _, nudge in entries])
+    upper = np.array([up for _, up, _ in entries])
+    k_list = list(range(1, len(entries) + 1))
+    lower_source = [f"l{i}" for i in range(len(k_list))]
+    upper_source = [f"u{i}" for i in range(len(k_list))]
+    upper_env = np.minimum.accumulate(upper)
+    lower_env = np.maximum.accumulate(lower[::-1])[::-1]
+    if np.any(lower_env > upper_env + 1e-12):
+        with pytest.raises(CertificateError):
+            EntropyProfile.build(k_list, lower, upper, lower_source, upper_source)
+        return
+    prof = EntropyProfile.build(k_list, lower, upper, lower_source, upper_source)
+    assert prof.upper.tolist() == upper_env.tolist()
+    assert prof.lower.tolist() == lower_env.tolist()
+    # each entry names the latest (upper) or earliest (lower) k it came from
+    for i in range(len(k_list)):
+        j = max(j for j in range(i + 1) if upper[j] == upper_env[i])
+        assert prof.upper_source[i] == f"u{j}"
+        j = min(j for j in range(i, len(k_list)) if lower[j] == lower_env[i])
+        assert prof.lower_source[i] == f"l{j}"
 
 
 def test_log_ratio_envelope_values():

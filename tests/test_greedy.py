@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import entrobound._optim as optim
 from entrobound import (
@@ -352,3 +354,71 @@ def test_singular_hessian_falls_back_to_the_ridge_solve(monkeypatch):
     assert A.T @ res.x == pytest.approx(A.T @ b, rel=1e-9)
     reduced = optim.minimize_power_constrained(A[:, 1:], b, w, 1.5)
     assert res.value == pytest.approx(reduced.value, rel=1e-8)
+
+
+def _power_objective(A, b, w, e, x):
+    return float(w @ np.abs(b - A @ x) ** e)
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(n=st.integers(1, 8), dead=st.integers(0, 16),
+       e=st.floats(1.0, 6.0, exclude_min=True), coordinate=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_square_live_block_is_solved_exactly(n, dead, e, coordinate, seed):
+    # n live rows for n unknowns: the minimum zeroes the live residual and
+    # leaves sum w |b|^e over the rows no column touches
+    rng = np.random.default_rng(seed)
+    if coordinate:  # permuted and scaled coordinate atoms
+        block = np.diag(rng.choice([-1.0, 1.0], n) * rng.uniform(0.1, 10.0, n))
+        block = block[rng.permutation(n)]
+    else:  # singular values in [0.1, 10]
+        U, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        V, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        block = (U * rng.uniform(0.1, 10.0, n)) @ V.T
+    rows = n + dead
+    live = np.zeros(rows, dtype=bool)
+    live[rng.choice(rows, size=n, replace=False)] = True
+    A = np.zeros((rows, n))
+    A[live] = block
+    b = rng.standard_normal(rows) * 10.0 ** rng.uniform(-3.0, 3.0)
+    w = rng.uniform(0.1, 1.0, rows)
+    res = optim.minimize_power_residual(A, b, w, e)
+    assert res.stages == 0 and res.decrement == 0.0
+    assert np.abs((b - A @ res.x)[live]).max() <= 1e-12 * np.abs(b).max()
+    dead_sum = float(w[~live] @ np.abs(b[~live]) ** e)
+    assert res.value == pytest.approx(dead_sum, rel=1e-12,
+                                      abs=1e-12 * np.abs(b).max() ** e)
+    best = _power_objective(A, b, w, e, res.x)
+    for size in 10.0 ** rng.uniform(-6.0, 0.0, 20):
+        x = res.x + size * np.abs(res.x).max(initial=1.0) * rng.standard_normal(n)
+        assert _power_objective(A, b, w, e, x) >= best
+
+
+@pytest.mark.parametrize("second", [[2.0, 2.0], [1.0, 1.0 + 2.0 ** -52]])
+def test_singular_square_block_falls_back_to_newton(second):
+    # with atoms e1 + e2 and 2 (e1 + e2) the live block is singular; with
+    # the second atom one ulp off e1 + e2 the solve succeeds but leaves a
+    # live residual far above round-off.  Newton treats both as one
+    # direction, and the residual is minimized at (A x)_1 = (A x)_2 = 1/2
+    A = np.array([[1.0, second[0]], [1.0, second[1]], [0.0, 0.0]])
+    b = np.array([1.0, 0.0, 3.0])
+    res = optim.minimize_power_residual(A, b, np.ones(3), 1.5)
+    assert res.stages == 8
+    assert A[0] @ res.x == pytest.approx(0.5, abs=1e-6)
+    assert res.value == pytest.approx(2 * 0.5 ** 1.5 + 3.0 ** 1.5, rel=1e-9)
+
+
+def test_greedy_on_coordinate_atoms_factors_no_newton_system(monkeypatch):
+    factored = []
+    cho_factor = optim.cho_factor
+    monkeypatch.setattr(optim, "cho_factor",
+                        lambda H: factored.append(1) or cho_factor(H))
+    d = canonical_dictionary(12, 1.5)
+    f = np.random.default_rng(7).standard_normal(12)
+    run = wcga(f, d, 6)
+    assert len(run.support) == 6
+    assert factored == []
+    # the residual is f with its six largest entries removed
+    tail = np.sort(np.abs(f))[:6]
+    assert run.residual_norm == pytest.approx(np.sum(tail ** 1.5) ** (1 / 1.5),
+                                              rel=1e-15)

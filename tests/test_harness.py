@@ -12,15 +12,17 @@ import pytest
 
 from entrobound import (
     ConfigValidationError,
+    Dictionary,
     ExperimentConfig,
     FitModel,
     Report,
-    canonical_dictionary,
     emit,
     fit_envelope,
     log_ratio_envelope,
+    norm,
     random_subspace,
     run,
+    sequence_space,
 )
 import entrobound._optim as optim
 import entrobound.discretization as discretization
@@ -265,9 +267,9 @@ _GOLDEN_EXPONENT_NOT_2 = {
     "ball-entropy": "332920833b787cb44c2d1f717048bae2d6b91ee435e0c9a76d3e64b4acdbb25f",
     "duality-check": "122ef79a65087a3eb6e93372b1ed7099775a98fe97461038b3d4e93b6055e97c",
     "it1": "a5ae08300d3f282e358fb800bd1400e93b305111f3128d861024f88d983d02b8",
-    "it2-octahedron": "146929354bbb78daad0c2cb88f7d775d7dcf436123c82704896a9fc84cca232e",
+    "it2-octahedron": "ba050f69b0e176e30e04b70f62fbeeb3ed8843b484796187edba5d46aa1375b4",
     "mp-duality": "ab66d97aebac813583dd5fc22a6c196df22270a54a925f3a04115a54e1356fd3",
-    "sigma-decay": "93cbd70c34bc404fc9fee9d1f60c85678054515bcebc30e622db9d2d5db25671",
+    "sigma-decay": "db8184a0bc53093113cfb4827e974e8582b44bf7f8cea7beb9ef1672f98770ea",
 }
 
 
@@ -374,8 +376,6 @@ def test_cli_rejects_mistyped_config_values(tmp_path, capsys, doc, problem):
      "--trials 1", 1, "error: inner solver stopped"),
     ("it1 --seed 0 --p 1e6 --subspace-dim 3 --support-size 8 --n 4 "
      "--k-list 2,4 --samples 8", 1, "error: inner solver stopped"),
-    ("it2-octahedron --seed 0 --q 1e9 --n 8 --k-list 3,8 --samples 16", 1,
-     "error: inner solver stopped"),
 ])
 def test_cli_failed_runs_end_in_one_line(capsys, argv, code, problem):
     assert main(argv.split()) == code
@@ -383,6 +383,18 @@ def test_cli_failed_runs_end_in_one_line(capsys, argv, code, problem):
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith(problem)
+
+
+def test_cli_octahedron_cover_at_a_huge_exponent_succeeds(capsys):
+    # coordinate atoms make every projection an exact square solve, so no
+    # power of the residual is ever differentiated and nothing overflows
+    argv = "it2-octahedron --seed 0 --q 1e9 --n 8 --k-list 3,8 --samples 16"
+    assert main(argv.split()) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[0].startswith("k,radius,")
+    radii = [float(row.split(",")[1]) for row in rows[1:]]
+    assert len(radii) == 2
+    assert all(math.isfinite(r) and 0.0 < r <= 1.0 for r in radii)
 
 
 def test_cli_flags_are_the_registry_fields():
@@ -425,8 +437,13 @@ def test_benchmark_tracer_counts_every_newton_iteration(monkeypatch):
     cho_factor = optim.cho_factor
     monkeypatch.setattr(optim, "cho_factor",
                         lambda H: factored.append(1) or cho_factor(H))
-    d = canonical_dictionary(6, 1.5)
-    f = np.random.default_rng(3).standard_normal(6)
+    # dense atoms: coordinate atoms would take the exact square solve instead
+    rng = np.random.default_rng(3)
+    space = sequence_space(6, 1.5)
+    atoms = rng.standard_normal((6, 8))
+    atoms /= [norm(space, a) for a in atoms.T]
+    d = Dictionary(atoms, space)
+    f = rng.standard_normal(6)
     tracer = tracing.Tracer()
     tracer.install()
     try:

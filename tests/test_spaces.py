@@ -265,6 +265,19 @@ def test_norm_A_picks_the_cheapest_representation():
     assert np.abs(coeffs).sum() == pytest.approx(math.sqrt(2.0), abs=1e-9)
 
 
+@pytest.mark.parametrize("c", [10.0 ** k for k in range(-10, 11, 2)])
+def test_norm_A_is_scale_free(c):
+    # HiGHS's tolerances are absolute, so the LP must see f at unit norm:
+    # unscaled, c = 1e-8 and 1e-10 give 0.0
+    s = 1.0 / math.sqrt(2.0)
+    atoms = np.array([[1.0, 0.0, s], [0.0, 1.0, s]])
+    d = Dictionary(atoms, sequence_space(2, 2.0))
+    f = c * np.array([1.0, 1.0])
+    assert norm_A(f, d) / c == pytest.approx(math.sqrt(2.0), rel=1e-9)
+    coeffs = minimal_l1_coefficients(f, d)
+    assert atoms @ coeffs == pytest.approx(f, rel=1e-9)
+
+
 def test_norm_A_basic_properties():
     rng = np.random.default_rng(4)
     d = canonical_dictionary(5, 1.5)
