@@ -87,14 +87,14 @@ def _spd_solve(H: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def _smoothed_newton(direction, trial, point: np.ndarray, r: np.ndarray,
-                     w: np.ndarray, e: float, scale: float, decrement_tol: float,
-                     eps_rel: float, stage_iter: int) -> PowerSolveResult:
+                     w: np.ndarray, e: float, scale: float,
+                     decrement_tol: float) -> PowerSolveResult:
     """The stage loop that both forms share: minimize sum w |r|**e.
 
     ``r`` is the residual vector at ``point``, both divided by the data
     scale.  Each smoothing stage minimizes sum w (r^2 + eps^2)^(e/2) by
     damped Newton with Armijo backtracking, with eps walked down
-    geometrically from 0.1 to eps_rel.  The form enters through two
+    geometrically from 0.1 to ``_EPS_REL``.  The form enters through two
     callables:
 
     - ``direction(grad, h)`` returns the Newton direction and the
@@ -118,16 +118,16 @@ def _smoothed_newton(direction, trial, point: np.ndarray, r: np.ndarray,
     iterations = 0
     eps_levels: list[float] = []
     eps = 0.1
-    # stop short of eps_rel: repeated * 0.1 lands just above it (1e-8 comes
+    # stop short of _EPS_REL: repeated * 0.1 lands just above it (1e-8 comes
     # out as 1.0000000000000004e-08), which would run that stage twice
-    while eps > 1.5 * eps_rel:
+    while eps > 1.5 * _EPS_REL:
         eps_levels.append(eps)
         eps *= 0.1
-    eps_levels.append(eps_rel)
+    eps_levels.append(_EPS_REL)
     for eps in eps_levels:
         stages += 1
         e2 = eps * eps
-        for _ in range(stage_iter):
+        for _ in range(_STAGE_ITER):
             iterations += 1
             s2 = r * r + e2
             base = s2 ** base_pow
@@ -172,9 +172,7 @@ def minimize_power_residual(A: np.ndarray, b: np.ndarray, weights: np.ndarray,
                             exponent: float,
                             *,
                             x0: np.ndarray | None = None,
-                            decrement_tol: float = 1e-12,
-                            eps_rel: float = _EPS_REL,
-                            stage_iter: int = _STAGE_ITER) -> PowerSolveResult:
+                            decrement_tol: float = 1e-12) -> PowerSolveResult:
     """Minimize sum_i weights_i |b_i - (A x)_i|**exponent over x.
 
     The residual form of the shared stage loop: the unknowns are the
@@ -225,7 +223,7 @@ def minimize_power_residual(A: np.ndarray, b: np.ndarray, weights: np.ndarray,
         return x_new, bs - A @ x_new
 
     return _smoothed_newton(direction, trial, x, bs - A @ x, w, e, scale,
-                            decrement_tol, eps_rel, stage_iter)
+                            decrement_tol)
 
 
 @np.errstate(over="ignore")
@@ -266,5 +264,4 @@ def minimize_power_constrained(C: np.ndarray, g0: np.ndarray, weights: np.ndarra
         return g_new, g_new
 
     gs = g0 / scale
-    return _smoothed_newton(direction, trial, gs, gs, w, e, scale,
-                            decrement_tol, _EPS_REL, _STAGE_ITER)
+    return _smoothed_newton(direction, trial, gs, gs, w, e, scale, decrement_tol)

@@ -7,7 +7,8 @@ goes to stdout alongside a written file, to stderr when the machine
 text occupies stdout.  Exit codes: 0 on success, 1 when the run fails
 (the solver does not converge, or the numbers it meets are unusable),
 2 when the configuration fails validation, 3 when a verified property
-is breached.  Exits 1 and 2 print one ``error:`` line per problem.
+is breached (any ``PropertyViolationError``).  Exits 1 and 2 print one
+``error:`` line per problem, exit 3 one ``property violation:`` line.
 """
 
 from __future__ import annotations
@@ -69,8 +70,6 @@ def _merge_config(args: argparse.Namespace) -> ExperimentConfig:
     if "seed" not in doc:
         raise ConfigValidationError(
             ["seed: required (pass --seed or set it in the config)"])
-    if "format" not in doc:
-        doc["format"] = "csv"
     return ExperimentConfig.from_json(doc)
 
 

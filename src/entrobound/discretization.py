@@ -79,6 +79,7 @@ _GRAM_TOL = 1e-10
 # the representer inherits the extremal's error at about the square root
 # of the decrement, while the point value's error is of its order
 _REPRESENTER_TOL = 1e-15
+_NORM_BOUND_SLACK = 1e-6  # on ||w_j||_{p'} <= 2 M_p
 
 
 def _validate_p(p: float) -> None:
@@ -268,18 +269,10 @@ class DiscretizationDictionary:
     atoms: np.ndarray           # g_j as columns, support_size x n
     m_p: float
 
-    @property
-    def count(self) -> int:
-        return self.points.count
-
-    @property
-    def dual_exponent(self) -> float:
-        return self.p / (self.p - 1.0)
-
     def u_dictionary(self) -> Dictionary:
         """The g_j atoms as a dictionary in L_{p'}(mu)."""
         space = discrete_space(self.subspace.measure.weights,
-                               self.dual_exponent)
+                               self.p / (self.p - 1.0))
         return Dictionary(self.atoms, space)
 
 
@@ -297,8 +290,7 @@ def _representer(sub: Subspace, x: int, f: np.ndarray, p: float) -> np.ndarray:
 
 
 def build_discretization_dictionary(sub: Subspace, pts: SamplePointSet,
-                                    p: float, tol: float = 1e-6
-                                    ) -> DiscretizationDictionary:
+                                    p: float) -> DiscretizationDictionary:
     """Assemble the evaluation representers w_j and g_j for the sample points.
 
     For p != 2 the direct route builds everything: one direct solve per
@@ -310,7 +302,7 @@ def build_discretization_dictionary(sub: Subspace, pts: SamplePointSet,
     representer route (``m_p_dual``) stays the independent cross-check.
     For p = 2, w_j is the kernel row D(x^j, .).  Both dictionary invariants are
     checked here: the reproducing identity on the basis to 1e-8, and
-    the norm bound ||w_j||_{p'} <= 2 M_p + tol.
+    the norm bound ||w_j||_{p'} <= 2 M_p + 1e-6.
     """
     _validate_p(p)
     if np.any(pts.indices >= sub.support_size):
@@ -336,7 +328,7 @@ def build_discretization_dictionary(sub: Subspace, pts: SamplePointSet,
             raise ValueError(
                 f"every subspace element vanishes at sample point {x}; "
                 "the evaluation functional is degenerate")
-        bound = 2.0 * m_p + tol
+        bound = 2.0 * m_p + _NORM_BOUND_SLACK
         if w_norm > bound:
             raise NormBoundError(j, w_norm, bound)
         w_norms.append(w_norm)
@@ -429,15 +421,8 @@ class SubspaceEntropyResult:
 
     profile: EntropyProfile
     m_p: float
-    p: float
-    subspace_dim: int
-    support_size: int
-    n_points: int
-    k_list: list[int]
     envelope: np.ndarray
     upper_ratio: np.ndarray
-    lower_ratio: np.ndarray
-    cover_radii: np.ndarray
     spread: float
 
 
@@ -466,11 +451,10 @@ def it1_experiment(sub: Subspace, pts: SamplePointSet, p: float,
     octa = Octahedron(ddict.u_dictionary())
     certs = octahedron_cover_profile(octa, k_list, seed=seed,
                                      sample_size=cover_sample_size)
-    radii = np.array([certs[k].radius for k in k_list])
 
     uppers, upper_src = [], []
-    for k, r in zip(k_list, radii):
-        theorem_route = 2.0 * ddict.m_p * r
+    for k in k_list:
+        theorem_route = 2.0 * ddict.m_p * certs[k].radius
         if theorem_route < ddict.m_p:
             uppers.append(theorem_route)
             upper_src.append("sparse-cover")
@@ -487,13 +471,9 @@ def it1_experiment(sub: Subspace, pts: SamplePointSet, p: float,
     profile = EntropyProfile.build(k_list, lowers, uppers, lower_src, upper_src)
     envelope = ddict.m_p * log_ratio_envelope(n, np.asarray(k_list), 1.0 / p)
     upper_ratio = profile.upper / envelope
-    lower_ratio = profile.lower / envelope
     spread = float(upper_ratio.max() / upper_ratio.min())
-    return SubspaceEntropyResult(
-        profile=profile, m_p=ddict.m_p, p=float(p), subspace_dim=sub.dim,
-        support_size=sub.support_size, n_points=n, k_list=k_list,
-        envelope=envelope, upper_ratio=upper_ratio, lower_ratio=lower_ratio,
-        cover_radii=radii, spread=spread)
+    return SubspaceEntropyResult(profile=profile, m_p=ddict.m_p, envelope=envelope,
+                                 upper_ratio=upper_ratio, spread=spread)
 
 
 def random_subspace(dim: int, support_size: int, seed: int, *,

@@ -46,6 +46,7 @@ from .errors import (
     CertificateError,
     DimensionMismatchError,
     EmptySampleError,
+    EntroboundError,
     QuantizationBudgetError,
 )
 from .greedy import Octahedron, sample_octahedron, wcga
@@ -86,6 +87,7 @@ __all__ = [
 _EXACT_MAX_POINTS = 512
 _EXACT_MAX_CENTERS = 16
 _DIST_TOL = 1e-12
+_VERIFY_TOL = 1e-9  # slack of the certificate checks
 # the octahedron cover's greedy runs: at most this many terms, each
 # projection solved to this relative Newton decrement
 _COVER_M_CAP = 24
@@ -289,8 +291,7 @@ class PackingCertificate:
         )
 
 
-def verify_cover(cert: CoverCertificate, witness: np.ndarray,
-                 *, tol: float = 1e-9) -> bool:
+def verify_cover(cert: CoverCertificate, witness: np.ndarray) -> bool:
     """Re-check a cover certificate against a witness sample.
 
     Uses only the stored metric and centers.  Raises CertificateError
@@ -315,13 +316,13 @@ def verify_cover(cert: CoverCertificate, witness: np.ndarray,
     except DimensionMismatchError as exc:
         raise CertificateError(f"centers or witness do not fit the metric: {exc}") from exc
     worst = float(dists.max())
-    if not worst <= cert.radius + tol:  # written so that NaN fails
+    if not worst <= cert.radius + _VERIFY_TOL:  # written so that NaN fails
         raise CertificateError(
             f"witness point at distance {worst!r} exceeds radius {cert.radius!r}")
     return True
 
 
-def verify_packing(cert: PackingCertificate, *, tol: float = 1e-9) -> bool:
+def verify_packing(cert: PackingCertificate) -> bool:
     """Re-check that the stored points are pairwise >= separation apart.
 
     Raises CertificateError when they are not, or when the points or the
@@ -335,7 +336,7 @@ def verify_packing(cert: PackingCertificate, *, tol: float = 1e-9) -> bool:
     D = cert.metric.pairwise(pts, pts)
     off = D + np.diag(np.full(len(D), np.inf))
     smallest = float(off.min())
-    if not smallest >= cert.separation - tol:  # written so that NaN fails
+    if not smallest >= cert.separation - _VERIFY_TOL:  # written so that NaN fails
         raise CertificateError(
             f"pair at distance {smallest!r} below separation {cert.separation!r}")
     return True
@@ -384,19 +385,10 @@ class EntropyProfile:
         if bad.size:
             i = int(bad[0])
             raise CertificateError(
-                f"lower bound {lower[i]!r} exceeds upper bound {upper[i]!r} "
-                f"at k = {k_list[i]}")
+                f"lower bound {float(lower[i])!r} exceeds upper bound "
+                f"{float(upper[i])!r} at k = {k_list[i]}")
         return cls(k_list=k_list, lower=lower, upper=upper,
                    lower_source=lower_source, upper_source=upper_source)
-
-    def to_json(self) -> dict:
-        return {
-            "k_list": self.k_list,
-            "lower": [float(v) for v in self.lower],
-            "upper": [float(v) for v in self.upper],
-            "lower_source": self.lower_source,
-            "upper_source": self.upper_source,
-        }
 
 
 def log_ratio_envelope(n: int, k: np.ndarray, exponent: float) -> np.ndarray:
@@ -449,7 +441,7 @@ def _min_cover_count(cov: np.ndarray, cols: np.ndarray) -> tuple[int, np.ndarray
         bounds=Bounds(0, 1),
     )
     if res.status != 0:
-        raise CertificateError(f"set-cover solve failed with status {res.status}")
+        raise EntroboundError(f"set-cover solve failed with status {res.status}")
     return int(round(res.fun)), cols[res.x > 0.5]
 
 
@@ -598,8 +590,7 @@ def exact_entropy_small(W: np.ndarray, k: int, metric: Metric) -> float:
     return _exact_restricted_radius(metric.pairwise(W, W), 2 ** k)
 
 
-def greedy_cover(W: np.ndarray, epsilon: float, metric: Metric,
-                 *, set_id: str = "") -> CoverCertificate:
+def greedy_cover(W: np.ndarray, epsilon: float, metric: Metric) -> CoverCertificate:
     """First-uncovered-point cover of the sample at a fixed radius."""
     W = _sample_points(W)
     if not epsilon >= 0:
@@ -610,7 +601,7 @@ def greedy_cover(W: np.ndarray, epsilon: float, metric: Metric,
     k = 0 if count <= 1 else math.ceil(math.log2(count))
     return CoverCertificate(
         centers=W[picked], radius=float(epsilon), k=k, count_bound=count,
-        metric=metric, provenance="greedy-cover", set_id=set_id)
+        metric=metric, provenance="greedy-cover")
 
 
 def _fps(Dm: np.ndarray, count: int, start: int) -> tuple[list[int], list[float]]:
@@ -646,10 +637,11 @@ def _packing_lowers(insertion: list[float],
     return lowers, sources
 
 
-def farthest_point_packing(W: np.ndarray, count: int, metric: Metric,
-                           *, seed: int = 0, set_id: str = "") -> PackingCertificate:
-    """Farthest-point traversal from a seeded start; separation is exact.
+def farthest_point_packing(W: np.ndarray, count: int,
+                           metric: Metric) -> PackingCertificate:
+    """Farthest-point traversal; the separation is exact.
 
+    The start is the first draw of ``default_rng(0)`` over the points.
     The reported separation is the recomputed minimal pairwise distance
     of the selected points, not the traversal's bookkeeping.
     """
@@ -657,17 +649,15 @@ def farthest_point_packing(W: np.ndarray, count: int, metric: Metric,
     num = W.shape[0]
     if not 1 <= count <= num:
         raise ValueError(f"count must lie in [1, {num}], got {count}")
-    rng = np.random.default_rng(seed)
     Dm = metric.pairwise(W, W)
-    picked, _ = _fps(Dm, count, int(rng.integers(num)))
+    picked, _ = _fps(Dm, count, int(np.random.default_rng(0).integers(num)))
     pts = W[picked]
     if count == 1:
         sep = float("inf")
     else:
         sub = Dm[np.ix_(picked, picked)] + np.diag(np.full(count, np.inf))
         sep = float(sub.min())
-    return PackingCertificate(points=pts, separation=sep, metric=metric,
-                              set_id=set_id)
+    return PackingCertificate(points=pts, separation=sep, metric=metric)
 
 
 # ---------------------------------------------------------------------------
@@ -768,18 +758,26 @@ def _quantized_cover(sample: np.ndarray, atoms: np.ndarray, level, grid_count,
         set_id=set_id, extra={"m": m, "grid_radius": M, "grid_step": delta})
 
 
+def _signed_subsets(rng: np.random.Generator, n: int, per_level: int):
+    """Random signed subsets of range(n) at the dyadic sizes 2, 4, ... <= n.
+
+    Yields (indices, signs) ``per_level`` times per size, smallest size
+    first; each draw chooses the indices, then the signs.
+    """
+    level = 2
+    while level <= n:
+        for _ in range(per_level):
+            idx = rng.choice(n, size=level, replace=False)
+            yield idx, rng.choice([-1.0, 1.0], size=level)
+        level *= 2
+
+
 def _octahedron_witness(dictionary: Dictionary, size: int, seed: int) -> np.ndarray:
     """Vertices, signed equal-mass dyadic mixtures, and Dirichlet mixtures."""
     rng = np.random.default_rng(seed)
-    n = dictionary.size
     rows = [dictionary.atoms.T, -dictionary.atoms.T]
-    level = 2
-    while level <= n:
-        for _ in range(3):
-            idx = rng.choice(n, size=level, replace=False)
-            signs = rng.choice([-1.0, 1.0], size=level)
-            rows.append((dictionary.atoms[:, idx] @ (signs / level))[None, :])
-        level *= 2
+    for idx, signs in _signed_subsets(rng, dictionary.size, 3):
+        rows.append((dictionary.atoms[:, idx] @ (signs / len(idx)))[None, :])
     have = sum(r.shape[0] for r in rows)
     extra = max(size - have, 0)
     if extra:
@@ -911,15 +909,10 @@ def _ball_witness(p: float, n: int, size: int, seed: int) -> np.ndarray:
     """Vertices, dyadic equal-mass points and low-discrepancy sphere points."""
     rng = np.random.default_rng(seed)
     rows = [np.zeros((1, n)), np.eye(n), -np.eye(n)]
-    level = 2
-    while level <= n:
-        for _ in range(4):
-            idx = rng.choice(n, size=level, replace=False)
-            signs = rng.choice([-1.0, 1.0], size=level)
-            v = np.zeros(n)
-            v[idx] = signs * level ** (-1.0 / p)
-            rows.append(v[None, :])
-        level *= 2
+    for idx, signs in _signed_subsets(rng, n, 4):
+        v = np.zeros(n)
+        v[idx] = signs * len(idx) ** (-1.0 / p)
+        rows.append(v[None, :])
     have = sum(r.shape[0] for r in rows)
     extra = max(size - have, 0)
     if extra:
@@ -937,11 +930,8 @@ def _ball_witness(p: float, n: int, size: int, seed: int) -> np.ndarray:
 
 @dataclass
 class BallEntropyResult:
-    p: float
-    n: int
     profile: EntropyProfile
     sample_size: int
-    trivial_bound: float = 1.0
 
 
 def ball_entropy_experiment(p: float, n: int, k_list: list[int], *,
@@ -983,8 +973,7 @@ def ball_entropy_experiment(p: float, n: int, k_list: list[int], *,
     lowers, lower_src = _packing_lowers(insertion, k_list)
 
     profile = EntropyProfile.build(k_list, lowers, uppers, lower_src, upper_src)
-    return BallEntropyResult(p=p, n=n, profile=profile,
-                             sample_size=sample.shape[0])
+    return BallEntropyResult(profile=profile, sample_size=sample.shape[0])
 
 
 # ---------------------------------------------------------------------------
@@ -1007,14 +996,10 @@ def _dual_ball_witness(space: NormedSpaceSpec, size: int, seed: int) -> np.ndarr
     for sign in (1.0, -1.0):
         axes = sign * np.eye(d)
         rows.append(axes / np.array([dual_norm(space, a) for a in axes])[:, None])
-    level = 2
-    while level <= d:
-        for _ in range(3):
-            idx = rng.choice(d, size=level, replace=False)
-            v = np.zeros(d)
-            v[idx] = rng.choice([-1.0, 1.0], size=level)
-            rows.append((v / dual_norm(space, v))[None, :])
-        level *= 2
+    for idx, signs in _signed_subsets(rng, d, 3):
+        v = np.zeros(d)
+        v[idx] = signs
+        rows.append((v / dual_norm(space, v))[None, :])
     have = sum(r.shape[0] for r in rows)
     for _ in range(max(size - have, 0)):
         v = rng.standard_normal(d)
@@ -1036,9 +1021,7 @@ class DualitySumReport:
     sum_k dual^p / sum_k hull^p with p = q'/2.
     """
 
-    q: float
     p_exponent: float
-    m: int
     k_list: list[int]
     hull_lower: np.ndarray
     hull_upper: np.ndarray
@@ -1112,7 +1095,7 @@ def duality_sum_check(dictionary: Dictionary, m: int, *,
     wide = (hi / lo > 1e6) if lo > 0 and math.isfinite(hi) else True
     status = "warning" if (wide and not flagged) else ("flagged" if flagged else "ok")
     return DualitySumReport(
-        q=space.q, p_exponent=p_exp, m=m, k_list=k_list,
+        p_exponent=p_exp, k_list=k_list,
         hull_lower=hull_lower, hull_upper=hull_upper,
         dual_lower=dual_lower, dual_upper=dual_upper,
         ratio_interval=(lo, hi), contains_one=contains_one,

@@ -59,7 +59,15 @@ class GramDefectError(EntroboundError):
         self.defect = defect
 
 
-class NormBoundError(EntroboundError):
+class PropertyViolationError(EntroboundError):
+    """A property that a run checks on its own result does not hold."""
+
+    def __init__(self, message, witness=None):
+        super().__init__(message)
+        self.witness = witness
+
+
+class NormBoundError(PropertyViolationError):
     def __init__(self, index, value, bound):
         super().__init__(
             f"representer {index} has dual norm {value:.6g}, "
@@ -69,7 +77,7 @@ class NormBoundError(EntroboundError):
         self.bound = bound
 
 
-class CertificateError(EntroboundError):
+class CertificateError(PropertyViolationError):
     pass
 
 
@@ -77,7 +85,7 @@ class EmptySampleError(EntroboundError):
     pass
 
 
-class QuantizationBudgetError(EntroboundError):
+class QuantizationBudgetError(PropertyViolationError):
     pass
 
 
@@ -86,8 +94,3 @@ class ConfigValidationError(EntroboundError):
         super().__init__("invalid configuration: " + "; ".join(problems))
         self.problems = list(problems)
 
-
-class PropertyViolationError(EntroboundError):
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness

@@ -1,10 +1,13 @@
 """Best m-term approximation over a dictionary of unit atoms.
 
 Two paths to the m-term error: exhaustive search over supports (exact,
-tiny scale only) and a weak Chebyshev greedy loop.  Each greedy step
+tiny scale only) and the weak Chebyshev greedy algorithm (Temlyakov,
+*Greedy Approximation*, 2011) with weakness t = 1.  Each greedy step
 computes the norming functional of the current residual from scratch,
 picks the atom with the largest absolute pairing (lowest index on
-ties), and re-projects onto everything selected so far.  For q = 2 the
+ties), and re-projects onto everything selected so far.  The largest
+pairing reaches t times the maximum for every t in (0, 1], so each run
+is also a run of the algorithm at every weaker t.  For q = 2 the
 projection is weighted least squares; otherwise it minimizes the q-th
 power of the residual norm with the shared smoothed-Newton solver.
 
@@ -31,7 +34,7 @@ from .errors import (
     SpanMembershipError,
     ZeroVectorError,
 )
-from .spaces import Dictionary, norm, norm_A, norming_functional
+from .spaces import Dictionary, _power_norm, norm, norm_A, norming_functional
 
 __all__ = [
     "SparseApproximant",
@@ -46,6 +49,7 @@ __all__ = [
 
 _BRUTE_FORCE_BUDGET = 10 ** 6
 _MEMBERSHIP_TOL = 1e-9  # slack of the hull test norm_A <= 1
+_STOP_TOL = 1e-12  # residual norm at which the greedy loop stops early
 
 
 @dataclass
@@ -64,11 +68,6 @@ class SparseApproximant:
     history: list[float]
     tol_reached: bool = False
     step_coefficients: list[np.ndarray] | None = None
-
-    def reconstruct(self, dictionary: Dictionary) -> np.ndarray:
-        if not self.support:
-            return np.zeros(dictionary.space.dim)
-        return dictionary.atoms[:, self.support] @ self.coefficients
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,7 +109,7 @@ def chebyshev_project(f: np.ndarray, support: list[int], dictionary: Dictionary,
         sw = np.sqrt(w)
         c, *_ = np.linalg.lstsq(sw[:, None] * G, sw * f, rcond=None)
         return c
-    scale = norm(space, f)
+    scale = _power_norm(f, w, space.q)  # norm(space, f); f is checked above
     if scale == 0.0:
         return np.zeros(len(support))
     fs = f / scale
@@ -126,8 +125,8 @@ def _residual_norm(f, support, coeffs, dictionary):
     return norm(space, f - dictionary.atoms[:, list(support)] @ coeffs)
 
 
-def best_mterm_bruteforce(f: np.ndarray, dictionary: Dictionary, m: int,
-                          *, tol: float = 1e-10) -> SparseApproximant:
+def best_mterm_bruteforce(f: np.ndarray, dictionary: Dictionary,
+                          m: int) -> SparseApproximant:
     """Exact best m-term approximation by enumerating all supports.
 
     Guarded by comb(n, m) <= 1e6; beyond that the greedy loop is the
@@ -145,7 +144,7 @@ def best_mterm_bruteforce(f: np.ndarray, dictionary: Dictionary, m: int,
     best: SparseApproximant | None = None
     for combo in itertools.combinations(range(n), m):
         support = list(combo)
-        coeffs = chebyshev_project(f, support, dictionary, tol=tol)
+        coeffs = chebyshev_project(f, support, dictionary)
         r = _residual_norm(f, support, coeffs, dictionary)
         if best is None or r < best.residual_norm:
             best = SparseApproximant(support=support, coefficients=coeffs,
@@ -157,27 +156,23 @@ def best_mterm_bruteforce(f: np.ndarray, dictionary: Dictionary, m: int,
 
 
 def wcga(f: np.ndarray, dictionary: Dictionary, m: int,
-         *, t: float = 1.0, tol: float = 1e-12, project_tol: float = 1e-10,
+         *, project_tol: float = 1e-10,
          record_steps: bool = False) -> SparseApproximant:
     """Weak Chebyshev greedy approximation with up to m steps.
 
-    The weakness parameter t in (0, 1] is accepted for interface
-    fidelity: any index whose pairing reaches t times the maximum is
-    admissible, and this implementation always takes the maximum itself
-    (lowest index on ties), which satisfies the threshold for every t.
-    Stops early once the residual norm drops to ``tol`` or no atom sees
+    Each step takes the atom of largest absolute pairing with the
+    residual's norming functional (lowest index on ties).  That is the
+    weakness t = 1, and it meets the threshold of every t in (0, 1].
+    Stops early once the residual norm drops to 1e-12 or no atom sees
     the residual.
     """
     space = dictionary.space
     n = dictionary.size
-    if not 0 < t <= 1.0:
-        raise ValueError(f"weakness parameter must lie in (0, 1], got {t}")
     if not 0 <= m <= n:
         raise ValueError(f"m must lie in [0, {n}], got {m}")
     f = np.asarray(f, dtype=float)
-    if not np.all(np.isfinite(f)):
-        raise ValueError("the vector to approximate must be finite")
-    fnorm = norm(space, f)
+    w = space.weight_vector()
+    fnorm = norm(space, f)  # rejects a non-finite f
     if fnorm == 0.0:
         raise ZeroVectorError("cannot run the greedy loop on the zero vector")
     support: list[int] = []
@@ -187,7 +182,7 @@ def wcga(f: np.ndarray, dictionary: Dictionary, m: int,
     tol_reached = False
     residual = f.copy()
     for _ in range(m):
-        if history[-1] <= tol:
+        if history[-1] <= _STOP_TOL:
             tol_reached = True
             break
         vals = np.abs(dictionary.pairings(norming_functional(space, residual)))
@@ -200,10 +195,10 @@ def wcga(f: np.ndarray, dictionary: Dictionary, m: int,
         coeffs = chebyshev_project(f, support, dictionary, tol=project_tol,
                                    warm=np.append(coeffs, 0.0))
         residual = f - dictionary.atoms[:, support] @ coeffs
-        history.append(norm(space, residual))
+        history.append(_power_norm(residual, w, space.q))
         if record_steps:
             snaps.append(coeffs.copy())
-    if history[-1] <= tol:
+    if history[-1] <= _STOP_TOL:
         tol_reached = True
     return SparseApproximant(
         support=support, coefficients=coeffs,
@@ -248,7 +243,7 @@ class SigmaProfile:
 
 
 def sigma_profile(samples: list[np.ndarray], dictionary: Dictionary,
-                  m_list: list[int], *, t: float = 1.0) -> SigmaProfile:
+                  m_list: list[int]) -> SigmaProfile:
     """Empirical m-term error of the atom hull over a witness sample.
 
     Every sample must pass the hull membership test (norm_A <= 1 plus
@@ -269,7 +264,7 @@ def sigma_profile(samples: list[np.ndarray], dictionary: Dictionary,
     m_max = m_list[-1]
     table = np.zeros((len(samples), len(m_list)))
     for i, f in enumerate(samples):
-        run = wcga(f, dictionary, m_max, t=t)
+        run = wcga(f, dictionary, m_max)
         hist = run.history
         for j, m in enumerate(m_list):
             table[i, j] = hist[m] if m < len(hist) else hist[-1]

@@ -28,14 +28,13 @@ from .discretization import (
     random_subspace,
 )
 from .entropy import (
-    EntropyProfile,
     ball_entropy_experiment,
     duality_sum_check,
     log_ratio_envelope,
     octahedron_cover_profile,
 )
 from .errors import ConfigValidationError
-from .greedy import Octahedron, SigmaProfile, sample_octahedron, sigma_profile
+from .greedy import Octahedron, sample_octahedron, sigma_profile
 from .spaces import MeasureSpace, canonical_dictionary
 
 __all__ = [
@@ -85,27 +84,17 @@ class FitResult:
         }
 
 
-def _fit_inputs(table, n):
-    if isinstance(table, EntropyProfile):
-        return np.asarray(table.k_list, dtype=float), np.asarray(table.upper, dtype=float)
-    if isinstance(table, SigmaProfile):
-        return np.asarray(table.m_list, dtype=float), np.asarray(table.values, dtype=float)
-    xs, values = table
-    return np.asarray(xs, dtype=float), np.asarray(values, dtype=float)
-
-
 def fit_envelope(table, n: int | None = None,
                  model: FitModel = FitModel.POWER_M, *,
                  include_small_k: bool = False) -> FitResult:
     """Fit value = C * predictor^r in the log2-log2 domain.
 
-    ``table`` is an EntropyProfile (fits the upper entries against k),
-    a SigmaProfile (values against m), or an (xs, values) pair.  The
-    LOG_RATIO_K model regresses against log2(2n/k)/k and by default
-    drops k < log2(n), where only the trivial bound is meaningful;
-    pass include_small_k=True to keep those entries.
+    ``table`` is an (xs, values) pair.  The LOG_RATIO_K model regresses
+    against log2(2n/k)/k and by default drops k < log2(n), where only
+    the trivial bound is meaningful; pass include_small_k=True to keep
+    those entries.
     """
-    xs, values = _fit_inputs(table, n)
+    xs, values = (np.asarray(col, dtype=float) for col in table)
     if model is FitModel.LOG_RATIO_K:
         if n is None:
             raise ValueError("the log-ratio model needs the set size n")
@@ -342,14 +331,14 @@ def _run_sigma_decay(cfg: ExperimentConfig) -> Report:
     dictionary = canonical_dictionary(cfg.n, cfg.q)
     drawn = sample_octahedron(dictionary, cfg.samples, cfg.seed)
     profile = sigma_profile([s["vector"] for s in drawn], dictionary, cfg.m_list)
-    fit = fit_envelope(profile, model=FitModel.POWER_M)
+    fit = fit_envelope((profile.m_list, profile.values), model=FitModel.POWER_M)
     theory = 1.0 / cfg.q - 1.0
     return Report(
         experiment=cfg.experiment,
         columns={"m": list(cfg.m_list), "sigma": _float_list(profile.values)},
         metadata={"seed": cfg.seed, "q": cfg.q, "n": cfg.n,
                   "samples": cfg.samples, "fit": fit.to_json(),
-                  "theory_exponent": theory, "version": _VERSION},
+                  "theory_exponent": theory},
         summary=[
             f"greedy m-term decay on the {cfg.n}-atom hull, q = {cfg.q}",
             f"max residual over {cfg.samples} samples at m = {list(cfg.m_list)}",
@@ -379,8 +368,7 @@ def _run_ball_entropy(cfg: ExperimentConfig) -> Report:
                   "samples": result.sample_size,
                   "upper_source": profile.upper_source,
                   "lower_source": profile.lower_source,
-                  "ratio_spread": spread, "trivial_bound": 1.0,
-                  "version": _VERSION},
+                  "ratio_spread": spread, "trivial_bound": 1.0},
         summary=[
             f"unit ball of l_{cfg.p} in dimension {cfg.n}, max-norm entropy",
             f"upper/envelope ratio spread {spread:.3f} over k = {profile.k_list}",
@@ -406,8 +394,7 @@ def _run_duality_check(cfg: ExperimentConfig) -> Report:
                   "p_exponent": report.p_exponent,
                   "ratio_interval": [lo, hi],
                   "contains_one": report.contains_one,
-                  "flagged": report.flagged, "status": report.status,
-                  "version": _VERSION},
+                  "flagged": report.flagged, "status": report.status},
         summary=[
             f"entropy sum duality on {cfg.n} canonical atoms, q = {cfg.q}, "
             f"p = q'/2 = {report.p_exponent}",
@@ -447,7 +434,7 @@ def _run_mp_duality(cfg: ExperimentConfig) -> Report:
         metadata={"seed": cfg.seed, "p": cfg.p,
                   "subspace_dim": cfg.subspace_dim,
                   "support_size": cfg.support_size, "trials": cfg.trials,
-                  "max_gap": max_gap, "version": _VERSION},
+                  "max_gap": max_gap},
         summary=[
             f"uniform-norm constant by two routes on {cfg.trials} random "
             f"subspaces (dim {cfg.subspace_dim} of {cfg.support_size} points, "
@@ -478,8 +465,7 @@ def _run_it1(cfg: ExperimentConfig) -> Report:
                   "subspace_dim": cfg.subspace_dim,
                   "support_size": cfg.support_size, "n": cfg.n,
                   "m_p": result.m_p, "ratio_spread": result.spread,
-                  "upper_source": profile.upper_source,
-                  "version": _VERSION},
+                  "upper_source": profile.upper_source},
         summary=[
             f"subspace ball entropy in the {cfg.n}-point seminorm "
             f"(dim {cfg.subspace_dim} of {cfg.support_size}, p = {cfg.p})",
@@ -511,8 +497,7 @@ def _run_it2_octahedron(cfg: ExperimentConfig) -> Report:
         metadata={"seed": cfg.seed, "q": cfg.q, "n": cfg.n,
                   "samples": cfg.samples,
                   "m_used": [certs[k].extra.get("m") for k in ks],
-                  "ratio_spread": float(ratio.max() / ratio.min()),
-                  "version": _VERSION},
+                  "ratio_spread": float(ratio.max() / ratio.min())},
         summary=[
             f"constructive covers of the {cfg.n}-atom hull, q = {cfg.q}",
             f"radii {[float(r) for r in radii]} at k = {ks}",
@@ -570,5 +555,6 @@ def run(config: ExperimentConfig) -> tuple[Report, str]:
     cfg = config.resolved()
     cfg.validate()
     report = _REGISTRY[cfg.experiment].runner(cfg)
+    report.metadata["version"] = _VERSION
     text = emit(report, cfg.format, cfg.out)
     return report, text

@@ -204,9 +204,12 @@ def discrete_space(weights: np.ndarray, q: float) -> NormedSpaceSpec:
 
 
 def _check_dim(space: NormedSpaceSpec, x: np.ndarray, what: str = "vector") -> np.ndarray:
+    """x as a float vector of the space; a wrong length or a non-finite entry raises."""
     x = np.asarray(x, dtype=float)
     if x.shape != (space.dim,):
         raise DimensionMismatchError(space.dim, x.shape, what)
+    if not np.isfinite(x).all():
+        raise ValueError(f"the {what} must be finite")
     return x
 
 
@@ -235,7 +238,7 @@ def norming_functional(space: NormedSpaceSpec, f: np.ndarray) -> np.ndarray:
     vector, where no norming functional is defined.
     """
     f = _check_dim(space, f)
-    nf = norm(space, f)
+    nf = _power_norm(f, space.weight_vector(), space.q)  # norm(space, f), checked once
     if nf == 0.0:
         raise ZeroVectorError("the zero vector has no norming functional")
     return np.sign(f) * np.power(np.abs(f) / nf, space.q - 1.0)
@@ -266,9 +269,6 @@ class Dictionary:
     def size(self) -> int:
         return self.atoms.shape[1]
 
-    def atom(self, j: int) -> np.ndarray:
-        return self.atoms[:, j]
-
     @cached_property
     def _range(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Rank-truncated SVD (U_r, s_r, V_r) of the atom matrix."""
@@ -297,8 +297,6 @@ def canonical_dictionary(dim: int, q: float) -> Dictionary:
 
 def _l1_lp(f: np.ndarray, dictionary: Dictionary) -> tuple[float, np.ndarray]:
     f = _check_dim(dictionary.space, f)
-    if not np.all(np.isfinite(f)):
-        raise ValueError("the vector to represent must be finite")
     n = dictionary.size
     fnorm2 = float(np.linalg.norm(f))
     if fnorm2 == 0.0:

@@ -1,4 +1,12 @@
-"""Shared test wiring: collect acceptance lines into the run summary."""
+"""Shared test wiring: one Hypothesis profile, and acceptance lines
+collected into the run summary."""
+
+from hypothesis import settings
+
+# every property test draws 30 examples from a fixed seed, with no deadline
+settings.register_profile("entrobound", max_examples=30, derandomize=True,
+                          deadline=None)
+settings.load_profile("entrobound")
 
 _criterion_lines: list[str] = []
 

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 from scipy.linalg import null_space
 
@@ -180,7 +180,6 @@ def _subspaces(draw):
     return random_subspace(dim, size, seed, measure=measure)
 
 
-@settings(max_examples=30, derandomize=True, deadline=None)
 @given(sub=_subspaces(), p=st.sampled_from([2.5, 3.0, 4.0]))
 def test_dual_minimizer_satisfies_the_kkt_conditions(sub, p):
     # min sum mu |g|^p' subject to B^T(mu g) = B[x]: the minimizer is
@@ -252,7 +251,7 @@ def test_built_dictionary_invariants(p):
     repro = sub.basis.T @ (mu[:, None] * ddict.w_vectors.T)
     assert repro == pytest.approx(sub.basis[pts.indices].T, abs=1e-8)
     assert np.all(ddict.w_norms <= 2.0 * ddict.m_p + 1e-6)
-    for j in range(ddict.count):
+    for j in range(pts.count):
         assert sub.measure.norm(ddict.atoms[:, j], pp) == pytest.approx(1.0, abs=1e-9)
     u_dict = ddict.u_dictionary()
     assert u_dict.size == pts.count

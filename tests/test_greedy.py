@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 import entrobound._optim as optim
@@ -65,13 +65,13 @@ def test_wcga_history_is_nonincreasing_and_consistent(q):
         f = rng.standard_normal(6)
         run = wcga(f, d, 5)
         assert all(a >= b - 1e-10 for a, b in zip(run.history, run.history[1:]))
-        recon = run.reconstruct(d)
+        recon = d.atoms[:, run.support] @ run.coefficients
         assert norm(d.space, f - recon) == pytest.approx(run.residual_norm, abs=1e-8)
 
 
 def test_wcga_stops_early_on_exact_recovery():
     d = canonical_dictionary(4, 2.0)
-    run = wcga(d.atom(1) * 3.0, d, 4)
+    run = wcga(d.atoms[:, 1] * 3.0, d, 4)
     assert run.tol_reached
     assert run.support == [1]
     assert run.residual_norm <= 1e-12
@@ -90,10 +90,6 @@ def test_wcga_records_per_step_coefficients_when_asked():
 def test_wcga_validates_inputs():
     d = canonical_dictionary(3, 2.0)
     f = np.array([1.0, 0.0, 0.0])
-    with pytest.raises(ValueError):
-        wcga(f, d, 2, t=0.0)
-    with pytest.raises(ValueError):
-        wcga(f, d, 2, t=1.5)
     with pytest.raises(ValueError):
         wcga(f, d, -1)
     with pytest.raises(ValueError):
@@ -135,14 +131,6 @@ def test_best_mterm_bruteforce_rejects_non_finite_input():
             best_mterm_bruteforce(np.array([1.0, np.inf, 0.0]), d, m)
 
 
-def test_weak_parameter_still_converges():
-    d = _random_unit_dictionary(6, 20, 1.5, seed=14)
-    f = np.random.default_rng(15).standard_normal(6)
-    weak = wcga(f, d, 6, t=0.5)
-    assert weak.residual_norm < weak.history[0]
-    assert all(a >= b - 1e-10 for a, b in zip(weak.history, weak.history[1:]))
-
-
 # ---------------------------------------------------------------------------
 # projections
 
@@ -167,7 +155,7 @@ def test_chebyshev_project_satisfies_first_order_optimality(q):
     F = norming_functional(d.space, residual)
     # at the minimizer the residual's norming functional kills the span
     for j in support:
-        assert abs(pair(d.space, F, d.atom(j))) <= 1e-6
+        assert abs(pair(d.space, F, d.atoms[:, j])) <= 1e-6
 
 
 def test_chebyshev_project_recovers_span_members():
@@ -269,14 +257,14 @@ def test_non_convergence_reports_the_newton_iterations_taken(monkeypatch):
 
 
 @pytest.mark.parametrize("eps_rel, stages", [(1e-8, 8), (1e-6, 6), (1e-3, 3)])
-def test_each_smoothing_stage_runs_once(eps_rel, stages):
+def test_each_smoothing_stage_runs_once(monkeypatch, eps_rel, stages):
     # eps walks 0.1, 0.01, ... down to eps_rel; the product that lands just
     # above eps_rel (1.0000000000000004e-08 for the default) is not a stage
+    monkeypatch.setattr(optim, "_EPS_REL", eps_rel)
     rng = np.random.default_rng(1)
     A = rng.standard_normal((12, 3))
     b = rng.standard_normal(12)
-    res = optim.minimize_power_residual(A, b, np.full(12, 1.0 / 12), 1.5,
-                                        eps_rel=eps_rel)
+    res = optim.minimize_power_residual(A, b, np.full(12, 1.0 / 12), 1.5)
     assert res.stages == stages
 
 
@@ -360,7 +348,6 @@ def _power_objective(A, b, w, e, x):
     return float(w @ np.abs(b - A @ x) ** e)
 
 
-@settings(max_examples=30, derandomize=True, deadline=None)
 @given(n=st.integers(1, 8), dead=st.integers(0, 16),
        e=st.floats(1.0, 6.0, exclude_min=True), coordinate=st.booleans(),
        seed=st.integers(0, 2 ** 32 - 1))

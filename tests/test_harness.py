@@ -26,9 +26,11 @@ from entrobound import (
 )
 import entrobound._optim as optim
 import entrobound.discretization as discretization
+import entrobound.entropy as entropy
 import entrobound.greedy as greedy
 import entrobound.harness as harness
 from entrobound.cli import build_parser, main
+from entrobound.discretization import _representer
 
 
 # ---------------------------------------------------------------------------
@@ -379,6 +381,34 @@ def test_cli_rejects_mistyped_config_values(tmp_path, capsys, doc, problem):
 ])
 def test_cli_failed_runs_end_in_one_line(capsys, argv, code, problem):
     assert main(argv.split()) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith(problem)
+
+
+def _packing_lowers_of_five(insertion, k_list):
+    return [5.0] * len(k_list), ["packing"] * len(k_list)
+
+
+def _representer_times_100(*args):
+    return 100.0 * _representer(*args)
+
+
+@pytest.mark.parametrize("argv, module, name, breach, problem", [
+    ("ball-entropy --seed 1 --n 8 --k-list 3,8 --samples 64", entropy,
+     "_packing_lowers", _packing_lowers_of_five,
+     "property violation: lower bound 5.0 exceeds upper bound 1.0 at k = 3"),
+    ("it1 --seed 0 --p 3 --subspace-dim 3 --support-size 16 --n 4 "
+     "--k-list 2,4 --samples 8", discretization, "_representer",
+     _representer_times_100, "property violation: representer 0 has dual norm"),
+])
+def test_cli_breached_checks_exit_3_in_one_line(monkeypatch, capsys, argv, module,
+                                                name, breach, problem):
+    # a profile whose lower bound tops its upper bound, and an evaluation
+    # representer above its certified norm bound, are breaches, not failed runs
+    monkeypatch.setattr(module, name, breach)
+    assert main(argv.split()) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
