@@ -20,16 +20,18 @@ labeled as such by its certificate.  Three bound sources exist:
 * ``cover_from_sparse`` and the l_p-ball profile: constructive covers
   from m-term approximants whose coefficients are truncated onto an
   integer grid, built by one routine for both sets.  The atom hull
-  (the octahedron) takes greedy approximants on an l1-ball grid; the
-  l_p ball keeps each point's m largest coordinates on a cube grid.
-  The center count is a combinatorial product that is asserted, never
-  assumed, to stay at or below 2^k.
+  (the octahedron) takes greedy approximants on an l1-ball grid, from
+  one greedy run per witness whose steps are tabulated once for every
+  m; the l_p ball keeps each point's m largest coordinates on a cube
+  grid.  The center count is a combinatorial product that is asserted,
+  never assumed, to stay at or below 2^k.
 
 Certificates are JSON-serializable and re-verifiable through checkers
 that use only the stored metric, never the construction that produced
-them.  Distances dispatch through one ``Metric`` interface covering the
-ambient (weighted) l_q norm, the max-pairing norm over a dictionary,
-and the max-over-selected-points seminorm.
+them; keys a loader does not read, such as the ``set_id`` of older
+documents, are ignored.  Distances dispatch through one ``Metric``
+interface covering the ambient (weighted) l_q norm, the max-pairing
+norm over a dictionary, and the max-over-selected-points seminorm.
 """
 
 from __future__ import annotations
@@ -98,7 +100,10 @@ _COVER_PROJECT_TOL = 1e-8
 # metrics
 
 class Metric:
-    """Distance dispatch: map points to feature rows, then a fixed norm."""
+    """Distance dispatch: map points to feature rows, then a fixed norm.
+
+    The norm is the max norm unless a subclass overrides ``_feature_dist``.
+    """
 
     kind = "abstract"
 
@@ -106,7 +111,7 @@ class Metric:
         raise NotImplementedError
 
     def _feature_dist(self, FA: np.ndarray, FB: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        return cdist(FA, FB, "chebyshev")
 
     def _check_dim(self, cols: int) -> None:
         """Reject points with ``cols`` coordinates unless they fit the metric."""
@@ -158,9 +163,6 @@ class UNormMetric(Metric):
     def features(self, X):
         return X @ self._paired_atoms
 
-    def _feature_dist(self, FA, FB):
-        return cdist(FA, FB, "chebyshev")
-
     def to_json(self):
         return {"kind": self.kind, "dictionary": self.dictionary.to_json()}
 
@@ -180,9 +182,6 @@ class PointwiseMaxMetric(Metric):
 
     def features(self, X):
         return X[:, self.indices]
-
-    def _feature_dist(self, FA, FB):
-        return cdist(FA, FB, "chebyshev")
 
     def to_json(self):
         return {"kind": self.kind, "indices": self.indices.tolist()}
@@ -219,7 +218,6 @@ class CoverCertificate:
     count_bound: int
     metric: Metric
     provenance: str
-    set_id: str = ""
     extra: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
@@ -229,7 +227,6 @@ class CoverCertificate:
             "k": self.k,
             "count_bound": int(self.count_bound),
             "provenance": self.provenance,
-            "set_id": self.set_id,
             "metric": self.metric.to_json(),
             "centers": np.asarray(self.centers, dtype=float).tolist(),
             "extra": self.extra,
@@ -244,7 +241,6 @@ class CoverCertificate:
             count_bound=int(doc["count_bound"]),
             metric=metric_from_json(doc["metric"]),
             provenance=str(doc["provenance"]),
-            set_id=str(doc.get("set_id", "")),
             extra=dict(doc.get("extra", {})),
         )
 
@@ -260,8 +256,6 @@ class PackingCertificate:
     points: np.ndarray
     separation: float
     metric: Metric
-    set_id: str = ""
-    extra: dict = field(default_factory=dict)
 
     @property
     def count(self) -> int:
@@ -274,10 +268,8 @@ class PackingCertificate:
         return {
             "type": "packing",
             "separation": self.separation,
-            "set_id": self.set_id,
             "metric": self.metric.to_json(),
             "points": np.asarray(self.points, dtype=float).tolist(),
-            "extra": self.extra,
         }
 
     @classmethod
@@ -286,8 +278,6 @@ class PackingCertificate:
             points=np.asarray(doc["points"], dtype=float),
             separation=float(doc["separation"]),
             metric=metric_from_json(doc["metric"]),
-            set_id=str(doc.get("set_id", "")),
-            extra=dict(doc.get("extra", {})),
         )
 
 
@@ -704,8 +694,7 @@ def _row_norms(metric: Metric, R: np.ndarray) -> np.ndarray:
 
 
 def _quantized_cover(sample: np.ndarray, atoms: np.ndarray, level, grid_count,
-                     metric: Metric, k: int, m_max: int,
-                     set_id: str) -> CoverCertificate:
+                     metric: Metric, k: int, m_max: int) -> CoverCertificate:
     """Cover a witness sample by grid-quantized m-term approximants.
 
     ``atoms`` holds the n atoms as columns.  ``level(m)`` returns every
@@ -755,7 +744,7 @@ def _quantized_cover(sample: np.ndarray, atoms: np.ndarray, level, grid_count,
     return CoverCertificate(
         centers=centers, radius=radius, k=k, count_bound=count,
         metric=metric, provenance="sparse-cover" if m > 0 else "trivial",
-        set_id=set_id, extra={"m": m, "grid_radius": M, "grid_step": delta})
+        extra={"m": m, "grid_radius": M, "grid_step": delta})
 
 
 def _signed_subsets(rng: np.random.Generator, n: int, per_level: int):
@@ -786,27 +775,43 @@ def _octahedron_witness(dictionary: Dictionary, size: int, seed: int) -> np.ndar
     return np.vstack(rows)
 
 
-def _wcga_snapshots(sample: np.ndarray, dictionary: Dictionary,
-                    m_max: int) -> tuple[list, np.ndarray]:
-    """One greedy run per witness point, keeping per-step coefficients."""
-    runs = []
-    space = dictionary.space
-    sigma = np.zeros((sample.shape[0], m_max + 1))
+def _greedy_levels(sample: np.ndarray, dictionary: Dictionary, m_max: int):
+    """One greedy run per witness point, tabulated for every level m.
+
+    Each run of up to ``m_max`` steps fills one row of three tables: its
+    support (padded with n), its coefficients after each step
+    (zero-padded) and each step's l1 norm.  The returned ``level(m)``
+    reads every witness's approximant after min(m, steps taken) steps,
+    with the largest of their l1 norms as the grid bound; a zero witness
+    or a run with no step reads as the zero approximant.
+    """
+    runs = sample.shape[0]
+    support = np.full((runs, m_max), dictionary.size)
+    coef = np.zeros((runs, m_max, m_max))
+    l1 = np.zeros((runs, m_max))
+    steps = np.zeros(runs, dtype=int)
     for i, f in enumerate(sample):
-        if norm(space, f) == 0.0:
-            runs.append(None)
+        if norm(dictionary.space, f) == 0.0:
             continue
         run = wcga(f, dictionary, m_max, project_tol=_COVER_PROJECT_TOL,
                    record_steps=True)
-        runs.append(run)
-        hist = run.history
-        for m in range(m_max + 1):
-            sigma[i, m] = hist[m] if m < len(hist) else hist[-1]
-    return runs, sigma.max(axis=0)
+        steps[i] = len(run.support)
+        support[i, :steps[i]] = run.support
+        for j, c in enumerate(run.step_coefficients):
+            coef[i, j, :j + 1] = c
+            # summed unpadded: a zero-padded row can round differently
+            l1[i, j] = np.abs(c).sum()
+    rows = np.arange(runs)
+
+    def level(m):
+        last = np.clip(steps, 1, m) - 1  # row 0 of a stepless run is zero
+        return support[:, :m], coef[rows, last, :m], float(l1[rows, last].max())
+
+    return level
 
 
 def _dyadic_segment_cover(octa: Octahedron, k: int, sample: np.ndarray,
-                          metric: Metric, set_id: str) -> CoverCertificate:
+                          metric: Metric) -> CoverCertificate:
     # one atom: the hull is the segment [-g, g]; offset grid is optimal
     g = octa.dictionary.atoms[:, 0]
     space = octa.dictionary.space
@@ -825,7 +830,7 @@ def _dyadic_segment_cover(octa: Octahedron, k: int, sample: np.ndarray,
         count = 2 ** k
     return CoverCertificate(
         centers=centers, radius=float(radius), k=k, count_bound=count,
-        metric=metric, provenance="sparse-cover", set_id=set_id,
+        metric=metric, provenance="sparse-cover",
         extra={"m": 1, "grid": "dyadic-offset"})
 
 
@@ -850,9 +855,12 @@ def octahedron_cover_profile(octa: Octahedron, k_list: list[int], *,
                              seed: int = 0) -> dict[int, CoverCertificate]:
     """Constructive covers for several budgets, sharing one greedy pass.
 
-    A witness's m-term approximant is its greedy run after min(m, steps
+    Each witness gets one greedy run of as many steps as the largest
+    budget can use, and the run's per-step coefficients are tabulated
+    once.  A witness's m-term approximant is its run after min(m, steps
     taken) steps; the grid bound is the largest l1 norm of those
-    coefficients over the witnesses.
+    coefficients over the witnesses.  A one-atom hull is a segment and
+    gets the dyadic offset grid instead.
     """
     dictionary = octa.dictionary
     n = dictionary.size
@@ -865,41 +873,18 @@ def octahedron_cover_profile(octa: Octahedron, k_list: list[int], *,
     if sample.shape[0] == 0:
         raise EmptySampleError("cannot cover an empty witness sample")
     metric = AmbientMetric(dictionary.space)
-    set_id = f"octahedron[n={n}]"
     if n == 1:
-        return {k: _dyadic_segment_cover(octa, k, sample, metric, set_id)
-                for k in k_list}
+        return {k: _dyadic_segment_cover(octa, k, sample, metric) for k in k_list}
     k_max = max(k_list)
     if k_max > n:
         raise ValueError(f"cover budgets stop at k = n = {n}, got k = {k_max}")
     feasible_m = [m for m in range(1, min(n, _COVER_M_CAP, k_max) + 1)
                   if math.comb(n, m) <= (1 << k_max)]
     m_max = max(feasible_m, default=0)
-    runs, sigma = _wcga_snapshots(sample, dictionary, m_max)
-
-    def greedy_level(m):
-        support = np.full((len(runs), m), n)
-        coef = np.zeros((len(runs), m))
-        bound = 0.0
-        for i, run in enumerate(runs):
-            if run is None or not run.step_coefficients:
-                continue
-            steps = min(m, len(run.step_coefficients))
-            c = run.step_coefficients[steps - 1]
-            support[i, :steps] = run.support[:steps]
-            coef[i, :steps] = c
-            bound = max(bound, float(np.abs(c).sum()))
-        return support, coef, bound
-
-    certs = {}
-    for k in k_list:
-        cert = _quantized_cover(sample, dictionary.atoms, greedy_level,
-                                _l1_grid_count, metric, k, m_max, set_id)
-        m = cert.extra["m"]
-        cert.extra.update(seed=seed, sigma_m=float(sigma[m]),
-                          predicted=float(sigma[m]) + m * cert.extra["grid_step"])
-        certs[k] = cert
-    return certs
+    level = _greedy_levels(sample, dictionary, m_max)
+    return {k: _quantized_cover(sample, dictionary.atoms, level, _l1_grid_count,
+                                metric, k, m_max)
+            for k in k_list}
 
 
 # ---------------------------------------------------------------------------
@@ -953,7 +938,6 @@ def ball_entropy_experiment(p: float, n: int, k_list: list[int], *,
         raise ValueError(f"profiles stop at k = n = {n}, got k = {k_list[-1]}")
     sample = _ball_witness(p, n, sample_size, seed)
     metric = PointwiseMaxMetric(np.arange(n))
-    set_id = f"lp-ball[p={p},n={n}]"
     order = np.argsort(-np.abs(sample), axis=1, kind="stable")
 
     def largest_coordinates(m):
@@ -963,8 +947,7 @@ def ball_entropy_experiment(p: float, n: int, k_list: list[int], *,
     uppers, upper_src = [], []
     for k in k_list:
         cert = _quantized_cover(sample, np.eye(n), largest_coordinates,
-                                lambda m, M: (2 * M + 1) ** m, metric, k, n,
-                                set_id)
+                                lambda m, M: (2 * M + 1) ** m, metric, k, n)
         uppers.append(cert.radius)
         upper_src.append(cert.provenance)
 
@@ -978,15 +961,6 @@ def ball_entropy_experiment(p: float, n: int, k_list: list[int], *,
 
 # ---------------------------------------------------------------------------
 # duality sum check
-
-def _greedy_upper(Dm: np.ndarray, k: int) -> float:
-    """Greedy cover radius with 2^k centers; exact for a single center."""
-    budget = 2 ** k
-    if budget == 1:
-        return float(Dm.max(axis=1).min())
-    values = np.unique(Dm)
-    return float(values[_greedy_search(Dm, values, budget, 0)])
-
 
 def _dual_ball_witness(space: NormedSpaceSpec, size: int, seed: int) -> np.ndarray:
     """Points of the dual-norm unit ball (functional coefficient vectors)."""
@@ -1071,10 +1045,13 @@ def duality_sum_check(dictionary: Dictionary, m: int, *,
         lo_list, hi_list = rows[key]
         _, insertion = _fps(Dm, min(Dm.shape[0], 2 ** m + 1), 0)
         lowers, _ = _packing_lowers(insertion, k_list)
+        values = np.unique(Dm)
         for k, lo in zip(k_list, lowers):
             # greedy-only uppers: the sums only need a sound sandwich, and
-            # the exact set-cover solves are slow on these symmetric sets
-            hi = _greedy_upper(Dm, k)
+            # the exact set-cover solves are slow on these symmetric sets;
+            # one center is exact in closed form
+            hi = (float(Dm.max(axis=1).min()) if k == 0 else
+                  float(values[_greedy_search(Dm, values, 2 ** k, 0)]))
             lo_list.append(min(lo, hi))
             hi_list.append(hi)
 

@@ -484,6 +484,7 @@ def _run_it2_octahedron(cfg: ExperimentConfig) -> Report:
     envelope = log_ratio_envelope(cfg.n, np.asarray(ks, dtype=float),
                                   1.0 - 1.0 / cfg.q)
     ratio = radii / envelope
+    spread = float(ratio.max() / ratio.min())
     counts = [certs[k].count_bound for k in ks]
     return Report(
         experiment=cfg.experiment,
@@ -497,11 +498,11 @@ def _run_it2_octahedron(cfg: ExperimentConfig) -> Report:
         metadata={"seed": cfg.seed, "q": cfg.q, "n": cfg.n,
                   "samples": cfg.samples,
                   "m_used": [certs[k].extra.get("m") for k in ks],
-                  "ratio_spread": float(ratio.max() / ratio.min())},
+                  "ratio_spread": spread},
         summary=[
             f"constructive covers of the {cfg.n}-atom hull, q = {cfg.q}",
             f"radii {[float(r) for r in radii]} at k = {ks}",
-            f"upper/envelope ratio spread {float(ratio.max() / ratio.min()):.3f}",
+            f"upper/envelope ratio spread {spread:.3f}",
         ])
 
 

@@ -235,6 +235,13 @@ def test_certificate_json_round_trips():
     back = PackingCertificate.from_json(pack.to_json())
     assert verify_packing(back)
     assert back.separation == pack.separation
+    # documents written before set_id (and the packing's extra) went away
+    old_cover = dict(cert.to_json(), set_id="toy", extra={"m": 0})
+    old_pack = dict(pack.to_json(), set_id="toy", extra={})
+    again = CoverCertificate.from_json(old_cover)
+    back = PackingCertificate.from_json(old_pack)
+    assert verify_cover(again, W) and verify_packing(back)
+    assert "set_id" not in again.to_json() and "set_id" not in back.to_json()
 
 
 @st.composite
@@ -664,28 +671,35 @@ def test_octahedron_cover_profile_rejects_an_empty_k_list(n):
                                  sample_size=10)
 
 
+def _reference_level(runs, m):
+    """Each run's (support, coefficients) after min(m, steps) steps, or None
+    for a run with no step, and the largest l1 norm among them."""
+    levels = []
+    for run in runs:
+        if run is None or not run.step_coefficients:
+            levels.append(None)
+        else:
+            steps = min(m, len(run.step_coefficients))
+            levels.append((run.support[:steps], run.step_coefficients[steps - 1]))
+    bound = max((float(np.abs(c).sum()) for _, c in filter(None, levels)),
+                default=0.0)
+    return levels, bound
+
+
 def _per_witness_reference(dictionary, k, sample, runs, m_max):
     """The octahedron cover measured one witness and one option at a time.
 
-    Returns the (m, grid radius, count bound, provenance) choice and the
-    radius, with every distance a scalar ``norm`` call.
+    Returns the (m, grid radius, count bound, provenance, grid step)
+    choice and the radius, with every distance a scalar ``norm`` call.
     """
     space = dictionary.space
     n = dictionary.size
-    best = (max(norm(space, f) for f in sample), (0, 0, 1, "trivial"))
+    best = (max(norm(space, f) for f in sample), (0, 0, 1, "trivial", 0.0))
     for m in range(1, min(k, m_max) + 1):
         M = _max_grid_radius(_l1_grid_count, m, 2 ** k // math.comb(n, m))
         if M < 1:
             continue
-        levels = []
-        for run in runs:
-            if run is None or not run.step_coefficients:
-                levels.append(None)
-            else:
-                steps = min(m, len(run.step_coefficients))
-                levels.append((run.support[:steps], run.step_coefficients[steps - 1]))
-        bound = max((float(np.abs(c).sum()) for _, c in filter(None, levels)),
-                    default=0.0)
+        levels, bound = _reference_level(runs, m)
         delta = bound / M
         radius = 0.0
         for f, lev in zip(sample, levels):
@@ -696,7 +710,7 @@ def _per_witness_reference(dictionary, k, sample, runs, m_max):
             radius = max(radius, norm(space, f - center))
         if radius < best[0]:
             count = math.comb(n, m) * _l1_grid_count(m, M)
-            best = (radius, (m, M, count, "sparse-cover"))
+            best = (radius, (m, M, count, "sparse-cover", delta))
     return best
 
 
@@ -706,6 +720,12 @@ def _it1_u_dictionary():
     return build_discretization_dictionary(sub, pts, 3.0).u_dictionary()
 
 
+def _reference_runs(dictionary, sample):
+    return [None if norm(dictionary.space, f) == 0.0 else
+            wcga(f, dictionary, dictionary.size, project_tol=1e-8, record_steps=True)
+            for f in sample]
+
+
 @pytest.mark.parametrize("make_dictionary", [
     lambda: canonical_dictionary(12, 1.5), _it1_u_dictionary,
 ], ids=["canonical-q1.5", "it1-u-dictionary"])
@@ -713,9 +733,7 @@ def test_quantized_cover_matches_the_per_witness_reference(make_dictionary):
     dictionary = make_dictionary()
     n = dictionary.size
     sample = _octahedron_witness(dictionary, 120, 4)
-    runs = [None if norm(dictionary.space, f) == 0.0 else
-            wcga(f, dictionary, n, project_tol=1e-8, record_steps=True)
-            for f in sample]
+    runs = _reference_runs(dictionary, sample)
     ks = list(range(1, n + 1))
     certs = octahedron_cover_profile(Octahedron(dictionary), ks, sample=sample)
     chosen = set()
@@ -723,12 +741,33 @@ def test_quantized_cover_matches_the_per_witness_reference(make_dictionary):
         cert = certs[k]
         radius, choice = _per_witness_reference(dictionary, k, sample, runs, n)
         got = (cert.extra["m"], cert.extra["grid_radius"], cert.count_bound,
-               cert.provenance)
-        assert got == choice
+               cert.provenance, cert.extra["grid_step"])
+        assert got == choice  # the grid step bit for bit
         assert cert.radius == pytest.approx(radius, rel=1e-14, abs=0.0)
         assert verify_cover(cert, sample)
         chosen.add(choice[0])
     assert 0 in chosen and len(chosen) > 2  # trivial and several sparse choices
+
+
+def test_greedy_levels_match_the_per_run_reference():
+    dictionary = canonical_dictionary(12, 1.5)
+    n = dictionary.size
+    # on this sample an l1 norm summed over a zero-padded row rounds the
+    # bound differently: from m = 7 at the table's width, from m = 8 at m
+    sample = _octahedron_witness(dictionary, 120, 5)
+    sample[7] = 0.0  # a zero witness reads as the zero approximant
+    level = entropy_module._greedy_levels(sample, dictionary, n)
+    runs = _reference_runs(dictionary, sample)
+    for m in range(1, n + 1):
+        support, coef, bound = level(m)
+        levels, want = _reference_level(runs, m)
+        assert bound == want  # bit for bit: it sets the grid step
+        for i, lev in enumerate(levels):
+            sup, c = lev if lev is not None else ([], np.zeros(0))
+            steps = len(sup)
+            assert support[i, :steps].tolist() == list(sup)
+            assert np.all(support[i, steps:] == n) and np.all(coef[i, steps:] == 0.0)
+            assert np.array_equal(coef[i, :steps], c)
 
 
 @given(n=st.integers(1, 8), q=st.sampled_from([1.5, 2.0, 3.0]),
@@ -768,7 +807,7 @@ def test_ball_covers_verify_within_budget(n, p, seed):
     radii = []
     for k in ks:
         cert = _quantized_cover(sample, np.eye(n), largest, _cube_count,
-                                metric, k, n, "ball")
+                                metric, k, n)
         assert cert.count_bound <= 2 ** k
         assert cert.radius <= trivial
         assert verify_cover(cert, sample)
