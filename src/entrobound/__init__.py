@@ -85,7 +85,6 @@ from .spaces import (
     Dictionary,
     MeasureSpace,
     NormedSpaceSpec,
-    NormKind,
     canonical_dictionary,
     discrete_space,
     dual_norm,

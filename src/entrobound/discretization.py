@@ -80,6 +80,8 @@ _GRAM_TOL = 1e-10
 # of the decrement, while the point value's error is of its order
 _REPRESENTER_TOL = 1e-15
 _NORM_BOUND_SLACK = 1e-6  # on ||w_j||_{p'} <= 2 M_p
+_MP_TOL = 1e-9  # decrement target of the per-point solves behind M_p
+_WITNESS_SIZE = 512  # unit-ball functions that it1's packings draw from
 
 
 def _validate_p(p: float) -> None:
@@ -191,7 +193,7 @@ def _direct_point_solve(sub: Subspace, x: int, p: float,
     return float(res.value ** (-1.0 / p)), B @ (c0 + Z @ res.x)
 
 
-def m_p_direct(sub: Subspace, p: float, tol: float = 1e-9) -> float:
+def m_p_direct(sub: Subspace, p: float) -> float:
     """sup ||f||_inf / ||f||_p over the subspace, by direct maximization.
 
     Per support point, maximizing f(x) over the L_p ball is the smooth
@@ -201,7 +203,7 @@ def m_p_direct(sub: Subspace, p: float, tol: float = 1e-9) -> float:
     _validate_p(p)
     if p == 2:
         return float(np.sqrt((sub.basis ** 2).sum(axis=1).max()))
-    return max(_direct_point_solve(sub, x, p, tol)[0]
+    return max(_direct_point_solve(sub, x, p, _MP_TOL)[0]
                for x in range(sub.support_size))
 
 
@@ -226,7 +228,7 @@ def _dual_point_solve(sub: Subspace, x: int, p: float,
     return float(res.value ** (1.0 / pp)), res.x
 
 
-def m_p_dual(sub: Subspace, p: float, tol: float = 1e-9) -> float:
+def m_p_dual(sub: Subspace, p: float) -> float:
     """The same constant through the minimal-norm representer problem.
 
     For each point, the norm of the evaluation functional equals the
@@ -244,7 +246,7 @@ def m_p_dual(sub: Subspace, p: float, tol: float = 1e-9) -> float:
         mu = sub.measure.weights
         K = sub._kernel
         return float(np.sqrt(((K ** 2) @ mu).max()))
-    return max(_dual_point_solve(sub, x, p, tol)[0]
+    return max(_dual_point_solve(sub, x, p, _MP_TOL)[0]
                for x in range(sub.support_size))
 
 
@@ -353,8 +355,6 @@ class TransferReport:
     violations: int
     max_ratio: float
     bound: float            # 2 M_p
-    worst_left: float
-    worst_right: float
 
 
 def verify_transfer(sub: Subspace, ddict: DiscretizationDictionary,
@@ -370,7 +370,6 @@ def verify_transfer(sub: Subspace, ddict: DiscretizationDictionary,
     idx = ddict.points.indices
     u_dict = ddict.u_dictionary()
     max_ratio = 0.0
-    worst = (0.0, 0.0)
     for _ in range(trials):
         c = rng.standard_normal(sub.dim)
         f = sub.evaluate(c)
@@ -380,12 +379,10 @@ def verify_transfer(sub: Subspace, ddict: DiscretizationDictionary,
             raise PropertyViolationError(
                 f"transfer inequality violated: {left!r} > "
                 f"{bound!r} * {right!r}", witness=c)
-        if right > 0 and left / (bound * right) > max_ratio:
-            max_ratio = left / (bound * right)
-            worst = (left, bound * right)
+        if right > 0:
+            max_ratio = max(max_ratio, left / (bound * right))
     return TransferReport(trials=trials, violations=0, max_ratio=max_ratio,
-                          bound=bound, worst_left=worst[0],
-                          worst_right=worst[1])
+                          bound=bound)
 
 
 # ---------------------------------------------------------------------------
@@ -428,8 +425,7 @@ class SubspaceEntropyResult:
 
 def it1_experiment(sub: Subspace, pts: SamplePointSet, p: float,
                    k_list: list[int], *, seed: int = 0,
-                   cover_sample_size: int = 320,
-                   witness_size: int = 512) -> SubspaceEntropyResult:
+                   cover_sample_size: int = 320) -> SubspaceEntropyResult:
     """Entropy profile of { f : ||f||_p <= 1 } in max_j |f(x^j)|.
 
     Upper entries take the smaller of the trivial radius M_p (the whole
@@ -462,7 +458,7 @@ def it1_experiment(sub: Subspace, pts: SamplePointSet, p: float,
             uppers.append(ddict.m_p)
             upper_src.append("trivial")
 
-    sample = _function_witness(sub, ddict, p, witness_size, seed + 1)
+    sample = _function_witness(sub, ddict, p, _WITNESS_SIZE, seed + 1)
     metric = PointwiseMaxMetric(pts.indices)
     Dm = metric.pairwise(sample, sample)
     _, insertion = _fps(Dm, min(sample.shape[0], 2 ** k_list[-1] + 1), 0)

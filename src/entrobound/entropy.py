@@ -55,7 +55,6 @@ from .greedy import Octahedron, sample_octahedron, wcga
 from .spaces import (
     Dictionary,
     NormedSpaceSpec,
-    NormKind,
     _power_norm,
     dual_norm,
     norm,
@@ -142,8 +141,7 @@ class AmbientMetric(Metric):
         return X
 
     def _feature_dist(self, FA, FB):
-        w = self.space.weights if self.space.norm_kind is NormKind.DISCRETE_LQ_MU else None
-        return cdist(FA, FB, "minkowski", p=self.space.q, w=w)
+        return cdist(FA, FB, "minkowski", p=self.space.q, w=self.space.weights)
 
     def to_json(self):
         return {"kind": self.kind, "space": self.space.to_json()}
@@ -793,8 +791,7 @@ def _greedy_levels(sample: np.ndarray, dictionary: Dictionary, m_max: int):
     for i, f in enumerate(sample):
         if norm(dictionary.space, f) == 0.0:
             continue
-        run = wcga(f, dictionary, m_max, project_tol=_COVER_PROJECT_TOL,
-                   record_steps=True)
+        run = wcga(f, dictionary, m_max, project_tol=_COVER_PROJECT_TOL)
         steps[i] = len(run.support)
         support[i, :steps[i]] = run.support
         for j, c in enumerate(run.step_coefficients):

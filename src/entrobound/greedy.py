@@ -29,7 +29,6 @@ import numpy as np
 from ._optim import minimize_power_residual
 from .errors import (
     BudgetExceededError,
-    DimensionMismatchError,
     EmptySampleError,
     SpanMembershipError,
     ZeroVectorError,
@@ -50,6 +49,7 @@ __all__ = [
 _BRUTE_FORCE_BUDGET = 10 ** 6
 _MEMBERSHIP_TOL = 1e-9  # slack of the hull test norm_A <= 1
 _STOP_TOL = 1e-12  # residual norm at which the greedy loop stops early
+_PROJECT_TOL = 1e-10  # default relative Newton decrement of a projection
 
 
 @dataclass
@@ -60,14 +60,15 @@ class SparseApproximant:
     residual norm after 0, 1, ... steps and is nonincreasing for
     Chebyshev-type greedy runs.  ``residual_norm`` always equals the
     recomputed norm of f minus the reconstruction.
+    ``step_coefficients`` holds the coefficients after each step, so
+    its last entry is ``coefficients``; it is empty when no step ran.
     """
 
     support: list[int]
     coefficients: np.ndarray
     residual_norm: float
     history: list[float]
-    tol_reached: bool = False
-    step_coefficients: list[np.ndarray] | None = None
+    step_coefficients: list[np.ndarray]
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,8 +85,7 @@ class Octahedron:
 
 
 def chebyshev_project(f: np.ndarray, support: list[int], dictionary: Dictionary,
-                      *, tol: float = 1e-10,
-                      warm: np.ndarray | None = None) -> np.ndarray:
+                      *, tol: float = _PROJECT_TOL) -> np.ndarray:
     """Coefficients minimizing the ambient norm of f - sum c_j g_j on the support.
 
     q = 2 is closed form (weighted least squares, minimum-norm solution
@@ -95,27 +95,31 @@ def chebyshev_project(f: np.ndarray, support: list[int], dictionary: Dictionary,
     exactly as many coordinates as there are atoms (coordinate atoms, for
     one): then one square solve reaches the minimum exactly.
     """
-    space = dictionary.space
     f = np.asarray(f, dtype=float)
-    if f.shape != (space.dim,):
-        raise DimensionMismatchError(space.dim, f.shape)
-    if not np.all(np.isfinite(f)):
-        raise ValueError("the vector to project must be finite")
+    fnorm = norm(dictionary.space, f)  # rejects a wrong length or a non-finite f
+    return _project(f, fnorm, support, dictionary, tol, None)
+
+
+def _project(f, fnorm, support, dictionary, tol, warm):
+    """``chebyshev_project`` of a checked f of norm fnorm.
+
+    ``warm``, when given, is the Newton start in unscaled coefficients.
+    """
     if len(support) == 0:
         return np.zeros(0)
+    space = dictionary.space
     G = dictionary.atoms[:, list(support)]
     w = space.weight_vector()
     if space.q == 2.0:
         sw = np.sqrt(w)
         c, *_ = np.linalg.lstsq(sw[:, None] * G, sw * f, rcond=None)
         return c
-    scale = _power_norm(f, w, space.q)  # norm(space, f); f is checked above
-    if scale == 0.0:
+    if fnorm == 0.0:
         return np.zeros(len(support))
-    fs = f / scale
-    x0 = None if warm is None else np.asarray(warm, dtype=float) / scale
-    res = minimize_power_residual(G, fs, w, space.q, x0=x0, decrement_tol=tol)
-    return res.x * scale
+    x0 = None if warm is None else warm / fnorm
+    res = minimize_power_residual(G, f / fnorm, w, space.q, x0=x0,
+                                  decrement_tol=tol)
+    return res.x * fnorm
 
 
 def _residual_norm(f, support, coeffs, dictionary):
@@ -141,30 +145,32 @@ def best_mterm_bruteforce(f: np.ndarray, dictionary: Dictionary,
             f"comb({n}, {m}) = {count} supports exceed the brute-force budget "
             f"{_BRUTE_FORCE_BUDGET}; use wcga for this size")
     f = np.asarray(f, dtype=float)
-    best: SparseApproximant | None = None
+    fnorm = norm(dictionary.space, f)  # rejects a non-finite f
+    best = None
     for combo in itertools.combinations(range(n), m):
         support = list(combo)
-        coeffs = chebyshev_project(f, support, dictionary)
+        coeffs = _project(f, fnorm, support, dictionary, _PROJECT_TOL, None)
         r = _residual_norm(f, support, coeffs, dictionary)
-        if best is None or r < best.residual_norm:
-            best = SparseApproximant(support=support, coefficients=coeffs,
-                                     residual_norm=r, history=[])
-    assert best is not None
-    fnorm = norm(dictionary.space, f)
-    best.history = [fnorm] if m == 0 else [fnorm, best.residual_norm]
-    return best
+        if best is None or r < best[2]:
+            best = (support, coeffs, r)
+    support, coeffs, r = best
+    if m == 0:
+        return SparseApproximant(support, coeffs, r, history=[fnorm],
+                                 step_coefficients=[])
+    return SparseApproximant(support, coeffs, r, history=[fnorm, r],
+                             step_coefficients=[coeffs])
 
 
 def wcga(f: np.ndarray, dictionary: Dictionary, m: int,
-         *, project_tol: float = 1e-10,
-         record_steps: bool = False) -> SparseApproximant:
+         *, project_tol: float = _PROJECT_TOL) -> SparseApproximant:
     """Weak Chebyshev greedy approximation with up to m steps.
 
     Each step takes the atom of largest absolute pairing with the
     residual's norming functional (lowest index on ties).  That is the
     weakness t = 1, and it meets the threshold of every t in (0, 1].
     Stops early once the residual norm drops to 1e-12 or no atom sees
-    the residual.
+    the residual.  f is checked and measured once; every step keeps its
+    coefficients in ``step_coefficients``.
     """
     space = dictionary.space
     n = dictionary.size
@@ -179,11 +185,9 @@ def wcga(f: np.ndarray, dictionary: Dictionary, m: int,
     coeffs = np.zeros(0)
     history = [fnorm]
     snaps: list[np.ndarray] = []
-    tol_reached = False
     residual = f.copy()
     for _ in range(m):
         if history[-1] <= _STOP_TOL:
-            tol_reached = True
             break
         vals = np.abs(dictionary.pairings(norming_functional(space, residual)))
         if support:
@@ -192,18 +196,15 @@ def wcga(f: np.ndarray, dictionary: Dictionary, m: int,
         if vals[j] <= 1e-14 * max(fnorm, 1.0):
             break  # residual invisible to the remaining atoms
         support.append(j)
-        coeffs = chebyshev_project(f, support, dictionary, tol=project_tol,
-                                   warm=np.append(coeffs, 0.0))
+        # each step returns a new array, which no later step writes to
+        coeffs = _project(f, fnorm, support, dictionary, project_tol,
+                          np.append(coeffs, 0.0))
         residual = f - dictionary.atoms[:, support] @ coeffs
         history.append(_power_norm(residual, w, space.q))
-        if record_steps:
-            snaps.append(coeffs.copy())
-    if history[-1] <= _STOP_TOL:
-        tol_reached = True
+        snaps.append(coeffs)
     return SparseApproximant(
-        support=support, coefficients=coeffs,
-        residual_norm=history[-1], history=history, tol_reached=tol_reached,
-        step_coefficients=snaps if record_steps else None)
+        support=support, coefficients=coeffs, residual_norm=history[-1],
+        history=history, step_coefficients=snaps)
 
 
 def sample_octahedron(dictionary: Dictionary, count: int, seed: int) -> list[dict]:
@@ -238,7 +239,6 @@ class SigmaProfile:
     m_list: list[int]
     values: np.ndarray
     slope: float
-    intercept_log2: float
     per_sample: np.ndarray = field(repr=False, default=None)
 
 
@@ -271,10 +271,9 @@ def sigma_profile(samples: list[np.ndarray], dictionary: Dictionary,
     values = table.max(axis=0)
     pos = values > 0
     if pos.sum() >= 2:
-        slope, intercept = np.polyfit(np.log2(np.asarray(m_list)[pos]),
-                                      np.log2(values[pos]), 1)
+        slope = np.polyfit(np.log2(np.asarray(m_list)[pos]),
+                           np.log2(values[pos]), 1)[0]
     else:
-        slope, intercept = float("nan"), float("nan")
+        slope = float("nan")
     return SigmaProfile(m_list=list(m_list), values=values,
-                        slope=float(slope), intercept_log2=float(intercept),
-                        per_sample=table)
+                        slope=float(slope), per_sample=table)

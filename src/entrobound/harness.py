@@ -85,22 +85,19 @@ class FitResult:
 
 
 def fit_envelope(table, n: int | None = None,
-                 model: FitModel = FitModel.POWER_M, *,
-                 include_small_k: bool = False) -> FitResult:
+                 model: FitModel = FitModel.POWER_M) -> FitResult:
     """Fit value = C * predictor^r in the log2-log2 domain.
 
     ``table`` is an (xs, values) pair.  The LOG_RATIO_K model regresses
-    against log2(2n/k)/k and by default drops k < log2(n), where only
-    the trivial bound is meaningful; pass include_small_k=True to keep
-    those entries.
+    against log2(2n/k)/k and drops k < log2(n), where only the trivial
+    bound is meaningful.
     """
     xs, values = (np.asarray(col, dtype=float) for col in table)
     if model is FitModel.LOG_RATIO_K:
         if n is None:
             raise ValueError("the log-ratio model needs the set size n")
-        if not include_small_k:
-            keep = xs >= math.log2(n)
-            xs, values = xs[keep], values[keep]
+        keep = xs >= math.log2(n)
+        xs, values = xs[keep], values[keep]
         predictor = np.log2(2.0 * n / xs) / xs
     else:
         predictor = xs
@@ -249,15 +246,6 @@ class ExperimentConfig:
                                   if (problem := check(self))]
         if problems:
             raise ConfigValidationError(problems)
-
-    def to_json(self) -> dict:
-        doc = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if value is None:
-                continue
-            doc[f.name] = value
-        return doc
 
     @classmethod
     def from_json(cls, doc: dict) -> "ExperimentConfig":

@@ -1,9 +1,11 @@
 """Finite-dimensional normed spaces, their measure, and dictionary norms.
 
 Two norm families are supported: plain l_q on R^dim and L_q(mu) over a
-discrete probability measure.  Both are uniformly smooth for q > 1; for
-q in (1, 2] the modulus of smoothness satisfies rho(u) <= u^q / q, for
-q >= 2 it satisfies rho(u) <= (q - 1) u^2 / 2.
+discrete probability measure.  A space's weights decide its family:
+none make it l_q^dim, and given weights make it L_q(mu).  Both are
+uniformly smooth for q > 1; for q in (1, 2] the modulus of smoothness
+satisfies rho(u) <= u^q / q, for q >= 2 it satisfies
+rho(u) <= (q - 1) u^2 / 2.
 
 The module owns the measure: ``MeasureSpace`` is the one place where
 weights are checked (finite, strictly positive, summing to one), and
@@ -32,7 +34,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property
 
 import numpy as np
@@ -48,7 +49,6 @@ from .errors import (
 
 __all__ = [
     "MeasureSpace",
-    "NormKind",
     "NormedSpaceSpec",
     "Dictionary",
     "sequence_space",
@@ -122,18 +122,16 @@ class MeasureSpace:
         return _power_norm(values, self.weights, p)
 
 
-class NormKind(Enum):
-    SEQUENCE_LQ = "sequence_lq"
-    DISCRETE_LQ_MU = "discrete_lq_mu"
-
-
 @dataclass(frozen=True, eq=False)
 class NormedSpaceSpec:
-    """Dimension, exponent q > 1 and (for the discrete kind) the measure."""
+    """Dimension, exponent q > 1 and, for L_q(mu), the measure's weights.
+
+    No weights make the space l_q^dim; weights make it L_q(mu) over
+    ``dim`` points, and ``MeasureSpace`` checks them.
+    """
 
     dim: int
     q: float
-    norm_kind: NormKind = NormKind.SEQUENCE_LQ
     weights: np.ndarray | None = None
 
     def __post_init__(self):
@@ -141,33 +139,18 @@ class NormedSpaceSpec:
             raise ValueError(f"dim must be >= 1, got {self.dim}")
         if not (self.q > 1.0) or not math.isfinite(self.q):
             raise ValueError(f"q must lie in (1, inf), got {self.q}")
-        if self.norm_kind is NormKind.DISCRETE_LQ_MU:
-            if self.weights is None:
-                raise ValueError("discrete spaces need a weight vector")
+        if self.weights is not None:
             w = np.asarray(self.weights, dtype=float)
             if w.shape != (self.dim,):
                 raise DimensionMismatchError(self.dim, w.shape, "weight vector")
             object.__setattr__(self, "weights", MeasureSpace(w).weights)
-        elif self.weights is not None:
-            raise ValueError("sequence spaces take no weights")
 
     @property
     def dual_exponent(self) -> float:
         return self.q / (self.q - 1.0)
 
-    @property
-    def smoothness_exponent(self) -> float:
-        return min(self.q, 2.0)
-
-    @property
-    def smoothness_constant(self) -> float:
-        """Constant gamma with rho(u) <= gamma * u^smoothness_exponent."""
-        return 1.0 / self.q if self.q <= 2.0 else (self.q - 1.0) / 2.0
-
     def weight_vector(self) -> np.ndarray:
-        if self.norm_kind is NormKind.DISCRETE_LQ_MU:
-            return self.weights
-        return self._unit_weights
+        return self._unit_weights if self.weights is None else self.weights
 
     @cached_property
     def _unit_weights(self) -> np.ndarray:
@@ -177,18 +160,23 @@ class NormedSpaceSpec:
         return ones
 
     def to_json(self) -> dict:
-        doc = {"dim": self.dim, "q": self.q, "norm_kind": self.norm_kind.value}
+        doc = {"dim": self.dim, "q": self.q}
         if self.weights is not None:
             doc["weights"] = [float(w) for w in self.weights]
         return doc
 
     @classmethod
     def from_json(cls, doc: dict) -> "NormedSpaceSpec":
+        """Read ``to_json`` output; older documents also name the kind."""
         weights = doc.get("weights")
+        kind = doc.get("norm_kind")
+        if kind not in (None, "sequence_lq", "discrete_lq_mu"):
+            raise ValueError(f"unknown norm kind {kind!r}")
+        if kind is not None and (kind == "discrete_lq_mu") != (weights is not None):
+            raise ValueError(f"norm kind {kind!r} contradicts the weights")
         return cls(
             dim=int(doc["dim"]),
             q=float(doc["q"]),
-            norm_kind=NormKind(doc.get("norm_kind", "sequence_lq")),
             weights=None if weights is None else np.asarray(weights, dtype=float),
         )
 
@@ -199,8 +187,7 @@ def sequence_space(dim: int, q: float) -> NormedSpaceSpec:
 
 def discrete_space(weights: np.ndarray, q: float) -> NormedSpaceSpec:
     w = np.asarray(weights, dtype=float)
-    return NormedSpaceSpec(dim=w.size, q=q,
-                           norm_kind=NormKind.DISCRETE_LQ_MU, weights=w)
+    return NormedSpaceSpec(dim=w.size, q=q, weights=w)
 
 
 def _check_dim(space: NormedSpaceSpec, x: np.ndarray, what: str = "vector") -> np.ndarray:

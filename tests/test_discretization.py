@@ -27,7 +27,7 @@ from entrobound import (
     random_subspace,
     verify_transfer,
 )
-from entrobound.discretization import _dual_point_solve
+from entrobound.discretization import _direct_point_solve, _dual_point_solve
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +280,8 @@ def test_dictionary_comes_from_the_direct_route(p, weighted):
     ddict = build_discretization_dictionary(sub, pts, p)
     # the same direct solves, run to the tighter decrement the
     # representers need
-    assert ddict.m_p == m_p_direct(sub, p, tol=1e-15)
+    assert ddict.m_p == max(_direct_point_solve(sub, x, p, 1e-15)[0]
+                            for x in range(sub.support_size))
     assert ddict.m_p == pytest.approx(m_p_direct(sub, p), rel=1e-8)
     # the Hahn-Banach representer is unique, so the dual minimizer,
     # solved tightly, lands on the same vector
@@ -331,8 +332,7 @@ def test_it1_uppers_never_exceed_the_trivial_radius():
     rng = np.random.default_rng(19)
     sub = random_subspace(2, 24, int(rng.integers(2 ** 31)))
     pts = SamplePointSet(np.sort(rng.choice(24, 8, replace=False)))
-    res = it1_experiment(sub, pts, 2.0, [3, 5, 8], seed=2, cover_sample_size=64,
-                         witness_size=64)
+    res = it1_experiment(sub, pts, 2.0, [3, 5, 8], seed=2, cover_sample_size=64)
     assert np.all(res.profile.upper <= res.m_p + 1e-12)
     for src in res.profile.upper_source:
         assert src in ("trivial", "sparse-cover")

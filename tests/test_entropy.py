@@ -722,7 +722,7 @@ def _it1_u_dictionary():
 
 def _reference_runs(dictionary, sample):
     return [None if norm(dictionary.space, f) == 0.0 else
-            wcga(f, dictionary, dictionary.size, project_tol=1e-8, record_steps=True)
+            wcga(f, dictionary, dictionary.size, project_tol=1e-8)
             for f in sample]
 
 

@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import entrobound._optim as optim
+import entrobound.greedy as greedy
 from entrobound import (
     BudgetExceededError,
     Dictionary,
@@ -72,7 +73,6 @@ def test_wcga_history_is_nonincreasing_and_consistent(q):
 def test_wcga_stops_early_on_exact_recovery():
     d = canonical_dictionary(4, 2.0)
     run = wcga(d.atoms[:, 1] * 3.0, d, 4)
-    assert run.tol_reached
     assert run.support == [1]
     assert run.residual_norm <= 1e-12
     assert len(run.history) == 2
@@ -81,10 +81,46 @@ def test_wcga_stops_early_on_exact_recovery():
 def test_wcga_records_per_step_coefficients_when_asked():
     d = _random_unit_dictionary(5, 8, 2.0, seed=12)
     f = np.random.default_rng(13).standard_normal(5)
-    run = wcga(f, d, 3, record_steps=True)
+    run = wcga(f, d, 3)
     assert run.step_coefficients is not None
     assert len(run.step_coefficients) == len(run.support)
     assert [len(c) for c in run.step_coefficients] == list(range(1, len(run.support) + 1))
+
+
+def test_wcga_measures_f_once_per_run(monkeypatch):
+    # one norm per step, of the new residual; f's own norm is taken once
+    # through spaces.norm and handed to every projection
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return original(*args)
+
+    original = greedy._power_norm
+    monkeypatch.setattr(greedy, "_power_norm", counting)
+    d = _random_unit_dictionary(5, 9, 1.5, seed=14)
+    run = wcga(np.random.default_rng(15).standard_normal(5), d, 4)
+    assert len(run.support) == 4
+    assert len(calls) == 4
+
+
+def test_greedy_runs_keep_every_step():
+    dense = _random_unit_dictionary(4, 6, 1.5, seed=16)
+    coord = canonical_dictionary(4, 3.0)
+    rng = np.random.default_rng(17)
+    cases = [(dense, rng.standard_normal(4), m) for m in (0, 1, 3)]
+    # 2.0 * e_1 is recovered after one step, so the runs stop early
+    cases += [(coord, 2.0 * coord.atoms[:, 1], m) for m in (0, 1, 3)]
+    for d, f, m in cases:
+        runs = [wcga(f, d, m), best_mterm_bruteforce(f, d, m)]
+        for run in runs:
+            if run.step_coefficients:
+                assert run.step_coefficients[-1] is run.coefficients
+            else:
+                assert len(run.coefficients) == 0
+            assert run.residual_norm == run.history[-1]
+        assert len(runs[0].step_coefficients) == len(runs[0].support)
+    assert len(wcga(2.0 * coord.atoms[:, 1], coord, 3).step_coefficients) == 1
 
 
 def test_wcga_validates_inputs():

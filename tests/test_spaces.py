@@ -16,7 +16,6 @@ from entrobound import (
     EmptyDictionaryError,
     MeasureSpace,
     NormedSpaceSpec,
-    NormKind,
     SpanMembershipError,
     ZeroVectorError,
     canonical_dictionary,
@@ -97,10 +96,6 @@ def test_space_validation():
         discrete_space([0.5, 0.6], 2.0)      # sums to 1.1
     with pytest.raises(ValueError):
         discrete_space([1.0, 0.0], 2.0)      # zero weight
-    with pytest.raises(ValueError):
-        NormedSpaceSpec(dim=2, q=2.0, weights=np.array([0.5, 0.5]))
-    with pytest.raises(ValueError):
-        NormedSpaceSpec(dim=2, q=2.0, norm_kind=NormKind.DISCRETE_LQ_MU)
 
 
 @given(case=_spaces_and_rows(weighted=True))
@@ -143,9 +138,24 @@ def test_space_json_round_trip():
     for space in (sequence_space(5, 1.5), discrete_space([0.2, 0.3, 0.5], 3.0)):
         back = NormedSpaceSpec.from_json(space.to_json())
         assert back.dim == space.dim and back.q == space.q
-        assert back.norm_kind is space.norm_kind
         f = np.array([1.0, -2.0, 0.5, 0.0, 3.0])[: space.dim]
         assert norm(back, f) == pytest.approx(norm(space, f), abs=1e-15)
+    # the weights alone decide the kind
+    weighted = NormedSpaceSpec(dim=2, q=3.0, weights=np.array([0.25, 0.75]))
+    assert norm(weighted, np.array([1.0, 0.0])) == 0.25 ** (1.0 / 3.0)
+    assert "norm_kind" not in weighted.to_json()
+    # older documents name the kind, which must agree with the weights
+    old_plain = {"dim": 2, "q": 1.5, "norm_kind": "sequence_lq"}
+    old_weighted = {"dim": 2, "q": 3.0, "norm_kind": "discrete_lq_mu",
+                    "weights": [0.25, 0.75]}
+    assert NormedSpaceSpec.from_json(old_plain).weights is None
+    assert np.array_equal(NormedSpaceSpec.from_json(old_weighted).weights,
+                          [0.25, 0.75])
+    for doc, match in ((dict(old_plain, norm_kind="hilbert"), "unknown"),
+                       (dict(old_plain, weights=[0.5, 0.5]), "contradicts"),
+                       (dict(old_weighted, weights=None), "contradicts")):
+        with pytest.raises(ValueError, match=match):
+            NormedSpaceSpec.from_json(doc)
 
 
 # ---------------------------------------------------------------------------
@@ -379,13 +389,6 @@ def test_smoothness_bound_values():
     assert smoothness_bound(sequence_space(2, 2.0), 1.0) == pytest.approx(0.5)
     assert smoothness_bound(sequence_space(2, 1.5), 0.5) == pytest.approx(0.5 ** 1.5 / 1.5)
     assert smoothness_bound(sequence_space(2, 3.0), 2.0) == pytest.approx(4.0)
-
-
-def test_smoothness_exponent_and_constant():
-    assert sequence_space(3, 1.5).smoothness_exponent == pytest.approx(1.5)
-    assert sequence_space(3, 3.0).smoothness_exponent == pytest.approx(2.0)
-    assert sequence_space(3, 1.5).smoothness_constant == pytest.approx(1.0 / 1.5)
-    assert sequence_space(3, 3.0).smoothness_constant == pytest.approx(1.0)
 
 
 def test_smoothness_bound_rejects_non_finite_u():
