@@ -14,7 +14,6 @@ from .discretization import (
     SubspaceEntropyResult,
     TransferReport,
     build_discretization_dictionary,
-    dirichlet_kernel,
     it1_experiment,
     m_p_direct,
     m_p_dual,
@@ -32,7 +31,6 @@ from .entropy import (
     PointwiseMaxMetric,
     UNormMetric,
     ball_entropy_experiment,
-    cover_from_sparse,
     duality_sum_check,
     exact_cover_count,
     exact_entropy_small,
@@ -88,8 +86,6 @@ from .spaces import (
     canonical_dictionary,
     discrete_space,
     dual_norm,
-    estimate_modulus,
-    minimal_l1_coefficients,
     norm,
     norm_A,
     norm_U,

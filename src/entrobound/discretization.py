@@ -63,7 +63,6 @@ __all__ = [
     "Subspace",
     "SamplePointSet",
     "DiscretizationDictionary",
-    "dirichlet_kernel",
     "m_p_direct",
     "m_p_dual",
     "build_discretization_dictionary",
@@ -130,6 +129,11 @@ class Subspace:
 
     @cached_property
     def _kernel(self) -> np.ndarray:
+        """Reproducing kernel D(x, y) = sum_i u_i(x) u_i(y), shared, not copied.
+
+        <f, D(x, .)>_mu = f(x) for subspace elements, and the weighted
+        trace equals the subspace dimension.
+        """
         return self.basis @ self.basis.T
 
     def evaluate(self, coefficients: np.ndarray) -> np.ndarray:
@@ -155,15 +159,6 @@ class SamplePointSet:
     @property
     def count(self) -> int:
         return int(self.indices.size)
-
-
-def dirichlet_kernel(sub: Subspace) -> np.ndarray:
-    """Reproducing kernel table D(x, y) = sum_i u_i(x) u_i(y).
-
-    Satisfies <f, D(x, .)>_mu = f(x) for subspace elements; the
-    weighted trace equals the subspace dimension.
-    """
-    return sub._kernel.copy()
 
 
 # ---------------------------------------------------------------------------
@@ -351,8 +346,6 @@ def build_discretization_dictionary(sub: Subspace, pts: SamplePointSet,
 
 @dataclass
 class TransferReport:
-    trials: int
-    violations: int
     max_ratio: float
     bound: float            # 2 M_p
 
@@ -381,8 +374,7 @@ def verify_transfer(sub: Subspace, ddict: DiscretizationDictionary,
                 f"{bound!r} * {right!r}", witness=c)
         if right > 0:
             max_ratio = max(max_ratio, left / (bound * right))
-    return TransferReport(trials=trials, violations=0, max_ratio=max_ratio,
-                          bound=bound)
+    return TransferReport(max_ratio=max_ratio, bound=bound)
 
 
 # ---------------------------------------------------------------------------

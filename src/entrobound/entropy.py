@@ -17,9 +17,9 @@ labeled as such by its certificate.  Three bound sources exist:
   first-uncovered-point cover and farthest-point traversal; a packing
   of more than 2^k points with separation s certifies a lower bound
   s/2.
-* ``cover_from_sparse`` and the l_p-ball profile: constructive covers
-  from m-term approximants whose coefficients are truncated onto an
-  integer grid, built by one routine for both sets.  The atom hull
+* ``octahedron_cover_profile`` and the l_p-ball profile: constructive
+  covers from m-term approximants whose coefficients are truncated onto
+  an integer grid, built by one routine for both sets.  The atom hull
   (the octahedron) takes greedy approximants on an l1-ball grid, from
   one greedy run per witness whose steps are tabulated once for every
   m; the l_p ball keeps each point's m largest coordinates on a cube
@@ -76,7 +76,6 @@ __all__ = [
     "exact_cover_count",
     "greedy_cover",
     "farthest_point_packing",
-    "cover_from_sparse",
     "octahedron_cover_profile",
     "ball_entropy_experiment",
     "BallEntropyResult",
@@ -258,9 +257,6 @@ class PackingCertificate:
     @property
     def count(self) -> int:
         return int(np.atleast_2d(self.points).shape[0])
-
-    def lower_bound(self, k: int) -> float:
-        return self.separation / 2.0 if self.count > 2 ** k else 0.0
 
     def to_json(self) -> dict:
         return {
@@ -816,7 +812,7 @@ def _dyadic_segment_cover(octa: Octahedron, k: int, sample: np.ndarray,
     if k == 0:
         centers = np.zeros((1, space.dim))
         radius = max(norm(space, f) for f in sample)
-        count = 1
+        half, step = 0, 0.0
     else:
         step = 2.0 ** (1 - k)
         half = 2 ** (k - 1)
@@ -824,40 +820,32 @@ def _dyadic_segment_cover(octa: Octahedron, k: int, sample: np.ndarray,
         c = (z + 0.5) * step
         centers = np.unique(c)[:, None] * g[None, :]
         radius = max(norm(space, f - ci * g) for f, ci in zip(sample, c))
-        count = 2 ** k
+    # the same extra keys as _quantized_cover: 2^k grid cells of width step
     return CoverCertificate(
-        centers=centers, radius=float(radius), k=k, count_bound=count,
+        centers=centers, radius=float(radius), k=k, count_bound=2 ** k,
         metric=metric, provenance="sparse-cover",
-        extra={"m": 1, "grid": "dyadic-offset"})
-
-
-def cover_from_sparse(octa: Octahedron, k: int, *, sample: np.ndarray | None = None,
-                      sample_size: int = 400, seed: int = 0) -> CoverCertificate:
-    """Constructive cover of the atom hull within the 2^k center budget.
-
-    Greedy m-term approximants with coefficients truncated onto an
-    integer l1-ball grid; the pair (m, grid radius) is chosen per k by
-    minimizing the measured radius among all pairs whose exact
-    combinatorial center count fits the budget.  The radius is measured
-    on the witness sample, so the certificate covers the sampled hull.
-    """
-    certs = octahedron_cover_profile(
-        octa, [k], sample=sample, sample_size=sample_size, seed=seed)
-    return certs[k]
+        extra={"m": 1, "grid_radius": half, "grid_step": step})
 
 
 def octahedron_cover_profile(octa: Octahedron, k_list: list[int], *,
                              sample: np.ndarray | None = None,
                              sample_size: int = 400,
                              seed: int = 0) -> dict[int, CoverCertificate]:
-    """Constructive covers for several budgets, sharing one greedy pass.
+    """Constructive covers of the atom hull, one per 2^k center budget.
 
-    Each witness gets one greedy run of as many steps as the largest
-    budget can use, and the run's per-step coefficients are tabulated
-    once.  A witness's m-term approximant is its run after min(m, steps
-    taken) steps; the grid bound is the largest l1 norm of those
-    coefficients over the witnesses.  A one-atom hull is a segment and
-    gets the dyadic offset grid instead.
+    Greedy m-term approximants with coefficients truncated onto an
+    integer l1-ball grid; the pair (m, grid radius) is chosen per k by
+    minimizing the measured radius among all pairs whose exact
+    combinatorial center count fits the budget.  The radius is measured
+    on the witness sample, so each certificate covers the sampled hull.
+
+    All budgets share one greedy pass: each witness gets one greedy run
+    of as many steps as the largest budget can use, and the run's
+    per-step coefficients are tabulated once.  A witness's m-term
+    approximant is its run after min(m, steps taken) steps; the grid
+    bound is the largest l1 norm of those coefficients over the
+    witnesses.  A one-atom hull is a segment and gets the dyadic offset
+    grid instead.
     """
     dictionary = octa.dictionary
     n = dictionary.size

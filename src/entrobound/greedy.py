@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,17 +58,20 @@ class SparseApproximant:
 
     ``support`` and ``coefficients`` are aligned; ``history`` holds the
     residual norm after 0, 1, ... steps and is nonincreasing for
-    Chebyshev-type greedy runs.  ``residual_norm`` always equals the
-    recomputed norm of f minus the reconstruction.
-    ``step_coefficients`` holds the coefficients after each step, so
-    its last entry is ``coefficients``; it is empty when no step ran.
+    Chebyshev-type greedy runs.  ``step_coefficients`` holds the
+    coefficients after each step, so its last entry is
+    ``coefficients``; it is empty when no step ran.
     """
 
     support: list[int]
     coefficients: np.ndarray
-    residual_norm: float
     history: list[float]
     step_coefficients: list[np.ndarray]
+
+    @property
+    def residual_norm(self) -> float:
+        """The norm of f minus the reconstruction, the last of ``history``."""
+        return self.history[-1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,9 +158,9 @@ def best_mterm_bruteforce(f: np.ndarray, dictionary: Dictionary,
             best = (support, coeffs, r)
     support, coeffs, r = best
     if m == 0:
-        return SparseApproximant(support, coeffs, r, history=[fnorm],
+        return SparseApproximant(support, coeffs, history=[fnorm],
                                  step_coefficients=[])
-    return SparseApproximant(support, coeffs, r, history=[fnorm, r],
+    return SparseApproximant(support, coeffs, history=[fnorm, r],
                              step_coefficients=[coeffs])
 
 
@@ -202,9 +205,8 @@ def wcga(f: np.ndarray, dictionary: Dictionary, m: int,
         residual = f - dictionary.atoms[:, support] @ coeffs
         history.append(_power_norm(residual, w, space.q))
         snaps.append(coeffs)
-    return SparseApproximant(
-        support=support, coefficients=coeffs, residual_norm=history[-1],
-        history=history, step_coefficients=snaps)
+    return SparseApproximant(support=support, coefficients=coeffs,
+                             history=history, step_coefficients=snaps)
 
 
 def sample_octahedron(dictionary: Dictionary, count: int, seed: int) -> list[dict]:
@@ -239,7 +241,6 @@ class SigmaProfile:
     m_list: list[int]
     values: np.ndarray
     slope: float
-    per_sample: np.ndarray = field(repr=False, default=None)
 
 
 def sigma_profile(samples: list[np.ndarray], dictionary: Dictionary,
@@ -275,5 +276,4 @@ def sigma_profile(samples: list[np.ndarray], dictionary: Dictionary,
                            np.log2(values[pos]), 1)[0]
     else:
         slope = float("nan")
-    return SigmaProfile(m_list=list(m_list), values=values,
-                        slope=float(slope), per_sample=table)
+    return SigmaProfile(m_list=list(m_list), values=values, slope=float(slope))

@@ -25,9 +25,8 @@ to a dictionary D = {g_1, ..., g_n} of unit atoms:
   The supremum of |<F, f>| over the norm_A unit ball is attained at an
   atom (with sign), which is the duality identity tested throughout.
 
-``estimate_modulus`` produces a certified lower estimate of the modulus
-of smoothness by randomized search with local ascent; it can never
-exceed the true modulus, hence never the analytic bounds above.
+``smoothness_bound`` evaluates the analytic bounds on the modulus of
+smoothness above.
 """
 
 from __future__ import annotations
@@ -54,14 +53,12 @@ __all__ = [
     "sequence_space",
     "discrete_space",
     "canonical_dictionary",
-    "minimal_l1_coefficients",
     "norm",
     "pair",
     "dual_norm",
     "norming_functional",
     "norm_A",
     "norm_U",
-    "estimate_modulus",
     "smoothness_bound",
 ]
 
@@ -319,11 +316,6 @@ def norm_A(f: np.ndarray, dictionary: Dictionary) -> float:
     return _l1_lp(f, dictionary)[0]
 
 
-def minimal_l1_coefficients(f: np.ndarray, dictionary: Dictionary) -> np.ndarray:
-    """A coefficient vector attaining norm_A(f); same LP, solution returned."""
-    return _l1_lp(f, dictionary)[1]
-
-
 def norm_U(F: np.ndarray, dictionary: Dictionary) -> float:
     """max_j |<F, g_j>| for a functional F given by its coefficients.
 
@@ -333,87 +325,11 @@ def norm_U(F: np.ndarray, dictionary: Dictionary) -> float:
     return float(np.abs(dictionary.pairings(F)).max())
 
 
-def _check_u(u: float) -> None:
-    if not (math.isfinite(u) and u >= 0):
-        raise ValueError(f"u must be finite and nonnegative, got {u!r}")
-
-
 def smoothness_bound(space: NormedSpaceSpec, u: float) -> float:
     """Analytic upper bound for the modulus of smoothness at u >= 0."""
-    _check_u(u)
+    if not (math.isfinite(u) and u >= 0):
+        raise ValueError(f"u must be finite and nonnegative, got {u!r}")
     q = space.q
     if q <= 2.0:
         return (u ** q) / q
     return (q - 1.0) * u * u / 2.0
-
-
-def _sphere(space: NormedSpaceSpec, v: np.ndarray) -> np.ndarray:
-    return v / norm(space, v)
-
-
-def estimate_modulus(space: NormedSpaceSpec, u: float,
-                     *, trials: int = 8, seed: int = 0,
-                     steps: int = 400) -> float:
-    """Lower estimate of rho(u) = sup (||x+uy|| + ||x-uy||)/2 - 1 on the sphere.
-
-    Randomized starts followed by projected gradient ascent with
-    backtracking.  Every evaluation uses feasible points, so the result
-    is a true lower bound up to float rounding.
-    """
-    _check_u(u)
-    if u == 0.0:
-        return 0.0
-    rng = np.random.default_rng(seed)
-    d = space.dim
-
-    def value(x, y):
-        return 0.5 * (norm(space, x + u * y) + norm(space, x - u * y)) - 1.0
-
-    def grad_of_norm(v):
-        # gradient of ||.|| at v: the norming functional scaled by the weights
-        try:
-            return space.weight_vector() * norming_functional(space, v)
-        except ZeroVectorError:
-            return np.zeros_like(v)
-
-    def ascend(x, y):
-        best = value(x, y)
-        eta = 0.5
-        for _ in range(steps):
-            gp = grad_of_norm(x + u * y)
-            gm = grad_of_norm(x - u * y)
-            gx = 0.5 * (gp + gm)
-            gy = 0.5 * u * (gp - gm)
-            # remove radial components, then renormalize after the step
-            gx = gx - (gx @ x) / max(x @ x, 1e-300) * x
-            gy = gy - (gy @ y) / max(y @ y, 1e-300) * y
-            moved = False
-            while eta > 1e-13:
-                xn = _sphere(space, x + eta * gx)
-                yn = _sphere(space, y + eta * gy)
-                cand = value(xn, yn)
-                if cand > best + 1e-16:
-                    x, y, best = xn, yn, cand
-                    moved = True
-                    eta *= 1.5
-                    break
-                eta *= 0.5
-            if not moved:
-                break
-        return best
-
-    best = 0.0
-    starts = []
-    if d >= 2:
-        e1, e2 = np.zeros(d), np.zeros(d)
-        e1[0], e2[1] = 1.0, 1.0
-        starts.append((_sphere(space, e1), _sphere(space, e2)))
-    for _ in range(trials):
-        x = rng.standard_normal(d)
-        y = rng.standard_normal(d)
-        if norm(space, x) == 0.0 or norm(space, y) == 0.0:
-            continue
-        starts.append((_sphere(space, x), _sphere(space, y)))
-    for x, y in starts:
-        best = max(best, ascend(x, y))
-    return max(best, 0.0)

@@ -218,8 +218,7 @@ def test_criterion_07_dictionary_invariants_and_transfer():
                           float(np.abs(repro - sub.basis[pts.indices].T).max()))
         worst_norm_slack = max(worst_norm_slack,
                                float(ddict.w_norms.max() - 2.0 * ddict.m_p))
-        report = verify_transfer(sub, ddict, trials=1000, seed=7)
-        assert report.violations == 0
+        verify_transfer(sub, ddict, trials=1000, seed=7)  # raises on a violation
     elapsed = time.monotonic() - start
     ok = worst_repro <= 1e-8 and worst_norm_slack <= 1e-6
     _report(7, ok, f"reproducing drift = {worst_repro:.2e} <= 1e-8, "

@@ -1,6 +1,7 @@
 """Subspaces on weighted point sets, the uniform-norm constant, and the
 evaluation dictionaries behind the sampling experiments."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -14,10 +15,10 @@ from entrobound import (
     DimensionMismatchError,
     GramDefectError,
     MeasureSpace,
+    PropertyViolationError,
     SamplePointSet,
     Subspace,
     build_discretization_dictionary,
-    dirichlet_kernel,
     it1_experiment,
     log_ratio_envelope,
     m_p_direct,
@@ -98,7 +99,7 @@ def test_sample_point_set_validation():
 
 def test_dirichlet_kernel_reproduces_point_evaluation():
     sub = random_subspace(4, 12, seed=7)
-    K = dirichlet_kernel(sub)
+    K = sub._kernel
     assert K == pytest.approx(K.T, abs=1e-12)
     # weighted trace counts the dimension
     assert float(sub.measure.weights @ np.diag(K)) == pytest.approx(4.0, abs=1e-10)
@@ -264,7 +265,7 @@ def test_hilbert_case_uses_kernel_rows():
     sub = random_subspace(3, 16, seed=15)
     pts = SamplePointSet(np.array([1, 7, 13]))
     ddict = build_discretization_dictionary(sub, pts, 2.0)
-    K = dirichlet_kernel(sub)
+    K = sub._kernel
     assert ddict.w_vectors == pytest.approx(K[pts.indices], abs=1e-12)
 
 
@@ -303,10 +304,23 @@ def test_transfer_inequality_holds_on_random_functions(p):
     pts = SamplePointSet(np.arange(0, 32, 2))
     ddict = build_discretization_dictionary(sub, pts, p)
     report = verify_transfer(sub, ddict, trials=200, seed=18)
-    assert report.violations == 0
-    assert report.trials == 200
     assert 0.0 < report.max_ratio <= 1.0 + 1e-12
     assert report.bound == pytest.approx(2.0 * ddict.m_p)
+
+
+def test_transfer_breach_raises_with_the_witness():
+    # a breach raises, so the raise is the only signal a caller gets
+    sub = random_subspace(4, 32, seed=17)
+    pts = SamplePointSet(np.arange(0, 32, 2))
+    ddict = build_discretization_dictionary(sub, pts, 4.0)
+    shrunk = dataclasses.replace(ddict, m_p=ddict.m_p * 1e-3)
+    with pytest.raises(PropertyViolationError, match="transfer inequality") as info:
+        verify_transfer(sub, shrunk, trials=50, seed=18)
+    c = info.value.witness
+    # the first Gaussian draw already breaches the shrunken bound
+    assert np.array_equal(c, np.random.default_rng(18).standard_normal(sub.dim))
+    f = sub.evaluate(c)
+    assert np.abs(f[pts.indices]).max() > 2.0 * shrunk.m_p * norm_U(f, ddict.u_dictionary())
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,6 @@ from entrobound import (
     ball_entropy_experiment,
     build_discretization_dictionary,
     canonical_dictionary,
-    cover_from_sparse,
     discrete_space,
     duality_sum_check,
     exact_cover_count,
@@ -194,8 +193,8 @@ def test_verify_cover_names_centers_and_witness_that_do_not_fit_the_metric():
 def test_verify_cover_rejects_non_finite_data():
     # a NaN distance compares false either way, so an unchecked NaN witness
     # point would pass and carry the far point (5, 5, 5, 5) through with it
-    cert = cover_from_sparse(Octahedron(canonical_dictionary(4, 2.0)), 3,
-                             seed=0, sample_size=40)
+    cert = octahedron_cover_profile(Octahedron(canonical_dictionary(4, 2.0)), [3],
+                                    seed=0, sample_size=40)[3]
     with pytest.raises(ValueError, match="finite"):
         verify_cover(cert, np.array([[np.nan, 0.0, 0.0, 0.0], [5.0, 5.0, 5.0, 5.0]]))
     cert, W = _toy_cover()
@@ -220,8 +219,6 @@ def test_packing_certificate_bounds():
     cert = PackingCertificate(points=pts, separation=2.0, metric=EUCLID2)
     assert verify_packing(cert)
     assert cert.count == 3
-    assert cert.lower_bound(1) == pytest.approx(1.0)   # 3 > 2^1
-    assert cert.lower_bound(2) == 0.0                  # 3 <= 2^2
     bad = PackingCertificate(points=pts, separation=3.0, metric=EUCLID2)
     with pytest.raises(CertificateError):
         verify_packing(bad)
@@ -617,11 +614,13 @@ def test_l1_grid_count():
 
 def test_single_atom_hull_gets_dyadic_covers():
     octa = Octahedron(canonical_dictionary(1, 2.0))
-    for k in (0, 1, 3, 6):
-        cert = cover_from_sparse(octa, k, sample_size=32, seed=0)
+    for k, half, step in ((0, 0, 0.0), (1, 1, 1.0), (3, 4, 0.25), (6, 32, 0.03125)):
+        cert = octahedron_cover_profile(octa, [k], sample_size=32, seed=0)[k]
         assert cert.radius == pytest.approx(2.0 ** (-k), abs=0.0)
         assert cert.count_bound == 2 ** k
         assert cert.provenance == "sparse-cover"
+        # the same keys as a quantized cover: 2^k offset cells of width 2^(1-k)
+        assert cert.extra == {"m": 1, "grid_radius": half, "grid_step": step}
 
 
 def test_octahedron_cover_profile_frozen_instance():
@@ -638,7 +637,7 @@ def test_octahedron_cover_profile_frozen_instance():
 def test_octahedron_cover_certificates_verify_on_their_witness():
     d = canonical_dictionary(6, 1.5)
     sample = np.array([s["vector"] for s in sample_octahedron(d, 40, 3)])
-    cert = cover_from_sparse(Octahedron(d), 5, sample=sample, seed=1)
+    cert = octahedron_cover_profile(Octahedron(d), [5], sample=sample, seed=1)[5]
     assert cert.radius == pytest.approx(0.7102902073030196, abs=1e-12)
     assert cert.count_bound <= 2 ** 5
     assert verify_cover(cert, sample)

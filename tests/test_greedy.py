@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import entrobound._optim as optim
@@ -20,7 +20,9 @@ from entrobound import (
     best_mterm_bruteforce,
     canonical_dictionary,
     chebyshev_project,
+    discrete_space,
     norm,
+    norm_A,
     sample_octahedron,
     sequence_space,
     sigma_profile,
@@ -226,6 +228,41 @@ def test_bruteforce_budget_guard():
 
 
 # ---------------------------------------------------------------------------
+# the greedy rate
+
+@given(dim=st.integers(2, 12), count=st.integers(2, 24), coordinate=st.booleans(),
+       weighted=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_orthogonal_greedy_meets_the_hilbert_rate(dim, count, coordinate, weighted, seed):
+    """||f_m|| <= |f|_{A_1} (m + 1)^(-1/2) at q = 2 (DeVore & Temlyakov, 1996).
+
+    With a_m = ||f_m||^2 and A = |f|_{A_1}: projecting onto a span that
+    holds the chosen atom g does at least as well as a step along g, so
+    a_m <= a_{m-1} - <f_{m-1}, g>^2; and f_{m-1} is orthogonal to its
+    approximant, so a_{m-1} = <f_{m-1}, f> <= A |<f_{m-1}, g>|.  Hence
+    a_m <= a_{m-1} (1 - a_{m-1} / A^2), and a_0 <= A^2 gives
+    a_m <= A^2 / (m + 1) by induction.
+    """
+    rng = np.random.default_rng(seed)
+    if weighted:
+        w = rng.uniform(0.2, 1.0, dim)
+        space = discrete_space(w / w.sum(), 2.0)
+    else:
+        space = sequence_space(dim, 2.0)
+    if coordinate:  # signed coordinate vectors, scaled to unit norm
+        atoms = np.diag(rng.choice([-1.0, 1.0], dim))
+    else:
+        atoms = rng.standard_normal((dim, count))
+    atoms = atoms / [norm(space, a) for a in atoms.T]
+    d = Dictionary(atoms, space)
+    c = rng.standard_normal(d.size) * (rng.random(d.size) < rng.uniform(0.1, 1.0))
+    f = atoms @ c
+    assume(norm(space, f) > 0.0)
+    bound = norm_A(f, d)
+    for m, residual in enumerate(wcga(f, d, d.size).history):
+        assert residual <= bound / math.sqrt(m + 1) * (1.0 + 1e-12)
+
+
+# ---------------------------------------------------------------------------
 # octahedron sampling
 
 def test_sample_octahedron_lands_on_the_hull_boundary():
@@ -265,8 +302,10 @@ def test_sigma_profile_tracks_the_worst_sample():
     samples = [s["vector"] for s in sample_octahedron(d, 12, seed=26)]
     prof = sigma_profile(samples, d, [1, 2, 4, 8])
     assert prof.m_list == [1, 2, 4, 8]
-    assert prof.per_sample.shape == (12, 4)
-    assert prof.values == pytest.approx(prof.per_sample.max(axis=0))
+    # each sample's residual after m steps, or after its last step if it stopped early
+    table = [[hist[min(m, len(hist) - 1)] for m in prof.m_list]
+             for hist in (wcga(f, d, 8).history for f in samples)]
+    assert list(prof.values) == list(np.max(table, axis=0))
     assert all(a >= b - 1e-12 for a, b in zip(prof.values, prof.values[1:]))
     assert prof.slope < 0.0
 

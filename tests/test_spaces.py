@@ -21,8 +21,6 @@ from entrobound import (
     canonical_dictionary,
     discrete_space,
     dual_norm,
-    estimate_modulus,
-    minimal_l1_coefficients,
     norm,
     norm_A,
     norm_U,
@@ -32,6 +30,7 @@ from entrobound import (
     smoothness_bound,
 )
 from entrobound.entropy import _row_norms
+from entrobound.spaces import _l1_lp
 
 
 @st.composite
@@ -279,7 +278,7 @@ def test_norm_A_picks_the_cheapest_representation():
     f = np.array([1.0, 1.0])
     # via e1 + e2 the cost is 2; via the diagonal atom it is sqrt(2)
     assert norm_A(f, d) == pytest.approx(math.sqrt(2.0), abs=1e-9)
-    coeffs = minimal_l1_coefficients(f, d)
+    coeffs = _l1_lp(f, d)[1]
     assert atoms @ coeffs == pytest.approx(f, abs=1e-9)
     assert np.abs(coeffs).sum() == pytest.approx(math.sqrt(2.0), abs=1e-9)
 
@@ -293,7 +292,7 @@ def test_norm_A_is_scale_free(c):
     d = Dictionary(atoms, sequence_space(2, 2.0))
     f = c * np.array([1.0, 1.0])
     assert norm_A(f, d) / c == pytest.approx(math.sqrt(2.0), rel=1e-9)
-    coeffs = minimal_l1_coefficients(f, d)
+    coeffs = _l1_lp(f, d)[1]
     assert atoms @ coeffs == pytest.approx(f, rel=1e-9)
 
 
@@ -379,7 +378,7 @@ def test_norm_A_rejects_non_finite_input():
         with pytest.raises(ValueError, match="finite"):
             norm_A(f, d)
         with pytest.raises(ValueError, match="finite"):
-            minimal_l1_coefficients(f, d)
+            _l1_lp(f, d)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -400,20 +399,72 @@ def test_smoothness_bound_rejects_non_finite_u():
         smoothness_bound(space, -0.5)
 
 
-def test_estimate_modulus_rejects_non_finite_u():
-    # NaN passed the sign test and came back as a modulus of 0
-    space = sequence_space(2, 3.0)
-    for u in (np.nan, np.inf):
-        with pytest.raises(ValueError, match="finite"):
-            estimate_modulus(space, u)
-    with pytest.raises(ValueError):
-        estimate_modulus(space, -0.5)
+def _estimate_modulus(space, u, *, trials, steps):
+    """Lower estimate of rho(u) = sup (||x+uy|| + ||x-uy||)/2 - 1 on the sphere.
+
+    Randomized starts followed by projected gradient ascent with
+    backtracking.  Every evaluation uses feasible points, so the result
+    is a true lower bound up to float rounding, and can never exceed
+    ``smoothness_bound``.
+    """
+    rng = np.random.default_rng(0)
+    d = space.dim
+
+    def sphere(v):
+        return v / norm(space, v)
+
+    def value(x, y):
+        return 0.5 * (norm(space, x + u * y) + norm(space, x - u * y)) - 1.0
+
+    def grad_of_norm(v):
+        # gradient of ||.|| at v: the norming functional scaled by the weights
+        try:
+            return space.weight_vector() * norming_functional(space, v)
+        except ZeroVectorError:
+            return np.zeros_like(v)
+
+    def ascend(x, y):
+        best = value(x, y)
+        eta = 0.5
+        for _ in range(steps):
+            gp = grad_of_norm(x + u * y)
+            gm = grad_of_norm(x - u * y)
+            gx = 0.5 * (gp + gm)
+            gy = 0.5 * u * (gp - gm)
+            # remove radial components, then renormalize after the step
+            gx = gx - (gx @ x) / max(x @ x, 1e-300) * x
+            gy = gy - (gy @ y) / max(y @ y, 1e-300) * y
+            moved = False
+            while eta > 1e-13:
+                xn = sphere(x + eta * gx)
+                yn = sphere(y + eta * gy)
+                cand = value(xn, yn)
+                if cand > best + 1e-16:
+                    x, y, best = xn, yn, cand
+                    moved = True
+                    eta *= 1.5
+                    break
+                eta *= 0.5
+            if not moved:
+                break
+        return best
+
+    starts = []
+    if d >= 2:
+        starts.append((sphere(np.eye(d)[0]), sphere(np.eye(d)[1])))
+    for _ in range(trials):
+        x = rng.standard_normal(d)
+        y = rng.standard_normal(d)
+        if norm(space, x) == 0.0 or norm(space, y) == 0.0:
+            continue
+        starts.append((sphere(x), sphere(y)))
+    return max([0.0] + [ascend(x, y) for x, y in starts])
 
 
 @pytest.mark.parametrize("q", [1.5, 2.0, 3.0])
 def test_estimated_modulus_stays_below_the_bound(q):
     space = sequence_space(3, q)
-    estimates = [estimate_modulus(space, u, trials=4, steps=120) for u in (0.25, 0.5, 1.0)]
+    estimates = [_estimate_modulus(space, u, trials=4, steps=120) for u in (0.25, 0.5, 1.0)]
     for u, est in zip((0.25, 0.5, 1.0), estimates):
         assert 0.0 <= est <= smoothness_bound(space, u) + 1e-12
     assert estimates == sorted(estimates)
@@ -424,6 +475,6 @@ def test_estimated_modulus_is_tight_in_the_hilbert_case():
     space = sequence_space(2, 2.0)
     u = 1.0
     true_value = math.sqrt(2.0) - 1.0
-    est = estimate_modulus(space, u, trials=8, steps=400)
+    est = _estimate_modulus(space, u, trials=8, steps=400)
     assert est <= smoothness_bound(space, u) + 1e-12
     assert est >= 0.8 * true_value
