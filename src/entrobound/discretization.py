@@ -44,9 +44,10 @@ from ._optim import minimize_power_constrained, minimize_power_residual
 from .entropy import (
     EntropyProfile,
     PointwiseMaxMetric,
-    _fps,
+    _envelope_ratio,
+    _fps,  # unused here; perfbench/tracing.py wraps it by this name
     _packing_lowers,
-    log_ratio_envelope,
+    _validate_p,
     octahedron_cover_profile,
 )
 from .errors import (
@@ -81,11 +82,6 @@ _REPRESENTER_TOL = 1e-15
 _NORM_BOUND_SLACK = 1e-6  # on ||w_j||_{p'} <= 2 M_p
 _MP_TOL = 1e-9  # decrement target of the per-point solves behind M_p
 _WITNESS_SIZE = 512  # unit-ball functions that it1's packings draw from
-
-
-def _validate_p(p: float) -> None:
-    if not p >= 2:
-        raise ValueError(f"the exponent must satisfy p >= 2, got {p}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -452,14 +448,11 @@ def it1_experiment(sub: Subspace, pts: SamplePointSet, p: float,
 
     sample = _function_witness(sub, ddict, p, _WITNESS_SIZE, seed + 1)
     metric = PointwiseMaxMetric(pts.indices)
-    Dm = metric.pairwise(sample, sample)
-    _, insertion = _fps(Dm, min(sample.shape[0], 2 ** k_list[-1] + 1), 0)
-    lowers, lower_src = _packing_lowers(insertion, k_list)
+    lowers, lower_src = _packing_lowers(metric.pairwise(sample, sample), k_list)
 
     profile = EntropyProfile.build(k_list, lowers, uppers, lower_src, upper_src)
-    envelope = ddict.m_p * log_ratio_envelope(n, np.asarray(k_list), 1.0 / p)
-    upper_ratio = profile.upper / envelope
-    spread = float(upper_ratio.max() / upper_ratio.min())
+    envelope, upper_ratio, spread = _envelope_ratio(profile.upper, n, k_list,
+                                                    1.0 / p, ddict.m_p)
     return SubspaceEntropyResult(profile=profile, m_p=ddict.m_p, envelope=envelope,
                                  upper_ratio=upper_ratio, spread=spread)
 

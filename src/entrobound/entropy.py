@@ -352,6 +352,8 @@ class EntropyProfile:
             raise ValueError("k_list must be increasing")
         lower = np.asarray(lower, dtype=float).copy()
         upper = np.asarray(upper, dtype=float).copy()
+        if not (np.isfinite(lower).all() and np.isfinite(upper).all()):
+            raise ValueError("profile bounds must be finite")
         lower_source = list(lower_source)
         upper_source = list(upper_source)
         for arr, src in ((lower, lower_source), (upper, upper_source)):
@@ -379,6 +381,13 @@ def log_ratio_envelope(n: int, k: np.ndarray, exponent: float) -> np.ndarray:
     """(log2(2n/k) / k)^exponent, the shape all experiments compare against."""
     k = np.asarray(k, dtype=float)
     return (np.log2(2.0 * n / k) / k) ** exponent
+
+
+def _envelope_ratio(upper, n: int, k_list, exponent: float, scale: float):
+    """The envelope times ``scale``, upper / envelope, and that ratio's max / min."""
+    envelope = scale * log_ratio_envelope(n, k_list, exponent)
+    ratio = upper / envelope
+    return envelope, ratio, float(ratio.max() / ratio.min())
 
 
 # ---------------------------------------------------------------------------
@@ -601,14 +610,16 @@ def _fps(Dm: np.ndarray, count: int, start: int) -> tuple[list[int], list[float]
     return picked, insertion
 
 
-def _packing_lowers(insertion: list[float],
+def _packing_lowers(Dm: np.ndarray,
                     k_list: list[int]) -> tuple[list[float], list[str]]:
     """Half the separation of the first 2^k + 1 traversal points, per k.
 
-    ``insertion`` holds the insertion distances of one farthest-point
-    traversal, which visits the same points in the same order whatever
-    its length; a k whose 2^k + 1 points it does not reach gets 0.
+    One farthest-point traversal of the distance matrix ``Dm`` from
+    point 0 serves every k, since it visits the same points in the same
+    order whatever its length; a k whose 2^k + 1 points the set does not
+    hold gets 0.
     """
+    _, insertion = _fps(Dm, min(len(Dm), 2 ** k_list[-1] + 1), 0)
     lowers, sources = [], []
     for k in k_list:
         want = 2 ** k + 1
@@ -875,6 +886,11 @@ def octahedron_cover_profile(octa: Octahedron, k_list: list[int], *,
 # ---------------------------------------------------------------------------
 # lp-ball experiment
 
+def _validate_p(p: float) -> None:
+    if not (math.isfinite(p) and p >= 2):
+        raise ValueError(f"the exponent must be a finite p >= 2, got {p!r}")
+
+
 def _ball_witness(p: float, n: int, size: int, seed: int) -> np.ndarray:
     """Vertices, dyadic equal-mass points and low-discrepancy sphere points."""
     rng = np.random.default_rng(seed)
@@ -914,8 +930,7 @@ def ball_entropy_experiment(p: float, n: int, k_list: list[int], *,
     never exceeds 1); lower entries from farthest-point packings of the
     witness sample.  Everything refers to the sampled ball; k stops at n.
     """
-    if p < 2:
-        raise ValueError(f"p must be >= 2, got {p}")
+    _validate_p(p)
     k_list = sorted(int(k) for k in k_list)
     if not k_list or k_list[0] < 1:
         raise ValueError("k_list entries must be >= 1")
@@ -936,9 +951,7 @@ def ball_entropy_experiment(p: float, n: int, k_list: list[int], *,
         uppers.append(cert.radius)
         upper_src.append(cert.provenance)
 
-    Dm = metric.pairwise(sample, sample)
-    _, insertion = _fps(Dm, min(sample.shape[0], 2 ** k_list[-1] + 1), 0)
-    lowers, lower_src = _packing_lowers(insertion, k_list)
+    lowers, lower_src = _packing_lowers(metric.pairwise(sample, sample), k_list)
 
     profile = EntropyProfile.build(k_list, lowers, uppers, lower_src, upper_src)
     return BallEntropyResult(profile=profile, sample_size=sample.shape[0])
@@ -968,6 +981,20 @@ def _dual_ball_witness(space: NormedSpaceSpec, size: int, seed: int) -> np.ndarr
         r = rng.uniform() ** (1.0 / d)
         rows.append((r * v / nv)[None, :])
     return np.vstack(rows)
+
+
+def _greedy_brackets(Dm: np.ndarray, k_list: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Packing lowers and greedy-cover uppers of one sampled set, per k.
+
+    The sums only need a sound sandwich, and exact set-cover solves are
+    slow on these symmetric sets; one center is exact in closed form.
+    """
+    lowers, _ = _packing_lowers(Dm, k_list)
+    values = np.unique(Dm)
+    uppers = np.array([float(Dm.max(axis=1).min()) if k == 0 else
+                       float(values[_greedy_search(Dm, values, 2 ** k, 0)])
+                       for k in k_list])
+    return np.minimum(lowers, uppers), uppers
 
 
 @dataclass
@@ -1017,33 +1044,14 @@ def duality_sum_check(dictionary: Dictionary, m: int, *,
     # duplicate witnesses inflate the exact set-cover instances without
     # changing any radius, so drop them up front
     hull_sample = np.unique(_octahedron_witness(dictionary, sample_size, seed), axis=0)
-    hull_metric = AmbientMetric(space)
-    hull_D = hull_metric.pairwise(hull_sample, hull_sample)
+    hull_D = AmbientMetric(space).pairwise(hull_sample, hull_sample)
 
     dual_sample = np.unique(_dual_ball_witness(space, sample_size, seed + 1), axis=0)
-    dual_metric = UNormMetric(dictionary)
-    dual_D = dual_metric.pairwise(dual_sample, dual_sample)
+    dual_D = UNormMetric(dictionary).pairwise(dual_sample, dual_sample)
 
     k_list = list(range(m + 1))
-    rows = {"hull": ([], []), "dual": ([], [])}
-    for Dm, key in ((hull_D, "hull"), (dual_D, "dual")):
-        lo_list, hi_list = rows[key]
-        _, insertion = _fps(Dm, min(Dm.shape[0], 2 ** m + 1), 0)
-        lowers, _ = _packing_lowers(insertion, k_list)
-        values = np.unique(Dm)
-        for k, lo in zip(k_list, lowers):
-            # greedy-only uppers: the sums only need a sound sandwich, and
-            # the exact set-cover solves are slow on these symmetric sets;
-            # one center is exact in closed form
-            hi = (float(Dm.max(axis=1).min()) if k == 0 else
-                  float(values[_greedy_search(Dm, values, 2 ** k, 0)]))
-            lo_list.append(min(lo, hi))
-            hi_list.append(hi)
-
-    hull_lower = np.array(rows["hull"][0])
-    hull_upper = np.array(rows["hull"][1])
-    dual_lower = np.array(rows["dual"][0])
-    dual_upper = np.array(rows["dual"][1])
+    hull_lower, hull_upper = _greedy_brackets(hull_D, k_list)
+    dual_lower, dual_upper = _greedy_brackets(dual_D, k_list)
 
     s_hull_lo = float(np.power(hull_lower, p_exp).sum())
     s_hull_hi = float(np.power(hull_upper, p_exp).sum())

@@ -125,13 +125,6 @@ def _project(f, fnorm, support, dictionary, tol, warm):
     return res.x * fnorm
 
 
-def _residual_norm(f, support, coeffs, dictionary):
-    space = dictionary.space
-    if not len(support):
-        return norm(space, f)
-    return norm(space, f - dictionary.atoms[:, list(support)] @ coeffs)
-
-
 def best_mterm_bruteforce(f: np.ndarray, dictionary: Dictionary,
                           m: int) -> SparseApproximant:
     """Exact best m-term approximation by enumerating all supports.
@@ -153,7 +146,7 @@ def best_mterm_bruteforce(f: np.ndarray, dictionary: Dictionary,
     for combo in itertools.combinations(range(n), m):
         support = list(combo)
         coeffs = _project(f, fnorm, support, dictionary, _PROJECT_TOL, None)
-        r = _residual_norm(f, support, coeffs, dictionary)
+        r = norm(dictionary.space, f - dictionary.atoms[:, support] @ coeffs)
         if best is None or r < best[2]:
             best = (support, coeffs, r)
     support, coeffs, r = best

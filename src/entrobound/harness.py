@@ -3,8 +3,11 @@
 Every experiment is a pure function of (config, seed): runners draw all
 randomness from seeded generators, reports carry no timestamps, and
 floats are emitted via ``repr``, so identical configs produce
-byte-identical files.  ``fit_envelope`` does the log-log regressions
-every scaling claim rests on and always reports its residual.
+byte-identical files.  Runners return columns, findings and summary
+lines; ``run`` frames them into a ``Report`` whose metadata adds the
+seed, the experiment's scalar fields and the package version.
+``fit_envelope`` does the log-log regressions every scaling claim rests
+on and always reports its residual.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import io
 import json
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from enum import Enum
 from importlib import metadata as _importlib_metadata
 
@@ -28,9 +31,9 @@ from .discretization import (
     random_subspace,
 )
 from .entropy import (
+    _envelope_ratio,
     ball_entropy_experiment,
     duality_sum_check,
-    log_ratio_envelope,
     octahedron_cover_profile,
 )
 from .errors import ConfigValidationError
@@ -72,16 +75,6 @@ class FitResult:
     points_used: int
     k_range: tuple[int, int]
     model: str
-
-    def to_json(self) -> dict:
-        return {
-            "exponent": self.exponent,
-            "constant": self.constant,
-            "residual_rms": self.residual_rms,
-            "points_used": self.points_used,
-            "k_range": list(self.k_range),
-            "model": self.model,
-        }
 
 
 def fit_envelope(table, n: int | None = None,
@@ -315,19 +308,16 @@ def _float_list(values) -> list[float]:
 # ---------------------------------------------------------------------------
 # runners
 
-def _run_sigma_decay(cfg: ExperimentConfig) -> Report:
+def _run_sigma_decay(cfg: ExperimentConfig) -> tuple[dict, dict, list]:
     dictionary = canonical_dictionary(cfg.n, cfg.q)
     drawn = sample_octahedron(dictionary, cfg.samples, cfg.seed)
     profile = sigma_profile([s["vector"] for s in drawn], dictionary, cfg.m_list)
     fit = fit_envelope((profile.m_list, profile.values), model=FitModel.POWER_M)
     theory = 1.0 / cfg.q - 1.0
-    return Report(
-        experiment=cfg.experiment,
-        columns={"m": list(cfg.m_list), "sigma": _float_list(profile.values)},
-        metadata={"seed": cfg.seed, "q": cfg.q, "n": cfg.n,
-                  "samples": cfg.samples, "fit": fit.to_json(),
-                  "theory_exponent": theory},
-        summary=[
+    return (
+        {"m": list(cfg.m_list), "sigma": _float_list(profile.values)},
+        {"samples": cfg.samples, "fit": asdict(fit), "theory_exponent": theory},
+        [
             f"greedy m-term decay on the {cfg.n}-atom hull, q = {cfg.q}",
             f"max residual over {cfg.samples} samples at m = {list(cfg.m_list)}",
             f"fitted exponent {fit.exponent:.4f} (theory {theory:.4f}), "
@@ -335,55 +325,49 @@ def _run_sigma_decay(cfg: ExperimentConfig) -> Report:
         ])
 
 
-def _run_ball_entropy(cfg: ExperimentConfig) -> Report:
+def _run_ball_entropy(cfg: ExperimentConfig) -> tuple[dict, dict, list]:
     result = ball_entropy_experiment(cfg.p, cfg.n, cfg.k_list,
                                      sample_size=cfg.samples, seed=cfg.seed)
     profile = result.profile
-    ks = np.asarray(profile.k_list, dtype=float)
-    envelope = log_ratio_envelope(cfg.n, ks, 1.0 / cfg.p)
-    ratio = profile.upper / envelope
-    spread = float(ratio.max() / ratio.min())
-    return Report(
-        experiment=cfg.experiment,
-        columns={
+    envelope, ratio, spread = _envelope_ratio(profile.upper, cfg.n, profile.k_list,
+                                              1.0 / cfg.p, 1.0)
+    return (
+        {
             "k": profile.k_list,
             "lower": _float_list(profile.lower),
             "upper": _float_list(profile.upper),
             "envelope": _float_list(envelope),
             "ratio": _float_list(ratio),
         },
-        metadata={"seed": cfg.seed, "p": cfg.p, "n": cfg.n,
-                  "samples": result.sample_size,
-                  "upper_source": profile.upper_source,
-                  "lower_source": profile.lower_source,
-                  "ratio_spread": spread, "trivial_bound": 1.0},
-        summary=[
+        {"samples": result.sample_size,
+         "upper_source": profile.upper_source,
+         "lower_source": profile.lower_source,
+         "ratio_spread": spread, "trivial_bound": 1.0},
+        [
             f"unit ball of l_{cfg.p} in dimension {cfg.n}, max-norm entropy",
             f"upper/envelope ratio spread {spread:.3f} over k = {profile.k_list}",
             f"max upper entry {float(np.max(profile.upper))!r} (trivial bound 1)",
         ])
 
 
-def _run_duality_check(cfg: ExperimentConfig) -> Report:
+def _run_duality_check(cfg: ExperimentConfig) -> tuple[dict, dict, list]:
     dictionary = canonical_dictionary(cfg.n, cfg.q)
     report = duality_sum_check(dictionary, cfg.m, sample_size=cfg.samples,
                                seed=cfg.seed)
     lo, hi = report.ratio_interval
-    return Report(
-        experiment=cfg.experiment,
-        columns={
+    return (
+        {
             "k": report.k_list,
             "hull_lower": _float_list(report.hull_lower),
             "hull_upper": _float_list(report.hull_upper),
             "dual_lower": _float_list(report.dual_lower),
             "dual_upper": _float_list(report.dual_upper),
         },
-        metadata={"seed": cfg.seed, "q": cfg.q, "n": cfg.n, "m": cfg.m,
-                  "p_exponent": report.p_exponent,
-                  "ratio_interval": [lo, hi],
-                  "contains_one": report.contains_one,
-                  "flagged": report.flagged, "status": report.status},
-        summary=[
+        {"p_exponent": report.p_exponent,
+         "ratio_interval": [lo, hi],
+         "contains_one": report.contains_one,
+         "flagged": report.flagged, "status": report.status},
+        [
             f"entropy sum duality on {cfg.n} canonical atoms, q = {cfg.q}, "
             f"p = q'/2 = {report.p_exponent}",
             f"ratio interval [{lo!r}, {hi!r}], contains 1: {report.contains_one}",
@@ -391,7 +375,7 @@ def _run_duality_check(cfg: ExperimentConfig) -> Report:
         ])
 
 
-def _run_mp_duality(cfg: ExperimentConfig) -> Report:
+def _run_mp_duality(cfg: ExperimentConfig) -> tuple[dict, dict, list]:
     rng = np.random.default_rng(cfg.seed)
     rows = {"trial": [], "seed": [], "uniform": [], "direct": [], "dual": [],
             "gap": []}
@@ -416,14 +400,10 @@ def _run_mp_duality(cfg: ExperimentConfig) -> Report:
         rows["direct"].append(float(direct))
         rows["dual"].append(float(dual))
         rows["gap"].append(float(gap))
-    return Report(
-        experiment=cfg.experiment,
-        columns=rows,
-        metadata={"seed": cfg.seed, "p": cfg.p,
-                  "subspace_dim": cfg.subspace_dim,
-                  "support_size": cfg.support_size, "trials": cfg.trials,
-                  "max_gap": max_gap},
-        summary=[
+    return (
+        rows,
+        {"max_gap": max_gap},
+        [
             f"uniform-norm constant by two routes on {cfg.trials} random "
             f"subspaces (dim {cfg.subspace_dim} of {cfg.support_size} points, "
             f"p = {cfg.p})",
@@ -431,7 +411,7 @@ def _run_mp_duality(cfg: ExperimentConfig) -> Report:
         ])
 
 
-def _run_it1(cfg: ExperimentConfig) -> Report:
+def _run_it1(cfg: ExperimentConfig) -> tuple[dict, dict, list]:
     rng = np.random.default_rng(cfg.seed)
     sub = random_subspace(cfg.subspace_dim, cfg.support_size,
                           int(rng.integers(2 ** 31)))
@@ -440,21 +420,17 @@ def _run_it1(cfg: ExperimentConfig) -> Report:
     result = it1_experiment(sub, pts, cfg.p, cfg.k_list, seed=cfg.seed,
                             cover_sample_size=cfg.samples)
     profile = result.profile
-    return Report(
-        experiment=cfg.experiment,
-        columns={
+    return (
+        {
             "k": profile.k_list,
             "lower": _float_list(profile.lower),
             "upper": _float_list(profile.upper),
             "envelope": _float_list(result.envelope),
             "ratio": _float_list(result.upper_ratio),
         },
-        metadata={"seed": cfg.seed, "p": cfg.p,
-                  "subspace_dim": cfg.subspace_dim,
-                  "support_size": cfg.support_size, "n": cfg.n,
-                  "m_p": result.m_p, "ratio_spread": result.spread,
-                  "upper_source": profile.upper_source},
-        summary=[
+        {"m_p": result.m_p, "ratio_spread": result.spread,
+         "upper_source": profile.upper_source},
+        [
             f"subspace ball entropy in the {cfg.n}-point seminorm "
             f"(dim {cfg.subspace_dim} of {cfg.support_size}, p = {cfg.p})",
             f"M_p = {result.m_p!r}",
@@ -462,32 +438,27 @@ def _run_it1(cfg: ExperimentConfig) -> Report:
         ])
 
 
-def _run_it2_octahedron(cfg: ExperimentConfig) -> Report:
+def _run_it2_octahedron(cfg: ExperimentConfig) -> tuple[dict, dict, list]:
     dictionary = canonical_dictionary(cfg.n, cfg.q)
     octa = Octahedron(dictionary)
     certs = octahedron_cover_profile(octa, cfg.k_list, seed=cfg.seed,
                                      sample_size=cfg.samples)
     ks = list(cfg.k_list)
     radii = np.array([certs[k].radius for k in ks])
-    envelope = log_ratio_envelope(cfg.n, np.asarray(ks, dtype=float),
-                                  1.0 - 1.0 / cfg.q)
-    ratio = radii / envelope
-    spread = float(ratio.max() / ratio.min())
+    envelope, ratio, spread = _envelope_ratio(radii, cfg.n, ks, 1.0 - 1.0 / cfg.q, 1.0)
     counts = [certs[k].count_bound for k in ks]
-    return Report(
-        experiment=cfg.experiment,
-        columns={
+    return (
+        {
             "k": ks,
             "radius": _float_list(radii),
             "count_bound": counts,
             "envelope": _float_list(envelope),
             "ratio": _float_list(ratio),
         },
-        metadata={"seed": cfg.seed, "q": cfg.q, "n": cfg.n,
-                  "samples": cfg.samples,
-                  "m_used": [certs[k].extra.get("m") for k in ks],
-                  "ratio_spread": spread},
-        summary=[
+        {"samples": cfg.samples,
+         "m_used": [certs[k].extra.get("m") for k in ks],
+         "ratio_spread": spread},
+        [
             f"constructive covers of the {cfg.n}-atom hull, q = {cfg.q}",
             f"radii {[float(r) for r in radii]} at k = {ks}",
             f"upper/envelope ratio spread {spread:.3f}",
@@ -543,7 +514,12 @@ def run(config: ExperimentConfig) -> tuple[Report, str]:
     """
     cfg = config.resolved()
     cfg.validate()
-    report = _REGISTRY[cfg.experiment].runner(cfg)
-    report.metadata["version"] = _VERSION
+    entry = _REGISTRY[cfg.experiment]
+    columns, findings, summary = entry.runner(cfg)
+    # runners that report a sample size put it among their findings
+    metadata = {name: getattr(cfg, name) for name in ("seed", *entry.fields)
+                if name != "samples" and not name.endswith("_list")}
+    metadata.update(findings, version=_VERSION)
+    report = Report(cfg.experiment, columns, metadata, summary)
     text = emit(report, cfg.format, cfg.out)
     return report, text

@@ -144,11 +144,16 @@ def test_m_p_routes_agree():
 
 
 def test_m_p_rejects_small_exponents():
+    # a non-finite p is a bad input too, not a solve that fails to converge
     sub = random_subspace(2, 8, seed=13)
-    with pytest.raises(ValueError):
-        m_p_direct(sub, 1.5)
-    with pytest.raises(ValueError):
-        m_p_dual(sub, 1.5)
+    pts = SamplePointSet(np.arange(4))
+    for p in (1.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite p >= 2"):
+            m_p_direct(sub, p)
+        with pytest.raises(ValueError, match="finite p >= 2"):
+            m_p_dual(sub, p)
+        with pytest.raises(ValueError, match="finite p >= 2"):
+            it1_experiment(sub, pts, p, [2])
 
 
 def _complement_route(sub, x, p, tol):

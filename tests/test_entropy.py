@@ -309,6 +309,10 @@ def test_entropy_profile_enforces_monotone_envelopes():
     with pytest.raises(CertificateError):
         EntropyProfile.build([1, 2], [0.5, 2.0], [1.0, 1.0],
                              ["packing", "packing"], ["exact", "exact"])
+    # a NaN upper passes every comparison, so it must be refused outright
+    with pytest.raises(ValueError, match="finite"):
+        EntropyProfile.build([1, 2], [0.1, 0.4], [1.0, math.nan],
+                             ["packing", "packing"], ["exact", "exact"])
 
 
 @given(st.lists(st.tuples(st.sampled_from([0.0, 0.25, 0.5]),
@@ -845,6 +849,9 @@ def test_ball_entropy_brackets_the_segment():
 def test_ball_entropy_validation():
     with pytest.raises(ValueError):
         ball_entropy_experiment(1.5, 4, [2])
+    for p in (math.nan, math.inf):  # NaN once slipped through as NaN uppers
+        with pytest.raises(ValueError, match="finite p >= 2"):
+            ball_entropy_experiment(p, 8, [3, 8], sample_size=64)
     with pytest.raises(ValueError):
         ball_entropy_experiment(2.0, 4, [5])
     with pytest.raises(ValueError):

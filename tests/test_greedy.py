@@ -26,6 +26,7 @@ from entrobound import (
     sample_octahedron,
     sequence_space,
     sigma_profile,
+    smoothness_bound,
     wcga,
 )
 
@@ -181,19 +182,24 @@ def test_chebyshev_project_matches_least_squares_for_q2():
     assert coeffs == pytest.approx(direct, abs=1e-10)
 
 
-@pytest.mark.parametrize("q", [1.5, 3.0])
+@pytest.mark.parametrize("q", [1.5, 2.0, 3.0])
 def test_chebyshev_project_satisfies_first_order_optimality(q):
     from entrobound import norming_functional, pair
 
-    d = _random_unit_dictionary(5, 9, q, seed=18)
+    plain = _random_unit_dictionary(5, 9, q, seed=18)
+    # uneven weights tell the weighted projection from the plain one,
+    # at q = 2 too, where the projection is a least-squares solve
+    space = discrete_space(np.array([0.1, 0.15, 0.2, 0.25, 0.3]), q)
+    weighted = Dictionary(plain.atoms / [norm(space, a) for a in plain.atoms.T], space)
     f = np.random.default_rng(19).standard_normal(5)
     support = [1, 4, 6]
-    coeffs = chebyshev_project(f, support, d, tol=1e-12)
-    residual = f - d.atoms[:, support] @ coeffs
-    F = norming_functional(d.space, residual)
-    # at the minimizer the residual's norming functional kills the span
-    for j in support:
-        assert abs(pair(d.space, F, d.atoms[:, j])) <= 1e-6
+    for d in (plain, weighted):
+        coeffs = chebyshev_project(f, support, d, tol=1e-12)
+        residual = f - d.atoms[:, support] @ coeffs
+        F = norming_functional(d.space, residual)
+        # at the minimizer the residual's norming functional kills the span
+        for j in support:
+            assert abs(pair(d.space, F, d.atoms[:, j])) <= 1e-6
 
 
 def test_chebyshev_project_recovers_span_members():
@@ -230,6 +236,26 @@ def test_bruteforce_budget_guard():
 # ---------------------------------------------------------------------------
 # the greedy rate
 
+def _rate_case(dim, count, coordinate, weighted, q, seed):
+    """A dictionary of unit atoms and a nonzero f in their span, from the seed."""
+    rng = np.random.default_rng(seed)
+    if weighted:
+        w = rng.uniform(0.2, 1.0, dim)
+        space = discrete_space(w / w.sum(), q)
+    else:
+        space = sequence_space(dim, q)
+    if coordinate:  # signed coordinate vectors, scaled to unit norm
+        atoms = np.diag(rng.choice([-1.0, 1.0], dim))
+    else:
+        atoms = rng.standard_normal((dim, count))
+    atoms = atoms / [norm(space, a) for a in atoms.T]
+    d = Dictionary(atoms, space)
+    c = rng.standard_normal(d.size) * (rng.random(d.size) < rng.uniform(0.1, 1.0))
+    f = atoms @ c
+    assume(norm(space, f) > 0.0)
+    return d, f
+
+
 @given(dim=st.integers(2, 12), count=st.integers(2, 24), coordinate=st.booleans(),
        weighted=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
 def test_orthogonal_greedy_meets_the_hilbert_rate(dim, count, coordinate, weighted, seed):
@@ -242,24 +268,45 @@ def test_orthogonal_greedy_meets_the_hilbert_rate(dim, count, coordinate, weight
     a_m <= a_{m-1} (1 - a_{m-1} / A^2), and a_0 <= A^2 gives
     a_m <= A^2 / (m + 1) by induction.
     """
-    rng = np.random.default_rng(seed)
-    if weighted:
-        w = rng.uniform(0.2, 1.0, dim)
-        space = discrete_space(w / w.sum(), 2.0)
-    else:
-        space = sequence_space(dim, 2.0)
-    if coordinate:  # signed coordinate vectors, scaled to unit norm
-        atoms = np.diag(rng.choice([-1.0, 1.0], dim))
-    else:
-        atoms = rng.standard_normal((dim, count))
-    atoms = atoms / [norm(space, a) for a in atoms.T]
-    d = Dictionary(atoms, space)
-    c = rng.standard_normal(d.size) * (rng.random(d.size) < rng.uniform(0.1, 1.0))
-    f = atoms @ c
-    assume(norm(space, f) > 0.0)
+    d, f = _rate_case(dim, count, coordinate, weighted, 2.0, seed)
     bound = norm_A(f, d)
     for m, residual in enumerate(wcga(f, d, d.size).history):
         assert residual <= bound / math.sqrt(m + 1) * (1.0 + 1e-12)
+
+
+@given(dim=st.integers(2, 12), count=st.integers(2, 24), coordinate=st.booleans(),
+       weighted=st.booleans(), q=st.sampled_from([4.0 / 3.0, 1.5, 1.9]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_chebyshev_greedy_meets_the_smooth_space_rate(dim, count, coordinate,
+                                                       weighted, q, seed):
+    """||f_m|| <= C(q, gamma) |f|_{A_1} (1 + m)^(1/q - 1) for q in (1, 2).
+
+    This is the WCGA rate in a space whose modulus of smoothness obeys
+    rho(u) <= gamma u^q (Temlyakov, *Greedy Approximation*, 2011); here
+    gamma = 1/q, read off ``smoothness_bound``.  With x_m = ||f_m||,
+    A = |f|_{A_1} and p = q / (q - 1): the norming functional F of
+    f_{m-1} kills its approximant, so x_{m-1} = F(f) <= A max_g |F(g)|,
+    and the chosen atom g, signed so that F(g) >= 0, has F(g) >= x_{m-1} / A.
+    Projecting onto a span that holds g does at least as well as a step
+    along g, so for every lambda > 0, by the definition of rho,
+
+        x_m <= ||f_{m-1} - lambda g||
+            <= 2 x_{m-1} (1 + rho(lambda / x_{m-1})) - F(f_{m-1} + lambda g)
+            <= x_{m-1} (1 - lambda / A + 2 gamma (lambda / x_{m-1})^q).
+
+    The best lambda gives x_m <= x_{m-1} (1 - c (x_{m-1} / A)^p), with
+    c = (2 gamma q)^(1 - p) / p < 1.  So b_m = (x_m / A)^p has
+    b_m <= b_{m-1} (1 - c b_{m-1}), hence 1 / b_m >= 1 / b_{m-1} + c,
+    and b_0 <= 1 gives 1 / b_m >= 1 + c m >= c (1 + m).  Therefore
+    C = c^(-1/p) = (p (2 gamma q)^(p - 1))^(1/p), since -1/p = 1/q - 1.
+    """
+    d, f = _rate_case(dim, count, coordinate, weighted, q, seed)
+    gamma = smoothness_bound(d.space, 1.0)
+    p = q / (q - 1.0)
+    C = (p * (2.0 * gamma * q) ** (p - 1.0)) ** (1.0 / p)
+    bound = C * norm_A(f, d)
+    for m, residual in enumerate(wcga(f, d, d.size).history):
+        assert residual <= bound * (1.0 + m) ** (1.0 / q - 1.0) * (1.0 + 1e-12)
 
 
 # ---------------------------------------------------------------------------
