@@ -26,10 +26,14 @@ minimizes a p-th power over an affine slice of coefficients (d - 1
 unknowns for a d-dimensional subspace), the dual one a p'-th power
 (p' in (1, 2]) over the functions g on the N points that represent
 evaluation, B^T(mu g) = B[x], each Newton step solving one d x d Schur
-system.  Both use the stage loop of the shared smoothed-Newton solver,
-the direct problem in its residual form and the dual one in its
-constrained form; p = 2 short-circuits to closed forms, where w_j is
-the kernel row D(x^j, .).
+system.  Both use the shared smoothed-Newton solver, the direct problem
+in its slice form and the dual one in its constrained form.  Every
+support point poses one problem of the same shape, so each route solves
+all N of them as one stack in the solver's masked stage loop: a serial
+solve of one such problem is bound by numpy call overhead, not flops.
+Each point keeps its own iterations, and a failed solve names its
+support point.  p = 2 short-circuits to closed forms, where w_j is the
+kernel row D(x^j, .).
 """
 
 from __future__ import annotations
@@ -38,9 +42,12 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import null_space
 
-from ._optim import minimize_power_constrained, minimize_power_residual
+from ._optim import (
+    minimize_power_constrained,
+    minimize_power_residual,  # unused here; perfbench/tracing.py wraps it by this name
+    minimize_power_sliced,
+)
 from .entropy import (
     EntropyProfile,
     PointwiseMaxMetric,
@@ -160,28 +167,19 @@ class SamplePointSet:
 # ---------------------------------------------------------------------------
 # the uniform-norm constant, two ways
 
-def _direct_point_solve(sub: Subspace, x: int, p: float,
-                        tol: float) -> tuple[float, np.ndarray | None]:
-    """max { f(x) : f in the subspace, ||f||_p <= 1 }, with the extremal f*.
+def _direct_solves(sub: Subspace, p: float,
+                   tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """max { f(x) : f in the subspace, ||f||_p <= 1 } at every point x, with the extremals.
 
-    f* = B(c0 + Z y*) minimizes ||f||_p over subspace elements with
-    f(x) = 1, so the point value is 1 / ||f*||_p.  f* is None when
-    every subspace element vanishes at x.
+    The extremal f* = B c* minimizes ||f||_p over subspace elements with
+    f(x) = 1, that is over the c with B[x] . c = 1, so the point value
+    is 1 / ||f*||_p.  Returns the point values and the coefficient rows
+    c*, one per support point, from one stacked slice-form solve.  Where
+    every subspace element vanishes, the point value is 0 and c* is zero.
     """
-    a = sub.basis[x]
-    scale = float(np.linalg.norm(a))
-    if scale == 0.0:
-        return 0.0, None
-    B = sub.basis
-    mu = sub.measure.weights
-    c0 = a / scale ** 2
-    Z = null_space(a[None, :])
-    if Z.shape[1] == 0:  # one-dimensional subspace
-        f = B @ c0
-        return 1.0 / sub.measure.norm(f, p), f
-    # minimal ||f||_p^p over the slice f = B(c0 + Zy), via the residual form
-    res = minimize_power_residual(B @ Z, -(B @ c0), mu, p, decrement_tol=tol)
-    return float(res.value ** (-1.0 / p)), B @ (c0 + Z @ res.x)
+    res = minimize_power_sliced(sub.basis, sub.basis, sub.measure.weights, p,
+                                decrement_tol=tol)
+    return res.value ** (-1.0 / p), res.x  # the value inf of a vanishing point gives 0
 
 
 def m_p_direct(sub: Subspace, p: float) -> float:
@@ -189,34 +187,37 @@ def m_p_direct(sub: Subspace, p: float) -> float:
 
     Per support point, maximizing f(x) over the L_p ball is the smooth
     convex problem of minimizing ||f||_p^p over an affine coefficient
-    slice; p = 2 collapses to the closed form sqrt(D(x, x)).
+    slice; all points are solved as one stack.  p = 2 collapses to the
+    closed form sqrt(D(x, x)).
     """
     _validate_p(p)
     if p == 2:
         return float(np.sqrt((sub.basis ** 2).sum(axis=1).max()))
-    return max(_direct_point_solve(sub, x, p, _MP_TOL)[0]
-               for x in range(sub.support_size))
+    return float(_direct_solves(sub, p, _MP_TOL)[0].max())
 
 
-def _dual_point_solve(sub: Subspace, x: int, p: float,
-                      tol: float) -> tuple[float, np.ndarray]:
-    """min ||g||_{p'} over the representers g of evaluation at x, with the minimizer.
+def _dual_solves(sub: Subspace, p: float,
+                 tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """min ||g||_{p'} over the representers g of evaluation at every point, with the minimizers.
 
     A representer reproduces evaluation on the subspace, B^T(mu g) = B[x].
     The kernel row D(x, .) is one, because the basis is mu-orthonormal,
-    and the others differ from it by the complement's elements.  The
-    constrained solve starts there, with constraint matrix C = mu B, so
-    each Newton step solves one d x d Schur system.  A full space has
-    that row as its only representer.
+    and the others differ from it by the complement's elements.  One
+    stacked constrained solve starts every point at its kernel row, with
+    constraint matrix C = mu B, so each Newton step solves one d x d
+    Schur system per point.  A point where every subspace element
+    vanishes has the zero kernel row, which is the minimizer, and takes
+    no solve.  A full space has each kernel row as its only representer.
+    Returns the norms and the minimizers, one row per support point.
     """
     mu = sub.measure.weights
-    Dx = sub._kernel[x]
+    K = sub._kernel
     pp = p / (p - 1.0)
     if sub.dim == sub.support_size:
-        return sub.measure.norm(Dx, pp), Dx.copy()
-    res = minimize_power_constrained(mu[:, None] * sub.basis, Dx, mu, pp,
+        return (np.abs(K) ** pp @ mu) ** (1.0 / pp), K.copy()
+    res = minimize_power_constrained(mu[:, None] * sub.basis, K, mu, pp,
                                      decrement_tol=tol)
-    return float(res.value ** (1.0 / pp)), res.x
+    return res.value ** (1.0 / pp), res.x
 
 
 def m_p_dual(sub: Subspace, p: float) -> float:
@@ -225,20 +226,19 @@ def m_p_dual(sub: Subspace, p: float) -> float:
     For each point, the norm of the evaluation functional equals the
     least L_{p'} norm of a representer g of evaluation, B^T(mu g) = B[x]:
     the distance from the kernel section D(x, .) to the orthogonal
-    complement of the subspace.  Each point is one constrained solve
-    started at D(x, .); a point where every subspace element vanishes
-    has the zero representer and takes no solve.  Agreement with
-    ``m_p_direct``, which solves the primal problem, is the duality
-    cross-check.  p = 2 collapses to ||D(x, .)||_2, the Hilbert
-    projection onto the complement being zero.
+    complement of the subspace.  Each point is one constrained problem
+    started at D(x, .), and all points are solved as one stack; a point
+    where every subspace element vanishes has the zero representer and
+    takes no solve.  Agreement with ``m_p_direct``, which solves the
+    primal problem, is the duality cross-check.  p = 2 collapses to
+    ||D(x, .)||_2, the Hilbert projection onto the complement being zero.
     """
     _validate_p(p)
     if p == 2:
         mu = sub.measure.weights
         K = sub._kernel
         return float(np.sqrt(((K ** 2) @ mu).max()))
-    return max(_dual_point_solve(sub, x, p, _MP_TOL)[0]
-               for x in range(sub.support_size))
+    return float(_dual_solves(sub, p, _MP_TOL)[0].max())
 
 
 # ---------------------------------------------------------------------------
@@ -286,10 +286,10 @@ def build_discretization_dictionary(sub: Subspace, pts: SamplePointSet,
                                     p: float) -> DiscretizationDictionary:
     """Assemble the evaluation representers w_j and g_j for the sample points.
 
-    For p != 2 the direct route builds everything: one direct solve per
-    support point gives M_p as the largest point value, and at each
-    sample point x the extremal f* yields the Hahn-Banach representer
-    w = |f*|^(p-2) f* / ||f*||_p^p, whose L_{p'} norm is the norm of
+    For p != 2 the direct route builds everything: one stacked direct
+    solve over the support points gives M_p as the largest point value,
+    and at each sample point x the extremal f* yields the Hahn-Banach
+    representer w = |f*|^(p-2) f* / ||f*||_p^p, whose L_{p'} norm is the norm of
     the evaluation functional, followed by one projection that makes it
     reproduce evaluation to round-off.  The dual minimal-norm
     representer route (``m_p_dual``) stays the independent cross-check.
@@ -307,11 +307,10 @@ def build_discretization_dictionary(sub: Subspace, pts: SamplePointSet,
         m_p = m_p_dual(sub, p)
         w_rows = [sub._kernel[x].copy() for x in pts.indices]
     else:
-        solves = [_direct_point_solve(sub, x, p, _REPRESENTER_TOL)
-                  for x in range(sub.support_size)]
-        m_p = max(value for value, _ in solves)
-        w_rows = [np.zeros(sub.support_size) if solves[x][1] is None
-                  else _representer(sub, x, solves[x][1], p)
+        values, coefs = _direct_solves(sub, p, _REPRESENTER_TOL)
+        m_p = float(values.max())
+        w_rows = [np.zeros(sub.support_size) if values[x] == 0.0
+                  else _representer(sub, x, sub.basis @ coefs[x], p)
                   for x in pts.indices]
 
     w_norms = []

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.linalg import null_space
 
@@ -15,6 +15,7 @@ from entrobound import (
     DimensionMismatchError,
     GramDefectError,
     MeasureSpace,
+    NonConvergenceError,
     PropertyViolationError,
     SamplePointSet,
     Subspace,
@@ -28,7 +29,7 @@ from entrobound import (
     random_subspace,
     verify_transfer,
 )
-from entrobound.discretization import _direct_point_solve, _dual_point_solve
+from entrobound.discretization import _direct_solves, _dual_solves, _representer
 
 
 # ---------------------------------------------------------------------------
@@ -156,12 +157,36 @@ def test_m_p_rejects_small_exponents():
             it1_experiment(sub, pts, p, [2])
 
 
+def _direct_point_solve(sub, x, p, tol):
+    """Reference direct solve at one point: max f(x) over the L_p unit ball.
+
+    f* = B(c0 + Z y*) minimizes ||f||_p over subspace elements with
+    f(x) = 1, with Z a basis of the null space of B[x], so the point
+    value is 1 / ||f*||_p; the p-th power is minimized over y by the
+    serial residual form.  f* is None when every subspace element
+    vanishes at x.
+    """
+    a = sub.basis[x]
+    scale = float(np.linalg.norm(a))
+    if scale == 0.0:
+        return 0.0, None
+    B = sub.basis
+    c0 = a / scale ** 2
+    Z = null_space(a[None, :])
+    if Z.shape[1] == 0:  # one-dimensional subspace
+        f = B @ c0
+        return 1.0 / sub.measure.norm(f, p), f
+    res = optim.minimize_power_residual(B @ Z, -(B @ c0), sub.measure.weights, p,
+                                        decrement_tol=tol)
+    return float(res.value ** (-1.0 / p)), B @ (c0 + Z @ res.x)
+
+
 def _complement_route(sub, x, p, tol):
     """Reference dual solve: the distance from D(x, .) to the complement.
 
     The complement of the subspace gets an orthonormal basis in the
     half-weighted frame, and the p'-th power is minimized over its
-    N - d coefficients by the residual form.
+    N - d coefficients by the serial residual form.
     """
     mu = sub.measure.weights
     Dx = sub._kernel[x]
@@ -174,16 +199,79 @@ def _complement_route(sub, x, p, tol):
     return res.value ** (1.0 / pp)
 
 
+def _dual_point_solve(sub, x, p, tol):
+    """Reference dual solve at one point: the constrained problem, serially.
+
+    min ||g||_{p'} over the representers g of evaluation at x, started
+    at the kernel row D(x, .) with constraint matrix C = mu B, by the
+    serial stage loop with one Schur system C^T diag(1/h) C per step.
+    Returns the norm and the minimizer.
+    """
+    mu = sub.measure.weights
+    Dx = sub._kernel[x]
+    pp = p / (p - 1.0)
+    scale = float(np.abs(Dx).max())
+    if sub.dim == sub.support_size or scale == 0.0:
+        return sub.measure.norm(Dx, pp), Dx
+    C = mu[:, None] * sub.basis
+
+    def direction(u, h):
+        HC = C / h[:, None]
+        step = HC @ optim._spd_solve(C.T @ HC, HC.T @ u) - u / h
+        return step, -float(u @ step)
+
+    def trial(g, t, d):
+        return g + t * d, g + t * d
+
+    res = optim._smoothed_newton(direction, trial, Dx / scale, Dx / scale, mu, pp,
+                                 scale, tol)
+    return res.value ** (1.0 / pp), res.x
+
+
+def _weighted(size, seed):
+    w = np.random.default_rng(seed).uniform(0.5, 1.5, size)
+    return MeasureSpace(w / w.sum())
+
+
 @st.composite
 def _subspaces(draw):
     dim = draw(st.integers(1, 5))
     size = draw(st.integers(max(dim, 2), 24))
     seed = draw(st.integers(0, 2 ** 31 - 1))
-    measure = None
-    if draw(st.booleans()):
-        w = np.random.default_rng(seed).uniform(0.5, 1.5, size)
-        measure = MeasureSpace(w / w.sum())
+    measure = _weighted(size, seed) if draw(st.booleans()) else None
     return random_subspace(dim, size, seed, measure=measure)
+
+
+def _close_rows(rows, reference, rel):
+    """Each row within rel times its reference row's largest entry."""
+    for row, ref in zip(rows, reference):
+        assert np.abs(row - ref).max() <= rel * np.abs(ref).max()
+
+
+@example(sub=random_subspace(1, 9, seed=3), p=3.0)
+@example(sub=random_subspace(1, 7, seed=6, measure=_weighted(7, 6)), p=2.5)
+@example(sub=random_subspace(5, 5, seed=4), p=4.0)
+@example(sub=random_subspace(6, 6, seed=5, measure=_weighted(6, 5)), p=2.5)
+@given(sub=_subspaces(), p=st.sampled_from([2.5, 3.0, 4.0]))
+def test_batched_solves_match_the_per_point_references(sub, p):
+    # both stacked routes against serial solves of the same problems, one
+    # point at a time: the drawn subspaces, lines (d = 1) and full spaces
+    points = range(sub.support_size)
+    values, coefs = _direct_solves(sub, p, 1e-15)
+    direct = [_direct_point_solve(sub, x, p, 1e-15) for x in points]
+    assert values == pytest.approx([value for value, _ in direct], rel=1e-12)
+    extremals = [f for _, f in direct]
+    _close_rows(coefs @ sub.basis.T, extremals, 1e-9)
+    ddict = build_discretization_dictionary(sub, SamplePointSet(np.arange(len(points))), p)
+    _close_rows(ddict.w_vectors, [_representer(sub, x, extremals[x], p) for x in points],
+                1e-9)
+    norms, minimizers = _dual_solves(sub, p, 1e-15)
+    dual = [_dual_point_solve(sub, x, p, 1e-15) for x in points]
+    assert norms == pytest.approx([value for value, _ in dual], rel=1e-12)
+    # at p' < 2 the Newton decrement stalls near 1e-15 on round-off, which
+    # pins the dual minimizer only to about its square root: two solves that
+    # round differently stop up to 5.5e-8 apart (300 random subspaces)
+    _close_rows(minimizers, [g for _, g in dual], 1e-6)
 
 
 @given(sub=_subspaces(), p=st.sampled_from([2.5, 3.0, 4.0]))
@@ -195,8 +283,9 @@ def test_dual_minimizer_satisfies_the_kkt_conditions(sub, p):
     mu = sub.measure.weights
     B = sub.basis
     pp = p / (p - 1.0)
+    norms, minimizers = _dual_solves(sub, p, 1e-15)
     for x in range(sub.support_size):
-        value, g = _dual_point_solve(sub, x, p, 1e-15)
+        value, g = norms[x], minimizers[x]
         scale = float(np.abs(sub._kernel[x]).max())
         assert np.abs(B.T @ (mu * g) - B[x]).max() <= 1e-10 * scale
         grad = np.sign(g) * np.abs(g) ** (pp - 1.0)
@@ -206,24 +295,68 @@ def test_dual_minimizer_satisfies_the_kkt_conditions(sub, p):
         assert value == pytest.approx(_complement_route(sub, x, p, 1e-15), rel=1e-12)
 
 
+def _vanishing_at(x):
+    """Two basis functions on five points that both vanish at point x."""
+    u = np.array([1.0, -1.0, 1.0, -1.0]) * math.sqrt(5.0 / 4.0)
+    v = np.array([1.0, 1.0, -1.0, -1.0]) * math.sqrt(5.0 / 4.0)
+    basis = np.insert(np.column_stack([u, v]), x, 0.0, axis=0)
+    return Subspace(MeasureSpace.uniform(5), basis)
+
+
 def test_dual_route_is_zero_without_a_solve_where_every_function_vanishes(monkeypatch):
     # both basis functions vanish at the last point, so every subspace
     # element does, and the zero representer is the minimizer there
-    u = np.array([1.0, -1.0, 1.0, -1.0, 0.0]) * math.sqrt(5.0 / 4.0)
-    v = np.array([1.0, 1.0, -1.0, -1.0, 0.0]) * math.sqrt(5.0 / 4.0)
-    sub = Subspace(MeasureSpace.uniform(5), np.column_stack([u, v]))
-    factored = []
+    sub = _vanishing_at(4)
+    stacks = []
     cho_factor = optim.cho_factor
     monkeypatch.setattr(optim, "cho_factor",
-                        lambda H: factored.append(1) or cho_factor(H))
+                        lambda H: stacks.append(len(H)) or cho_factor(H))
     for p in (3.0, 4.0):
-        factored.clear()
-        value, g = _dual_point_solve(sub, 4, p, 1e-9)
-        assert value == 0.0
-        assert np.array_equal(g, np.zeros(5))
-        assert not factored
+        stacks.clear()
+        norms, minimizers = _dual_solves(sub, p, 1e-9)
+        assert norms[4] == 0.0
+        assert np.array_equal(minimizers[4], np.zeros(5))
+        # the first step stacks every point still running, and no later one
+        # stacks more: the vanishing point is in none of them
+        assert stacks[0] == 4
+        assert max(stacks) == 4
+        assert np.all(norms[:4] > 0.0)
+        values, coefs = _direct_solves(sub, p, 1e-9)
+        assert values[4] == 0.0
+        assert np.array_equal(coefs[4], np.zeros(2))
         assert m_p_dual(sub, p) == pytest.approx(m_p_direct(sub, p), abs=1e-8)
-        assert factored
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_solving_in_blocks_changes_no_point_value(monkeypatch, weighted):
+    # 20 points in blocks of 3: every block runs its own masked loop, and
+    # each point's value is the one the single block gives it
+    measure = _weighted(20, 25) if weighted else None
+    sub = random_subspace(3, 20, seed=25, measure=measure)
+    whole = [solve(sub, 3.0, 1e-9)[0] for solve in (_direct_solves, _dual_solves)]
+    stacks = []
+    cho_factor = optim.cho_factor
+    monkeypatch.setattr(optim, "cho_factor",
+                        lambda H: stacks.append(len(H)) or cho_factor(H))
+    monkeypatch.setattr(optim, "_BLOCK", 3)
+    blocked = [solve(sub, 3.0, 1e-9)[0] for solve in (_direct_solves, _dual_solves)]
+    assert max(stacks) == 3
+    for a, b in zip(blocked, whole):
+        assert a == pytest.approx(b, rel=1e-12)
+
+
+def test_direct_route_names_the_point_where_the_objective_overflows():
+    # at p = 1e9 the direct objective overflows at the first iterate of
+    # every point; point 0 vanishes and takes no solve, so point 1 is the
+    # first to fail.  The dual exponent p' is close to 1, which does not
+    # overflow, and M_p is close to its p = inf value 1
+    sub = _vanishing_at(0)
+    with pytest.raises(NonConvergenceError) as exc:
+        m_p_direct(sub, 1e9)
+    assert exc.value.iterations == 1
+    assert "the objective overflowed" in str(exc.value)
+    assert str(exc.value).endswith("at point 1")
+    assert m_p_dual(sub, 1e9) == pytest.approx(1.0, abs=1e-6)
 
 
 @pytest.mark.parametrize("weighted", [False, True])
@@ -238,9 +371,9 @@ def test_dual_route_on_a_full_space(weighted):
     mu = sub.measure.weights
     for p in (3.0, 4.0):
         assert m_p_dual(sub, p) == pytest.approx(float((mu ** (-1.0 / p)).max()), rel=1e-9)
-        value, g = _dual_point_solve(sub, 2, p, 1e-9)
-        assert g == pytest.approx(np.eye(7)[2] / mu[2], abs=1e-9)
-        assert value == pytest.approx(mu[2] ** (-1.0 / p), rel=1e-9)
+        norms, minimizers = _dual_solves(sub, p, 1e-9)
+        assert minimizers[2] == pytest.approx(np.eye(7)[2] / mu[2], abs=1e-9)
+        assert norms[2] == pytest.approx(mu[2] ** (-1.0 / p), rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -286,15 +419,14 @@ def test_dictionary_comes_from_the_direct_route(p, weighted):
     ddict = build_discretization_dictionary(sub, pts, p)
     # the same direct solves, run to the tighter decrement the
     # representers need
-    assert ddict.m_p == max(_direct_point_solve(sub, x, p, 1e-15)[0]
-                            for x in range(sub.support_size))
+    assert ddict.m_p == _direct_solves(sub, p, 1e-15)[0].max()
     assert ddict.m_p == pytest.approx(m_p_direct(sub, p), rel=1e-8)
     # the Hahn-Banach representer is unique, so the dual minimizer,
     # solved tightly, lands on the same vector
+    norms, minimizers = _dual_solves(sub, p, 1e-15)
     for j, x in enumerate(pts.indices):
-        norm_x, g = _dual_point_solve(sub, int(x), p, 1e-15)
-        assert np.abs(ddict.w_vectors[j] - g).max() <= 1e-6
-        assert ddict.w_norms[j] == pytest.approx(norm_x, rel=1e-9)
+        assert np.abs(ddict.w_vectors[j] - minimizers[x]).max() <= 1e-6
+        assert ddict.w_norms[j] == pytest.approx(norms[x], rel=1e-9)
 
 
 def test_build_rejects_out_of_range_points():

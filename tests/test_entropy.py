@@ -870,6 +870,28 @@ def test_importing_the_package_leaves_scipy_stats_unloaded():
     assert out.strip() == "False"
 
 
+# the scipy subpackages that importing the package loads today; start-up
+# work may drop names from this set, but no change may add one
+_SCIPY_AT_IMPORT = {
+    "__config__", "_cyutility", "_distributor_init", "_lib", "constants", "fft",
+    "linalg", "optimize", "sparse", "spatial", "special", "version",
+}
+
+
+def test_importing_the_package_loads_no_new_scipy_subpackage():
+    # start-up is most of every short run, and all of the benchmark's set-up
+    # time; a module-level import of another scipy subpackage would add to it
+    src = os.path.dirname(os.path.dirname(entrobound.__file__))
+    code = ("import sys, entrobound; print(' '.join(sorted({name.split('.')[1] "
+            "for name in sys.modules if name.startswith('scipy.')})))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    loaded = set(out.split())
+    assert loaded <= _SCIPY_AT_IMPORT, sorted(loaded - _SCIPY_AT_IMPORT)
+
+
 # ---------------------------------------------------------------------------
 # duality sums
 

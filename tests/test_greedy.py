@@ -466,6 +466,23 @@ def test_singular_hessian_falls_back_to_the_ridge_solve(monkeypatch):
     assert res.value == pytest.approx(reduced.value, rel=1e-8)
 
 
+def test_a_singular_system_in_a_stack_gets_the_ridge_alone():
+    # the stacked factorization fails as a whole, and each system then goes
+    # to the serial solve: the regular ones exactly as alone, the singular
+    # one with the ridge
+    rng = np.random.default_rng(6)
+    A = rng.standard_normal((9, 3))
+    regular = A.T @ A
+    singular = np.outer(A[0], A[0])
+    rhs = rng.standard_normal((3, 3))
+    H = np.stack([regular, singular, regular])
+    z = optim._stack_solve(H, rhs)
+    for k in (0, 2):
+        assert np.array_equal(z[k], optim._spd_solve(regular, rhs[k]))
+    assert np.array_equal(z[1], optim._spd_solve(singular, rhs[1]))
+    assert np.all(np.isfinite(z))
+
+
 def _power_objective(A, b, w, e, x):
     return float(w @ np.abs(b - A @ x) ** e)
 
