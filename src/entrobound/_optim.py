@@ -216,7 +216,7 @@ def _smoothed_newton(direction, trial, point: np.ndarray, r: np.ndarray,
 
 def _raise_at(bad: np.ndarray, measure: np.ndarray, rows: np.ndarray,
               iterations: np.ndarray, labels: np.ndarray, tol,
-              cause: str | None = None) -> None:
+              cause: str | None) -> None:
     """Raise ``NonConvergenceError`` for the first of ``rows`` flagged ``bad``.
 
     ``bad``, ``measure`` and an array ``tol`` run along ``rows``;
@@ -306,7 +306,7 @@ def _masked_newton(direction, trial, point: np.ndarray, r: np.ndarray,
     f_final = (r * r + e2_levels[-1]) ** half_e @ w
     target = decrement_tol * (1.0 + np.abs(f_final))
     _raise_at(dec > 1e-6 * (1.0 + np.abs(f_final)), dec, np.arange(n_rows),
-              iterations, labels, target)
+              iterations, labels, target, None)
     value = np.abs(r) ** e @ w * scale ** e
     return PowerSolveResult(point * scale[:, None], value, dec,
                             np.full(n_rows, len(e2_levels)))
@@ -322,7 +322,6 @@ def _check_exponent(exponent: float) -> float:
 def _blocks(rows: np.ndarray, size: int):
     """``rows`` in consecutive runs of at most ``size``."""
     return (rows[i:i + size] for i in range(0, rows.size, size))
-
 
 
 # in every form overflow is handled where it arises: the line search rejects
@@ -457,9 +456,7 @@ def minimize_power_constrained(C: np.ndarray, g0: np.ndarray, weights: np.ndarra
 
 @np.errstate(over="ignore")
 def minimize_power_sliced(B: np.ndarray, rows: np.ndarray, weights: np.ndarray,
-                          exponent: float,
-                          *,
-                          decrement_tol: float = 1e-12) -> PowerSolveResult:
+                          exponent: float, *, decrement_tol: float) -> PowerSolveResult:
     """For each row a of ``rows``, minimize sum_i weights_i |(B c)_i|**exponent
     over c with a^T c = 1.
 

@@ -270,7 +270,8 @@ def test_batched_solves_match_the_per_point_references(sub, p):
     assert norms == pytest.approx([value for value, _ in dual], rel=1e-12)
     # at p' < 2 the Newton decrement stalls near 1e-15 on round-off, which
     # pins the dual minimizer only to about its square root: two solves that
-    # round differently stop up to 5.5e-8 apart (300 random subspaces)
+    # round differently stopped up to 5.5e-8 of the largest entry apart on
+    # 300 random subspaces
     _close_rows(minimizers, [g for _, g in dual], 1e-6)
 
 
@@ -329,8 +330,8 @@ def test_dual_route_is_zero_without_a_solve_where_every_function_vanishes(monkey
 
 @pytest.mark.parametrize("weighted", [False, True])
 def test_solving_in_blocks_changes_no_point_value(monkeypatch, weighted):
-    # 20 points in blocks of 3: every block runs its own masked loop, and
-    # each point's value is the one the single block gives it
+    # 20 points in blocks of at most 3: every block runs its own masked
+    # loop, and each point's value is the one the single block gives it
     measure = _weighted(20, 25) if weighted else None
     sub = random_subspace(3, 20, seed=25, measure=measure)
     whole = [solve(sub, 3.0, 1e-9)[0] for solve in (_direct_solves, _dual_solves)]
