@@ -39,6 +39,18 @@ solves (160 rows, 12 unknowns, exponent 4/3, a 2-vCPU x86_64 host) the
 masked loop on stacks of one took 0.74-0.87 s, against 0.26-0.27 s for
 ``_smoothed_newton``, about 3 times as long.
 
+A warm start skips the continuation.  The stages before the last carry
+a far start across the region where the unsmoothed gradient is not
+Lipschitz; a start next to the minimizer, such as the greedy's previous
+coefficients plus a 0 for the new atom, has no such region to cross,
+and there the first stage only pulls the iterate to the minimizer of a
+blunt surrogate for the rest to walk back.  So a warm residual solve
+runs the final stage alone.  Where that stage ends above the caller's
+own decrement target, at the stage cap or the backtracking floor (small
+dense problems can stall there), or raises, the full schedule runs from
+the same start.  Cold solves, ``chebyshev_project``'s among them, and
+both uniform-norm constant routes keep the full schedule.
+
 The residual form has one exact case that runs no stage at all.  When
 exactly as many rows of A are nonzero ("live") as A has columns, as on a
 support of coordinate atoms, one solve of the square live block zeroes
@@ -152,7 +164,7 @@ def _eps_levels() -> list[float]:
 
 def _smoothed_newton(direction, trial, point: np.ndarray, r: np.ndarray,
                      w: np.ndarray, e: float, scale: float,
-                     decrement_tol: float) -> PowerSolveResult:
+                     decrement_tol: float, warm: bool = False) -> PowerSolveResult:
     """The stage loop on one problem: minimize sum w |r|**e.
 
     ``r`` is the residual vector at ``point``, both divided by the data
@@ -168,6 +180,14 @@ def _smoothed_newton(direction, trial, point: np.ndarray, r: np.ndarray,
     - ``trial(point, t, d)`` returns the point t d along the direction
       and the residual there.
 
+    A ``warm`` start, one next to the minimizer, runs the final stage
+    alone first, since it has no far region for the earlier stages to
+    carry it across.  That stage is accepted only if it ends on its own
+    decrement test, decrement <= decrement_tol * (1 + |f|).  If it ends
+    at the stage cap or the backtracking floor instead, or raises, the
+    full schedule runs from the same start; ``stages`` counts the stages
+    of both runs, and an error reports the iterations of both.
+
     The reported value is the true objective at the final iterate; it
     exceeds the true minimum by at most the final stage's smoothing gap
     sum(w) * eps^e plus half the final Newton decrement, both far below
@@ -181,31 +201,47 @@ def _smoothed_newton(direction, trial, point: np.ndarray, r: np.ndarray,
     stages = 0
     iterations = 0
     eps_levels = _eps_levels()
-    for eps in eps_levels:
-        stages += 1
-        e2 = eps * eps
-        for _ in range(_STAGE_ITER):
-            iterations += 1
-            s2 = r * r + e2
-            base = s2 ** base_pow
-            f_cur = float(w @ (s2 * base))
-            if not math.isfinite(f_cur):  # overflow: no Newton step exists
-                raise NonConvergenceError(f_cur, iterations, decrement_tol, _OVERFLOW)
-            d, dec = direction(we * r * base, we * base * (e_minus_1 * r * r + e2) / s2)
-            if not math.isfinite(dec):
-                raise NonConvergenceError(dec, iterations, decrement_tol, _STEP_OVERFLOW)
-            if dec <= decrement_tol * (1.0 + abs(f_cur)):
-                break
-            t = 1.0
-            for _ in range(_MAX_BACKTRACKS):
-                point_new, r_new = trial(point, t, d)
-                f_new = float(w @ (r_new * r_new + e2) ** half_e)
-                if np.isfinite(f_new) and f_new <= f_cur - _ARMIJO_C * t * dec:
-                    break
-                t *= 0.5
-            else:
-                break  # float floor for this stage
-            point, r = point_new, r_new
+    start = point, r
+    for levels in (eps_levels[-1:], eps_levels) if warm else (eps_levels,):
+        point, r = start
+        last = levels is eps_levels
+        try:
+            for eps in levels:
+                stages += 1
+                e2 = eps * eps
+                for _ in range(_STAGE_ITER):
+                    iterations += 1
+                    s2 = r * r + e2
+                    base = s2 ** base_pow
+                    f_cur = float(w @ (s2 * base))
+                    if not math.isfinite(f_cur):  # overflow: no Newton step exists
+                        raise NonConvergenceError(f_cur, iterations, decrement_tol,
+                                                  _OVERFLOW)
+                    d, dec = direction(we * r * base,
+                                       we * base * (e_minus_1 * r * r + e2) / s2)
+                    if not math.isfinite(dec):
+                        raise NonConvergenceError(dec, iterations, decrement_tol,
+                                                  _STEP_OVERFLOW)
+                    if dec <= decrement_tol * (1.0 + abs(f_cur)):
+                        break
+                    t = 1.0
+                    for _ in range(_MAX_BACKTRACKS):
+                        point_new, r_new = trial(point, t, d)
+                        f_new = float(w @ (r_new * r_new + e2) ** half_e)
+                        if np.isfinite(f_new) and f_new <= f_cur - _ARMIJO_C * t * dec:
+                            break
+                        t *= 0.5
+                    else:
+                        break  # float floor for this stage
+                    point, r = point_new, r_new
+        except NonConvergenceError:
+            if last:
+                raise
+            continue
+        # the last (dec, f_cur) failed the decrement test unless the stage
+        # ended on it
+        if last or dec <= decrement_tol * (1.0 + abs(f_cur)):
+            break
     f_final = float(w @ (r * r + eps_levels[-1] ** 2) ** half_e)
     if dec > 1e-6 * (1.0 + abs(f_final)):
         raise NonConvergenceError(dec, iterations,
@@ -345,6 +381,15 @@ def minimize_power_residual(A: np.ndarray, b: np.ndarray, weights: np.ndarray,
     are then 0, and the rest do not depend on x.  ``value`` is still the
     objective over all rows.  A singular block, or a live residual above
     1e-12 of max |b| after the solve, runs the stage loop.
+
+    Without ``x0`` the stage loop starts at x = 0 and walks the whole
+    smoothing schedule.  With ``x0``, a warm start such as the greedy's
+    previous coefficients plus a 0 for the new atom, it runs the final
+    stage alone from ``x0``, and falls back to the whole schedule from
+    ``x0`` when that stage ends above ``decrement_tol * (1 + |f|)`` or
+    raises; ``stages`` then counts both runs.  On it1's default
+    dictionary at p = 4 this cut the greedy's Newton iterations from
+    85,590 to 34,405, with no fallback.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -383,7 +428,7 @@ def minimize_power_residual(A: np.ndarray, b: np.ndarray, weights: np.ndarray,
         return x_new, bs - A @ x_new
 
     return _smoothed_newton(direction, trial, x, bs - A @ x, w, e, scale,
-                            decrement_tol)
+                            decrement_tol, warm=x0 is not None)
 
 
 def _overflowed(H: np.ndarray) -> np.ndarray:

@@ -267,7 +267,7 @@ def test_exponent_2_reports_match_golden_digests(experiment):
 _GOLDEN_EXPONENT_NOT_2 = {
     "ball-entropy": "332920833b787cb44c2d1f717048bae2d6b91ee435e0c9a76d3e64b4acdbb25f",
     "duality-check": "122ef79a65087a3eb6e93372b1ed7099775a98fe97461038b3d4e93b6055e97c",
-    "it1": "a5ae08300d3f282e358fb800bd1400e93b305111f3128d861024f88d983d02b8",
+    "it1": "bb78beea725bf6d870163ada5948c062b5f8b90d347467d8a930511ab1f28c60",
     "it2-octahedron": "ba050f69b0e176e30e04b70f62fbeeb3ed8843b484796187edba5d46aa1375b4",
     "mp-duality": "ea3295e25822705bb9e5bfdbe808c073fc2bfc7a90d62e595f924cbc213fd2b8",
     "sigma-decay": "db8184a0bc53093113cfb4827e974e8582b44bf7f8cea7beb9ef1672f98770ea",
