@@ -548,3 +548,114 @@ def test_greedy_on_coordinate_atoms_factors_no_newton_system(monkeypatch):
     tail = np.sort(np.abs(f))[:6]
     assert run.residual_norm == pytest.approx(np.sum(tail ** 1.5) ** (1 / 1.5),
                                               rel=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# warm starts
+
+def _tight(A, b, w, q):
+    return optim.minimize_power_residual(A, b, w, q, decrement_tol=1e-14)
+
+
+def _warm_case(rows, count, coordinate, weighted, q, seed):
+    """Dense unit atoms with ``coordinate`` coordinate atoms mixed in, weights
+    and data b with max |b| = 1, so that the solver's units are the caller's."""
+    rng = np.random.default_rng(seed)
+    if weighted:
+        w = rng.uniform(0.2, 1.0, rows)
+        space = discrete_space(w / w.sum(), q)
+    else:
+        space = sequence_space(rows, q)
+    A = rng.standard_normal((rows, count))
+    for j in rng.choice(count, size=coordinate, replace=False):
+        A[:, j] = np.eye(rows)[rng.integers(rows)]
+    A /= [norm(space, a) for a in A.T]
+    b = rng.standard_normal(rows)
+    return A, b / np.abs(b).max(), space.weight_vector()
+
+
+@given(rows=st.integers(3, 40), count=st.integers(2, 12), coordinate=st.integers(0, 3),
+       weighted=st.booleans(), q=st.sampled_from([4.0 / 3.0, 1.5, 1.9]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_warm_solves_stay_within_their_target_of_a_tight_solve(rows, count, coordinate,
+                                                                weighted, q, seed):
+    """A warm solve's value exceeds a cold 1e-14 solve by at most tol (1 + value).
+
+    The start is the greedy's: the tight minimizer on all atoms but the
+    last, plus a 0 for the last.  The final stage alone, or the full
+    schedule it falls back to, must still end on the caller's own
+    decrement test.
+    """
+    assume(count < rows and coordinate < count)
+    A, b, w = _warm_case(rows, count, coordinate, weighted, q, seed)
+    tol = 1e-8
+    x0 = np.append(_tight(A[:, :-1], b, w, q).x, 0.0)
+    res = optim.minimize_power_residual(A, b, w, q, x0=x0, decrement_tol=tol)
+    reference = _tight(A, b, w, q).value
+    assert res.value <= reference + tol * (1.0 + reference)
+
+
+def test_small_dense_warm_solves_fall_back_and_meet_their_target(monkeypatch):
+    # on this 6 x 12 dictionary the final stage alone stalls at the stage
+    # cap for some greedy steps; the full schedule then runs after it, and
+    # every solve, falling back or not, ends within its target
+    d = _random_unit_dictionary(6, 12, 1.5, seed=10)
+    w = d.space.weight_vector()
+    solves = []
+    solve = greedy.minimize_power_residual
+
+    def recorded(A, b, weights, exponent, **kwargs):
+        res = solve(A, b, weights, exponent, **kwargs)
+        solves.append((A, b, kwargs["decrement_tol"], res))
+        return res
+
+    monkeypatch.setattr(greedy, "minimize_power_residual", recorded)
+    rng = np.random.default_rng(11)
+    for _ in range(10):
+        wcga(rng.standard_normal(6), d, 5)
+    stages = [res.stages for *_, res in solves]
+    assert set(stages) == {1, 1 + len(optim._eps_levels())}
+    for A, b, tol, res in solves:
+        # the target in the solver's units, b / max |b|, with the true
+        # objective, which the smoothed one exceeds by at most 6e-12 here
+        scale = np.abs(b).max()
+        assert res.decrement <= tol * (1.0 + res.value / scale ** 1.5) * (1.0 + 1e-9)
+        reference = _tight(A, b, w, 1.5).value
+        assert res.value <= reference + tol * (1.0 + reference)
+
+
+def test_it1_shaped_warm_solve_runs_the_final_stage_alone():
+    # 160 points of a uniform measure, 12 dense atoms, q = 4/3 as at p = 4
+    rng = np.random.default_rng(3)
+    A = rng.standard_normal((160, 12))
+    b = rng.standard_normal(160)
+    w = np.full(160, 1.0 / 160)
+    x0 = np.append(_tight(A[:, :-1], b, w, 4.0 / 3.0).x, 0.0)
+    res = optim.minimize_power_residual(A, b, w, 4.0 / 3.0, x0=x0, decrement_tol=1e-10)
+    assert res.stages == 1
+    reference = _tight(A, b, w, 4.0 / 3.0).value
+    assert res.value <= reference * (1.0 + 1e-10)
+
+
+def test_warm_solve_that_cannot_converge_raises_after_both_runs(monkeypatch):
+    rng = np.random.default_rng(0)
+    A = rng.standard_normal((12, 3))
+    b = rng.standard_normal(12)
+    w = np.full(12, 1.0 / 12)
+    # with no trial step allowed, the final stage alone ends at the
+    # backtracking floor, and so does every stage of the fallback, which
+    # then fails the final test; the error counts all 1 + 8 iterations
+    factored = []
+    cho_factor = optim.cho_factor
+    monkeypatch.setattr(optim, "cho_factor",
+                        lambda H: factored.append(1) or cho_factor(H))
+    monkeypatch.setattr(optim, "_MAX_BACKTRACKS", 0)
+    with pytest.raises(NonConvergenceError) as exc:
+        optim.minimize_power_residual(A, b, w, 1.5, x0=np.zeros(3))
+    assert exc.value.iterations == len(factored) == 1 + len(optim._eps_levels())
+    # an overflowing objective raises in the final stage, and again at
+    # the first iterate of the fallback
+    with pytest.raises(NonConvergenceError) as exc:
+        optim.minimize_power_residual(A, 4.0 * b, w, 1e9, x0=np.zeros(3))
+    assert exc.value.iterations == 2
+    assert "the objective overflowed" in str(exc.value)
