@@ -3,13 +3,14 @@
 Two paths to the m-term error: exhaustive search over supports (exact,
 tiny scale only) and the weak Chebyshev greedy algorithm (Temlyakov,
 *Greedy Approximation*, 2011) with weakness t = 1.  Each greedy step
-computes the norming functional of the current residual from scratch,
-picks the atom with the largest absolute pairing (lowest index on
-ties), and re-projects onto everything selected so far.  The largest
-pairing reaches t times the maximum for every t in (0, 1], so each run
-is also a run of the algorithm at every weaker t.  For q = 2 the
-projection is weighted least squares; otherwise it minimizes the q-th
-power of the residual norm with the shared smoothed-Newton solver.
+builds the norming functional of the current residual from the norm
+the previous step already took, picks the atom with the largest
+absolute pairing (lowest index on ties), gathers the selected atoms
+once, and re-projects onto them.  The largest pairing reaches t times
+the maximum for every t in (0, 1], so each run is also a run of the
+algorithm at every weaker t.  For q = 2 the projection is weighted
+least squares; otherwise it minimizes the q-th power of the residual
+norm with the shared smoothed-Newton solver.
 
 The unit ball of norm_A is the absolutely convex hull of the atoms;
 ``Octahedron`` wraps a dictionary with that membership test and
@@ -33,7 +34,7 @@ from .errors import (
     SpanMembershipError,
     ZeroVectorError,
 )
-from .spaces import Dictionary, _power_norm, norm, norm_A, norming_functional
+from .spaces import Dictionary, _power_norm, norm, norm_A
 
 __all__ = [
     "SparseApproximant",
@@ -100,25 +101,26 @@ def chebyshev_project(f: np.ndarray, support: list[int], dictionary: Dictionary,
     """
     f = np.asarray(f, dtype=float)
     fnorm = norm(dictionary.space, f)  # rejects a wrong length or a non-finite f
-    return _project(f, fnorm, support, dictionary, tol, None)
-
-
-def _project(f, fnorm, support, dictionary, tol, warm):
-    """``chebyshev_project`` of a checked f of norm fnorm.
-
-    ``warm``, when given, is the Newton start in unscaled coefficients.
-    """
-    if len(support) == 0:
-        return np.zeros(0)
-    space = dictionary.space
     G = dictionary.atoms[:, list(support)]
+    return _project(f, fnorm, G, dictionary.space, tol, None)
+
+
+def _project(f, fnorm, G, space, tol, warm):
+    """``chebyshev_project`` of a checked f of norm fnorm onto the columns of G.
+
+    G holds the support's atoms, already gathered by the caller, which
+    reuses them for the residual.  ``warm``, when given, is the Newton
+    start in unscaled coefficients.
+    """
+    if G.shape[1] == 0:
+        return np.zeros(0)
     w = space.weight_vector()
     if space.q == 2.0:
         sw = np.sqrt(w)
         c, *_ = np.linalg.lstsq(sw[:, None] * G, sw * f, rcond=None)
         return c
     if fnorm == 0.0:
-        return np.zeros(len(support))
+        return np.zeros(G.shape[1])
     x0 = None if warm is None else warm / fnorm
     res = minimize_power_residual(G, f / fnorm, w, space.q, x0=x0,
                                   decrement_tol=tol)
@@ -145,8 +147,9 @@ def best_mterm_bruteforce(f: np.ndarray, dictionary: Dictionary,
     best = None
     for combo in itertools.combinations(range(n), m):
         support = list(combo)
-        coeffs = _project(f, fnorm, support, dictionary, _PROJECT_TOL, None)
-        r = norm(dictionary.space, f - dictionary.atoms[:, support] @ coeffs)
+        G = dictionary.atoms[:, support]
+        coeffs = _project(f, fnorm, G, dictionary.space, _PROJECT_TOL, None)
+        r = norm(dictionary.space, f - G @ coeffs)
         if best is None or r < best[2]:
             best = (support, coeffs, r)
     support, coeffs, r = best
@@ -165,8 +168,10 @@ def wcga(f: np.ndarray, dictionary: Dictionary, m: int,
     residual's norming functional (lowest index on ties).  That is the
     weakness t = 1, and it meets the threshold of every t in (0, 1].
     Stops early once the residual norm drops to 1e-12 or no atom sees
-    the residual.  f is checked and measured once; every step keeps its
-    coefficients in ``step_coefficients``.
+    the residual.  f is checked and measured once, each residual is
+    measured once and that norm also builds its norming functional, and
+    each step gathers its atoms once; every step keeps its coefficients
+    in ``step_coefficients``.
     """
     space = dictionary.space
     n = dictionary.size
@@ -185,17 +190,19 @@ def wcga(f: np.ndarray, dictionary: Dictionary, m: int,
     for _ in range(m):
         if history[-1] <= _STOP_TOL:
             break
-        vals = np.abs(dictionary.pairings(norming_functional(space, residual)))
+        # the norming functional of the residual, whose norm is history[-1]
+        F = np.sign(residual) * np.power(np.abs(residual) / history[-1], space.q - 1.0)
+        vals = np.abs(dictionary.pairings(F))
         if support:
             vals[support] = -1.0
         j = int(np.argmax(vals))
         if vals[j] <= 1e-14 * max(fnorm, 1.0):
             break  # residual invisible to the remaining atoms
         support.append(j)
+        G = dictionary.atoms[:, support]
         # each step returns a new array, which no later step writes to
-        coeffs = _project(f, fnorm, support, dictionary, project_tol,
-                          np.append(coeffs, 0.0))
-        residual = f - dictionary.atoms[:, support] @ coeffs
+        coeffs = _project(f, fnorm, G, space, project_tol, np.append(coeffs, 0.0))
+        residual = f - G @ coeffs
         history.append(_power_norm(residual, w, space.q))
         snaps.append(coeffs)
     return SparseApproximant(support=support, coefficients=coeffs,

@@ -19,8 +19,9 @@ On top of the ambient norm the module provides the two norms attached
 to a dictionary D = {g_1, ..., g_n} of unit atoms:
 
 * ``norm_A``: the minimal l1 coefficient norm over exact representations
-  f = sum c_j g_j (an exact linear program).  Its unit ball is the
-  absolutely convex hull of the atoms.
+  f = sum c_j g_j.  Independent atoms give a unique representation, read
+  off the atom matrix's SVD; dependent ones take an exact linear program.
+  Its unit ball is the absolutely convex hull of the atoms.
 * ``norm_U``: the dual quantity max_j |<F, g_j>| for a functional F.
   The supremum of |<F, f>| over the norm_A unit ball is attained at an
   atom (with sign), which is the duality identity tested throughout.
@@ -295,6 +296,10 @@ def _l1_lp(f: np.ndarray, dictionary: Dictionary) -> tuple[float, np.ndarray]:
     residual = float(np.linalg.norm(fs - Ur @ coords))
     if residual > _SPAN_TOL:
         raise SpanMembershipError(residual, _SPAN_TOL)
+    if sr.size == n:
+        # independent atoms: the representation is unique, so no LP is needed
+        c = Vr.T @ (coords / sr)
+        return float(np.abs(c).sum()) * fnorm2, c * fnorm2
     # split c = c+ - c-; equality constraints projected onto the column space
     A_eq = np.hstack([sr[:, None] * Vr, -(sr[:, None] * Vr)])
     res = linprog(c=np.ones(2 * n), A_eq=A_eq, b_eq=coords,
@@ -308,10 +313,13 @@ def _l1_lp(f: np.ndarray, dictionary: Dictionary) -> tuple[float, np.ndarray]:
 def norm_A(f: np.ndarray, dictionary: Dictionary) -> float:
     """Minimal sum |c_j| over exact representations f = sum c_j g_j.
 
-    Solved as an exact linear program after projecting the equality
-    constraints onto the dictionary's column space; raises
-    SpanMembershipError (naming the relative least-squares residual)
-    when f lies outside the span.
+    Linearly independent atoms (rank of the atom matrix equal to its
+    column count, as for coordinate atoms) admit one representation,
+    read off the cached SVD in closed form.  Dependent atoms take an
+    exact linear program with the equality constraints projected onto
+    the dictionary's column space.  Either way f lying outside the span
+    raises SpanMembershipError, naming the relative least-squares
+    residual.
     """
     return _l1_lp(f, dictionary)[0]
 
