@@ -108,9 +108,9 @@ def chebyshev_project(f: np.ndarray, support: list[int], dictionary: Dictionary,
 def _project(f, fnorm, G, space, tol, warm):
     """``chebyshev_project`` of a checked f of norm fnorm onto the columns of G.
 
-    G holds the support's atoms, already gathered by the caller, which
-    reuses them for the residual.  ``warm``, when given, is the Newton
-    start in unscaled coefficients.
+    G holds the support's atoms, gathered by the caller; ``wcga`` and
+    ``best_mterm_bruteforce`` reuse the same columns for the residual.
+    ``warm``, when given, is the Newton start in unscaled coefficients.
     """
     if G.shape[1] == 0:
         return np.zeros(0)

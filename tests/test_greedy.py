@@ -23,6 +23,7 @@ from entrobound import (
     discrete_space,
     norm,
     norm_A,
+    norming_functional,
     sample_octahedron,
     sequence_space,
     sigma_profile,
@@ -124,6 +125,69 @@ def test_greedy_runs_keep_every_step():
             assert run.residual_norm == run.history[-1]
         assert len(runs[0].step_coefficients) == len(runs[0].support)
     assert len(wcga(2.0 * coord.atoms[:, 1], coord, 3).step_coefficients) == 1
+
+
+def _reference_wcga(f, d, m):
+    """The greedy loop as it was written before its steps were made lean: the
+    norming functional taken from scratch, and the support gathered twice."""
+    space = d.space
+    w = space.weight_vector()
+    fnorm = norm(space, f)
+    support, coeffs, history, snaps = [], np.zeros(0), [fnorm], []
+    residual = f.copy()
+    for _ in range(m):
+        if history[-1] <= greedy._STOP_TOL:
+            break
+        vals = np.abs(d.pairings(norming_functional(space, residual)))
+        if support:
+            vals[support] = -1.0
+        j = int(np.argmax(vals))
+        if vals[j] <= 1e-14 * max(fnorm, 1.0):
+            break
+        support.append(j)
+        G = d.atoms[:, list(support)]
+        if space.q == 2.0:
+            sw = np.sqrt(w)
+            coeffs, *_ = np.linalg.lstsq(sw[:, None] * G, sw * f, rcond=None)
+        else:
+            res = optim.minimize_power_residual(
+                G, f / fnorm, w, space.q, x0=np.append(coeffs, 0.0) / fnorm,
+                decrement_tol=greedy._PROJECT_TOL)
+            coeffs = res.x * fnorm
+        residual = f - d.atoms[:, support] @ coeffs
+        history.append(norm(space, residual))
+        snaps.append(coeffs)
+    return support, history, snaps
+
+
+@pytest.mark.parametrize("q", [4.0 / 3.0, 1.5, 2.0, 3.0])
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("kind", ["dense", "coordinate", "mixed"])
+def test_lean_greedy_steps_match_the_reference_loop_bit_for_bit(kind, weighted, q):
+    rng = np.random.default_rng(24)
+    dim = 7
+    if weighted:
+        w = rng.uniform(0.2, 1.0, dim)
+        space = discrete_space(w / w.sum(), q)
+    else:
+        space = sequence_space(dim, q)
+    if kind == "coordinate":
+        atoms = np.diag(rng.choice([-1.0, 1.0], dim))
+    else:
+        atoms = rng.standard_normal((dim, 5 if kind == "mixed" else 10))
+        if kind == "mixed":
+            atoms[:, [1, 3]] = np.eye(dim)[:, [2, 5]]
+    atoms = atoms / [norm(space, a) for a in atoms.T]
+    d = Dictionary(atoms, space)
+    for _ in range(3):
+        f = rng.standard_normal(dim)
+        run = wcga(f, d, d.size)
+        support, history, snaps = _reference_wcga(f, d, d.size)
+        assert run.support == support
+        assert np.array_equal(run.history, history)
+        assert len(run.step_coefficients) == len(snaps)
+        for got, want in zip(run.step_coefficients, snaps):
+            assert np.array_equal(got, want)
 
 
 def test_wcga_validates_inputs():

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+import entrobound.spaces as spaces
 from entrobound import (
     AmbientMetric,
     AtomNormalizationError,
@@ -26,7 +27,9 @@ from entrobound import (
     norm_U,
     norming_functional,
     pair,
+    sample_octahedron,
     sequence_space,
+    sigma_profile,
     smoothness_bound,
 )
 from entrobound.entropy import _row_norms
@@ -368,6 +371,86 @@ def test_norm_U_is_the_lp_supremum_over_the_hull(case, count, seed):
                       bounds=(0, None), method="highs")
         assert res.status == 0
         assert norm_U(F, d) == pytest.approx(-res.fun * scale, rel=1e-9)
+
+
+@st.composite
+def _independent_atoms(draw):
+    """Linearly independent unit atoms, square or tall, in a plain or weighted
+    space with q in {1.5, 2, 3}, and coefficients with some zeros."""
+    count = draw(st.integers(1, 8))
+    dim = count + draw(st.integers(0, 4))
+    q = draw(st.sampled_from([1.5, 2.0, 3.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        w = rng.uniform(0.2, 1.0, dim)
+        space = discrete_space(w / w.sum(), q)
+    else:
+        space = sequence_space(dim, q)
+    atoms = rng.standard_normal((dim, count))
+    atoms /= [norm(space, atoms[:, j]) for j in range(count)]
+    d = Dictionary(atoms, space)
+    assert d._range[1].size == count
+    c = rng.standard_normal(count) * (rng.random(count) < 0.7)
+    return d, c
+
+
+def _l1_reference(f, atoms):
+    """min sum |c| subject to atoms @ c = f, as an LP in c = c+ - c-, solved
+    at unit l2 norm of f because the solver's tolerances are absolute."""
+    scale = float(np.linalg.norm(f))
+    n = atoms.shape[1]
+    res = linprog(c=np.ones(2 * n), A_eq=np.hstack([atoms, -atoms]), b_eq=f / scale,
+                  bounds=(0, None), method="highs")
+    assert res.status == 0
+    return res.fun * scale
+
+
+@given(case=_independent_atoms())
+def test_norm_A_of_independent_atoms_is_the_lp_minimum(case):
+    d, c = case
+    f = d.atoms @ c
+    if not f.any():
+        assert norm_A(f, d) == 0.0
+        return
+    assert norm_A(f, d) == pytest.approx(_l1_reference(f, d.atoms), rel=1e-9)
+
+
+@given(case=_independent_atoms())
+def test_independent_coefficients_reproduce_f_at_every_scale(case):
+    d, c = case
+    f = d.atoms @ c
+    if not f.any():
+        return
+    base = norm_A(f, d)
+    for k in range(-10, 11, 4):
+        scale = 10.0 ** k
+        value, coeffs = _l1_lp(scale * f, d)
+        assert value / scale == pytest.approx(base, rel=1e-9)
+        assert np.abs(coeffs).sum() == pytest.approx(value, rel=1e-12)
+        gap = np.linalg.norm(d.atoms @ coeffs - scale * f)
+        assert gap <= 1e-9 * np.linalg.norm(scale * f)
+
+
+def test_the_lp_runs_only_for_dependent_atoms(monkeypatch):
+    class LinprogCalled(Exception):
+        pass
+
+    def refuse(*args, **kwargs):
+        raise LinprogCalled
+
+    monkeypatch.setattr(spaces, "linprog", refuse)
+    d = canonical_dictionary(16, 1.5)
+    samples = [s["vector"] for s in sample_octahedron(d, 6, seed=3)]
+    profile = sigma_profile(samples, d, [1, 2, 4, 8])
+    assert profile.values.shape == (4,)
+    outside = np.full(16, 1.01 / 16)
+    with pytest.raises(ValueError, match="sample 2 lies outside the octahedron"):
+        sigma_profile(samples[:2] + [outside] + samples[2:], d, [1, 2])
+    s = 1.0 / math.sqrt(2.0)
+    dependent = Dictionary(np.array([[1.0, 0.0, s], [0.0, 1.0, s]]),
+                           sequence_space(2, 2.0))
+    with pytest.raises(LinprogCalled):
+        norm_A(np.array([1.0, 1.0]), dependent)
 
 
 def test_norm_A_rejects_non_finite_input():
