@@ -164,7 +164,7 @@ def _eps_levels() -> list[float]:
 
 def _smoothed_newton(direction, trial, point: np.ndarray, r: np.ndarray,
                      w: np.ndarray, e: float, scale: float,
-                     decrement_tol: float, warm: bool = False) -> PowerSolveResult:
+                     decrement_tol: float, warm: bool) -> PowerSolveResult:
     """The stage loop on one problem: minimize sum w |r|**e.
 
     ``r`` is the residual vector at ``point``, both divided by the data

@@ -5,10 +5,12 @@ config file with flag overrides on top (flags win).  The machine
 output goes to --out when given (stdout otherwise); the human summary
 goes to stdout alongside a written file, to stderr when the machine
 text occupies stdout.  Exit codes: 0 on success, 1 when the run fails
-(the solver does not converge, or the numbers it meets are unusable),
-2 when the configuration fails validation, 3 when a verified property
-is breached (any ``PropertyViolationError``).  Exits 1 and 2 print one
-``error:`` line per problem, exit 3 one ``property violation:`` line.
+(the solver does not converge, the numbers it meets are unusable, or a
+sigma-decay fit keeps fewer than 3 levels once the exactly recovered
+ones are left out), 2 when the configuration fails validation, 3 when
+a verified property is breached (any ``PropertyViolationError``).
+Exits 1 and 2 print one ``error:`` line per problem, exit 3 one
+``property violation:`` line.
 """
 
 from __future__ import annotations

@@ -10,7 +10,11 @@ once, and re-projects onto them.  The largest pairing reaches t times
 the maximum for every t in (0, 1], so each run is also a run of the
 algorithm at every weaker t.  For q = 2 the projection is weighted
 least squares; otherwise it minimizes the q-th power of the residual
-norm with the shared smoothed-Newton solver.
+norm with the shared smoothed-Newton solver.  A run stops early on an
+exact recovery (residual norm at most 1e-12), when no atom sees the
+residual, or at a flat step, one whose projection lowers the residual
+norm by less than 1e-9 relative; the flat step is dropped.
+``sigma_profile`` reads an exact recovery as 0 from its step on.
 
 The unit ball of norm_A is the absolutely convex hull of the atoms;
 ``Octahedron`` wraps a dictionary with that membership test and
@@ -49,7 +53,8 @@ __all__ = [
 
 _BRUTE_FORCE_BUDGET = 10 ** 6
 _MEMBERSHIP_TOL = 1e-9  # slack of the hull test norm_A <= 1
-_STOP_TOL = 1e-12  # residual norm at which the greedy loop stops early
+_STOP_TOL = 1e-12  # residual norm at which the greedy loop stops: an exact recovery
+_FLAT_TOL = 1e-9  # relative drop below which a greedy step is flat: the loop drops it and stops
 _PROJECT_TOL = 1e-10  # default relative Newton decrement of a projection
 
 
@@ -167,11 +172,37 @@ def wcga(f: np.ndarray, dictionary: Dictionary, m: int,
     Each step takes the atom of largest absolute pairing with the
     residual's norming functional (lowest index on ties).  That is the
     weakness t = 1, and it meets the threshold of every t in (0, 1].
-    Stops early once the residual norm drops to 1e-12 or no atom sees
-    the residual.  f is checked and measured once, each residual is
-    measured once and that norm also builds its norming functional, and
-    each step gathers its atoms once; every step keeps its coefficients
-    in ``step_coefficients``.
+    f is checked and measured once, each residual is measured once and
+    that norm also builds its norming functional, and each step gathers
+    its atoms once; every kept step keeps its coefficients in
+    ``step_coefficients``.
+
+    The run stops early on three tests:
+
+    - the residual norm is at most 1e-12, an exact recovery;
+    - no atom sees the residual: the largest pairing is at most 1e-14
+      of max(|f|, 1);
+    - a flat step: the step's new residual norm is at least
+      ``history[-1] * (1 - 1e-9)``.  The flat step is dropped, its
+      atom, coefficients and history entry with it.
+
+    The third test follows from the projection.  Under an exact
+    Chebyshev projection the residual r has the least norm in f's
+    coset of the span, so the norming functional F of r vanishes on
+    every support atom, and the norm is nonincreasing from step to step
+    (Temlyakov, *Greedy Approximation*, 2011).  For 1 < q < infinity
+    the norm is differentiable at r != 0, with derivative F, so along
+    an atom g with F(g) != 0 a small step lowers it strictly:
+    ||r - lambda g|| = ||r|| - lambda F(g) + o(lambda).  The projection
+    onto the grown support does at least as well, so every exact step
+    whose atom is seen lowers the norm strictly.  A step that lowers
+    nothing therefore means that the largest pairing, and with it every
+    pairing, sits at the level of the projection's own tolerance: an
+    inexact q != 2 projection stops at its Newton-decrement target, so
+    after an exact recovery the residual sits at the solver's floor,
+    not near 0.  Every later step would then add an atom with a
+    coefficient at that floor and leave the norm where it is: noise, at
+    a full solve each.
     """
     space = dictionary.space
     n = dictionary.size
@@ -201,9 +232,14 @@ def wcga(f: np.ndarray, dictionary: Dictionary, m: int,
         support.append(j)
         G = dictionary.atoms[:, support]
         # each step returns a new array, which no later step writes to
-        coeffs = _project(f, fnorm, G, space, project_tol, np.append(coeffs, 0.0))
-        residual = f - G @ coeffs
-        history.append(_power_norm(residual, w, space.q))
+        step = _project(f, fnorm, G, space, project_tol, np.append(coeffs, 0.0))
+        step_residual = f - G @ step
+        r = _power_norm(step_residual, w, space.q)
+        if r >= history[-1] * (1.0 - _FLAT_TOL):
+            support.pop()
+            break  # a flat step: every pairing sits at the projection's tolerance
+        coeffs, residual = step, step_residual
+        history.append(r)
         snaps.append(coeffs)
     return SparseApproximant(support=support, coefficients=coeffs,
                              history=history, step_coefficients=snaps)
@@ -249,9 +285,13 @@ def sigma_profile(samples: list[np.ndarray], dictionary: Dictionary,
 
     Every sample must pass the hull membership test (norm_A <= 1 plus
     tolerance).  One greedy run per sample up to max(m_list) supplies
-    the residuals at every intermediate m.  The reported slope is the
-    least-squares fit of log2(value) against log2(m) over the positive
-    entries.
+    the residuals at every intermediate m.  A run that ends on an exact
+    recovery (residual norm at most 1e-12) reads 0 from that step on, not
+    its round-off; a run that ends on a flat step keeps its last
+    residual, a solver floor.  So a value is 0 exactly when every sample
+    is recovered by that m.  The reported slope is the least-squares fit
+    of log2(value) against log2(m) over the levels not recovered, the
+    positive entries.
     """
     if not samples:
         raise EmptySampleError("sigma profile needs at least one sample")
@@ -265,8 +305,9 @@ def sigma_profile(samples: list[np.ndarray], dictionary: Dictionary,
     m_max = m_list[-1]
     table = np.zeros((len(samples), len(m_list)))
     for i, f in enumerate(samples):
-        run = wcga(f, dictionary, m_max)
-        hist = run.history
+        hist = wcga(f, dictionary, m_max).history
+        if hist[-1] <= _STOP_TOL:  # an exact recovery
+            hist = hist[:-1] + [0.0]
         for j, m in enumerate(m_list):
             table[i, j] = hist[m] if m < len(hist) else hist[-1]
     values = table.max(axis=0)

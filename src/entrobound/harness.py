@@ -312,17 +312,30 @@ def _run_sigma_decay(cfg: ExperimentConfig) -> tuple[dict, dict, list]:
     dictionary = canonical_dictionary(cfg.n, cfg.q)
     drawn = sample_octahedron(dictionary, cfg.samples, cfg.seed)
     profile = sigma_profile([s["vector"] for s in drawn], dictionary, cfg.m_list)
-    fit = fit_envelope((profile.m_list, profile.values), model=FitModel.POWER_M)
+    # a level reads 0 when the greedy recovers every sample exactly by then
+    kept = profile.values > 0.0
+    recovered = [m for m, k in zip(cfg.m_list, kept) if not k]
+    if kept.sum() < 3:
+        raise ValueError(
+            f"fit needs positive values at 3 levels or more: every sample is "
+            f"recovered exactly at m = {recovered}, which reads 0")
+    fit = fit_envelope((np.asarray(cfg.m_list)[kept], profile.values[kept]),
+                       model=FitModel.POWER_M)
     theory = 1.0 / cfg.q - 1.0
+    summary = [
+        f"greedy m-term decay on the {cfg.n}-atom hull, q = {cfg.q}",
+        f"max residual over {cfg.samples} samples at m = {list(cfg.m_list)}",
+        f"fitted exponent {fit.exponent:.4f} (theory {theory:.4f}), "
+        f"constant {fit.constant:.4f}, residual rms {fit.residual_rms:.2e}",
+    ]
+    if recovered:
+        summary.append(f"every sample recovered exactly at m = {recovered}; "
+                       "the fit leaves those levels out")
     return (
         {"m": list(cfg.m_list), "sigma": _float_list(profile.values)},
-        {"samples": cfg.samples, "fit": asdict(fit), "theory_exponent": theory},
-        [
-            f"greedy m-term decay on the {cfg.n}-atom hull, q = {cfg.q}",
-            f"max residual over {cfg.samples} samples at m = {list(cfg.m_list)}",
-            f"fitted exponent {fit.exponent:.4f} (theory {theory:.4f}), "
-            f"constant {fit.constant:.4f}, residual rms {fit.residual_rms:.2e}",
-        ])
+        {"samples": cfg.samples, "fit": asdict(fit), "theory_exponent": theory,
+         "recovered_m": recovered},
+        summary)
 
 
 def _run_ball_entropy(cfg: ExperimentConfig) -> tuple[dict, dict, list]:

@@ -224,7 +224,7 @@ def _dual_point_solve(sub, x, p, tol):
         return g + t * d, g + t * d
 
     res = optim._smoothed_newton(direction, trial, Dx / scale, Dx / scale, mu, pp,
-                                 scale, tol)
+                                 scale, tol, warm=False)
     return res.value ** (1.0 / pp), res.x
 
 

@@ -127,9 +127,13 @@ def test_greedy_runs_keep_every_step():
     assert len(wcga(2.0 * coord.atoms[:, 1], coord, 3).step_coefficients) == 1
 
 
-def _reference_wcga(f, d, m):
+def _reference_wcga(f, d, m, stop_flat=True):
     """The greedy loop as it was written before its steps were made lean: the
-    norming functional taken from scratch, and the support gathered twice."""
+    norming functional taken from scratch, and the support gathered twice.
+
+    With ``stop_flat`` it drops a flat step and stops, as ``wcga`` does;
+    without, it runs on through flat steps, as ``wcga`` used to.
+    """
     space = d.space
     w = space.weight_vector()
     fnorm = norm(space, f)
@@ -154,18 +158,25 @@ def _reference_wcga(f, d, m):
                 G, f / fnorm, w, space.q, x0=np.append(coeffs, 0.0) / fnorm,
                 decrement_tol=greedy._PROJECT_TOL)
             coeffs = res.x * fnorm
-        residual = f - d.atoms[:, support] @ coeffs
-        history.append(norm(space, residual))
+        step_residual = f - d.atoms[:, support] @ coeffs
+        step_norm = norm(space, step_residual)
+        if stop_flat and step_norm >= history[-1] * (1.0 - 1e-9):
+            support.pop()
+            coeffs = snaps[-1] if snaps else np.zeros(0)
+            break
+        residual = step_residual
+        history.append(step_norm)
         snaps.append(coeffs)
     return support, history, snaps
 
 
 @pytest.mark.parametrize("q", [4.0 / 3.0, 1.5, 2.0, 3.0])
 @pytest.mark.parametrize("weighted", [False, True])
-@pytest.mark.parametrize("kind", ["dense", "coordinate", "mixed"])
+@pytest.mark.parametrize("kind", ["dense", "coordinate", "mixed", "spanned"])
 def test_lean_greedy_steps_match_the_reference_loop_bit_for_bit(kind, weighted, q):
     rng = np.random.default_rng(24)
-    dim = 7
+    # a spanned f combines three of ten dense atoms in six rows
+    dim = 6 if kind == "spanned" else 7
     if weighted:
         w = rng.uniform(0.2, 1.0, dim)
         space = discrete_space(w / w.sum(), q)
@@ -179,8 +190,12 @@ def test_lean_greedy_steps_match_the_reference_loop_bit_for_bit(kind, weighted, 
             atoms[:, [1, 3]] = np.eye(dim)[:, [2, 5]]
     atoms = atoms / [norm(space, a) for a in atoms.T]
     d = Dictionary(atoms, space)
-    for _ in range(3):
-        f = rng.standard_normal(dim)
+    flat_stops = 0
+    for _ in range(5 if kind == "spanned" else 3):
+        if kind == "spanned":
+            f = atoms[:, :3] @ rng.standard_normal(3)
+        else:
+            f = rng.standard_normal(dim)
         run = wcga(f, d, d.size)
         support, history, snaps = _reference_wcga(f, d, d.size)
         assert run.support == support
@@ -188,6 +203,61 @@ def test_lean_greedy_steps_match_the_reference_loop_bit_for_bit(kind, weighted, 
         assert len(run.step_coefficients) == len(snaps)
         for got, want in zip(run.step_coefficients, snaps):
             assert np.array_equal(got, want)
+        flat_stops += len(_reference_wcga(f, d, d.size, stop_flat=False)[0]) > len(support)
+    if kind == "spanned" and q != 2.0:
+        # a q != 2 projection leaves a recovered f at the solver's floor
+        assert flat_stops > 0
+
+
+@pytest.mark.parametrize("q", [4.0 / 3.0, 1.5, 3.0])
+def test_wcga_stops_after_one_step_on_a_dense_vertex(q):
+    # the first step picks the vertex's own atom; at q = 4/3 and 3 it leaves
+    # the solver's floor, so the next step is flat, dropped, and the run ends
+    # (at q = 1.5 the one-atom projection reaches round-off and the run ends
+    # on the exact-recovery test)
+    d = _random_unit_dictionary(8, 16, q, seed=30)
+    for j, sign in ((0, 1.0), (5, -1.0), (11, 1.0)):
+        f = sign * d.atoms[:, j]
+        run = wcga(f, d, 6)
+        assert run.support == [j]
+        assert len(run.history) == 2 and len(run.step_coefficients) == 1
+        assert run.residual_norm <= 1e-3
+        assert run.coefficients == pytest.approx([sign], abs=1e-3)
+        if q == 1.5:
+            assert run.residual_norm <= greedy._STOP_TOL
+            continue
+        assert run.residual_norm > greedy._STOP_TOL
+        # the loop that runs on through flat steps adds five atoms for nothing
+        support, history, _ = _reference_wcga(f, d, 6, stop_flat=False)
+        assert len(support) == 6
+        assert history[-1] >= run.residual_norm * (1.0 - 1e-6)
+
+
+@given(dim=st.integers(2, 12), count=st.integers(2, 24), coordinate=st.booleans(),
+       weighted=st.booleans(), q=st.sampled_from([4.0 / 3.0, 1.5, 3.0]),
+       spanned=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_a_stopped_run_ends_within_its_projection_tolerance_of_an_unstopped_run(
+        dim, count, coordinate, weighted, q, spanned, seed):
+    """The flat-step stop costs at most the projection's own tolerance.
+
+    Projections stop at a Newton decrement of tol (1 + phi), where phi is
+    the objective in the solver's units, sum w |r / max|f||^q.  A flat
+    step means that every pairing sits at that level, so no later step can
+    lower phi by more: the stopped run's phi exceeds the phi of the run
+    that goes on through flat steps by at most tol (1 + phi).  On 1,557
+    random cases of this shape, about half with f off the span, the
+    largest gap was 0.62 of that allowance.
+    """
+    d, f = _rate_case(dim, count, coordinate, weighted, q, seed)
+    if not spanned:  # off the span when the atoms do not fill the space
+        f = f + np.random.default_rng(seed).standard_normal(len(f))
+    run = wcga(f, d, d.size)
+    support, history, _ = _reference_wcga(f, d, d.size, stop_flat=False)
+    assert support[:len(run.support)] == run.support
+    scale = np.abs(f).max()
+    stopped = (run.residual_norm / scale) ** q
+    unstopped = (history[-1] / scale) ** q
+    assert stopped - unstopped <= greedy._PROJECT_TOL * (1.0 + stopped)
 
 
 def test_wcga_validates_inputs():
@@ -419,6 +489,24 @@ def test_sigma_profile_tracks_the_worst_sample():
     assert list(prof.values) == list(np.max(table, axis=0))
     assert all(a >= b - 1e-12 for a, b in zip(prof.values, prof.values[1:]))
     assert prof.slope < 0.0
+
+
+def test_sigma_profile_reads_an_exact_recovery_as_zero():
+    # this two-atom sample is recovered at step 2 with a round-off residual
+    # (1.2e-16 at q = 2, 2.8e-17 at q = 1.5); a dense vertex at q = 4/3
+    # stops at a flat step and keeps its solver floor
+    for q in (2.0, 1.5):
+        d = canonical_dictionary(8, q)
+        f = sample_octahedron(d, 4, seed=1)[3]["vector"]
+        assert 0.0 < wcga(f, d, 2).residual_norm <= greedy._STOP_TOL
+        prof = sigma_profile([f], d, [1, 2, 3])
+        assert prof.values[0] > 0.0 and list(prof.values[1:]) == [0.0, 0.0]
+        assert math.isnan(prof.slope)  # one level is not recovered
+    dense = _random_unit_dictionary(8, 16, 4.0 / 3.0, seed=30)
+    f = dense.atoms[:, 3]
+    prof = sigma_profile([f], dense, [1, 2, 4])
+    assert list(prof.values) == [wcga(f, dense, 1).residual_norm] * 3
+    assert all(v > 0.0 for v in prof.values)
 
 
 # ---------------------------------------------------------------------------

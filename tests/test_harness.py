@@ -207,7 +207,10 @@ def test_emit_writes_files(tmp_path):
 # runners
 
 _TINY = {
-    "sigma-decay": dict(n=8, m_list=[1, 2, 4], samples=4),
+    # five samples, so that three levels are not recovered and m = 8 reads 0;
+    # with four, every sample is recovered by m = 4 and the run fails
+    # (see test_cli_failed_runs_end_in_one_line)
+    "sigma-decay": dict(n=8, m_list=[1, 2, 4, 8], samples=5),
     "ball-entropy": dict(p=2.0, n=8, k_list=[3, 8], samples=128),
     "duality-check": dict(q=2.0, n=4, m=2, samples=64),
     "mp-duality": dict(p=3.0, subspace_dim=2, support_size=16, trials=2),
@@ -246,7 +249,7 @@ _GOLDEN_EXPONENT_2 = {
     "it1": "e178d32ac2d7ea4e642a2ce65a8f6cb2cdd7c22338860aca5e38ef03a5109762",
     "it2-octahedron": "f59e02a618d57b25ba060b69c9773b07b0e7df65497314a800a22361fb6b8350",
     "mp-duality": "041c86911d18d448d849e63928272e89b2e1c18e88f6b8bdc39c4e93013b52d7",
-    "sigma-decay": "3aecaea3f21c6e9eb7f71969115453e368fac18062dfcbd1a7f2fca651af220a",
+    "sigma-decay": "a3d9e7f5aa6edcb0fe56413b60d01fae6b37945b8a97d2482a2589d50d42d8ff",
 }
 
 
@@ -270,7 +273,7 @@ _GOLDEN_EXPONENT_NOT_2 = {
     "it1": "bb78beea725bf6d870163ada5948c062b5f8b90d347467d8a930511ab1f28c60",
     "it2-octahedron": "ba050f69b0e176e30e04b70f62fbeeb3ed8843b484796187edba5d46aa1375b4",
     "mp-duality": "ea3295e25822705bb9e5bfdbe808c073fc2bfc7a90d62e595f924cbc213fd2b8",
-    "sigma-decay": "db8184a0bc53093113cfb4827e974e8582b44bf7f8cea7beb9ef1672f98770ea",
+    "sigma-decay": "c63505788b82de543312e39d49c98a5cc186c8e2fb677b0aaa36866d164e73b8",
 }
 
 
@@ -297,7 +300,7 @@ def test_run_rejects_invalid_configs():
 
 def test_cli_writes_machine_output_to_stdout(capsys):
     code = main(["sigma-decay", "--seed", "1", "--n", "8",
-                 "--m-list", "1,2,4", "--samples", "4"])
+                 "--m-list", "1,2,4", "--samples", "5"])
     captured = capsys.readouterr()
     assert code == 0
     assert captured.out.splitlines()[0] == "m,sigma"
@@ -307,7 +310,7 @@ def test_cli_writes_machine_output_to_stdout(capsys):
 def test_cli_writes_files_and_summarizes(tmp_path, capsys):
     out = tmp_path / "decay.json"
     code = main(["sigma-decay", "--seed", "1", "--n", "8", "--m-list", "1,2,4",
-                 "--samples", "4", "--format", "json", "--out", str(out)])
+                 "--samples", "5", "--format", "json", "--out", str(out)])
     captured = capsys.readouterr()
     assert code == 0
     assert f"wrote {out}" in captured.out
@@ -372,6 +375,10 @@ def test_cli_rejects_mistyped_config_values(tmp_path, capsys, doc, problem):
     # with one sample the greedy reaches some sigma values exactly
     ("sigma-decay --seed 0 --n 8 --m-list 1,2,4 --samples 1", 1,
      "error: fit needs positive values"),
+    # four samples of supports 3, 3, 1 and 2 are all recovered by m = 4
+    ("sigma-decay --seed 1 --n 8 --m-list 1,2,4 --samples 4", 1,
+     "error: fit needs positive values at 3 levels or more: every sample is "
+     "recovered exactly at m = [4], which reads 0"),
     # exponents this large overflow the inner solver's objective
     ("mp-duality --seed 0 --p 1e9 --subspace-dim 3 --support-size 8 "
      "--trials 1", 1, "error: inner solver stopped"),
@@ -384,6 +391,25 @@ def test_cli_failed_runs_end_in_one_line(capsys, argv, code, problem):
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith(problem)
+
+
+@pytest.mark.parametrize("q", ["2", "1.5"])
+def test_sigma_decay_fits_only_the_levels_not_recovered(capsys, q):
+    # all 50 samples of the 16-atom hull are recovered exactly by m = 16;
+    # that level's round-off residual (1.2e-16 at q = 2) used to enter the
+    # fit, which read an exponent of -15.4 against a theory of -0.5
+    code = main(["sigma-decay", "--seed", "1", "--n", "16", "--m-list", "2,4,8,16",
+                 "--q", q, "--format", "json"])
+    captured = capsys.readouterr()
+    assert code == 0
+    doc = json.loads(captured.out)
+    sigma = doc["columns"]["sigma"]
+    assert sigma[-1] == 0.0 and all(v > 0.0 for v in sigma[:-1])
+    assert doc["metadata"]["recovered_m"] == [16]
+    fit = doc["metadata"]["fit"]
+    assert fit["points_used"] == 3 and fit["k_range"] == [2, 8]
+    assert -1.5 < fit["exponent"] < -0.5
+    assert "every sample recovered exactly at m = [16]" in captured.err
 
 
 def _packing_lowers_of_five(insertion, k_list):
