@@ -162,7 +162,6 @@ def _reference_wcga(f, d, m, stop_flat=True):
         step_norm = norm(space, step_residual)
         if stop_flat and step_norm >= history[-1] * (1.0 - 1e-9):
             support.pop()
-            coeffs = snaps[-1] if snaps else np.zeros(0)
             break
         residual = step_residual
         history.append(step_norm)
@@ -203,7 +202,8 @@ def test_lean_greedy_steps_match_the_reference_loop_bit_for_bit(kind, weighted, 
         assert len(run.step_coefficients) == len(snaps)
         for got, want in zip(run.step_coefficients, snaps):
             assert np.array_equal(got, want)
-        flat_stops += len(_reference_wcga(f, d, d.size, stop_flat=False)[0]) > len(support)
+        if kind == "spanned":
+            flat_stops += len(_reference_wcga(f, d, d.size, stop_flat=False)[0]) > len(support)
     if kind == "spanned" and q != 2.0:
         # a q != 2 projection leaves a recovered f at the solver's floor
         assert flat_stops > 0
@@ -242,9 +242,10 @@ def test_a_stopped_run_ends_within_its_projection_tolerance_of_an_unstopped_run(
 
     Projections stop at a Newton decrement of tol (1 + phi), where phi is
     the objective in the solver's units, sum w |r / max|f||^q.  A flat
-    step means that every pairing sits at that level, so no later step can
-    lower phi by more: the stopped run's phi exceeds the phi of the run
-    that goes on through flat steps by at most tol (1 + phi).  On 1,557
+    step means that every pairing sits at that level, so later steps lower
+    phi by no more than that: the stopped run's phi should exceed the phi
+    of the run that goes on through flat steps by at most tol (1 + phi).
+    The bound is checked, not proved.  On 1,557
     random cases of this shape, about half with f off the span, the
     largest gap was 0.62 of that allowance.
     """
