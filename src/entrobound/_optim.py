@@ -51,13 +51,6 @@ dense problems can stall there), or raises, the full schedule runs from
 the same start.  Cold solves, ``chebyshev_project``'s among them, and
 both uniform-norm constant routes keep the full schedule.
 
-The residual form has one exact case that runs no stage at all.  When
-exactly as many rows of A are nonzero ("live") as A has columns, as on a
-support of coordinate atoms, one solve of the square live block zeroes
-every live residual; the other rows keep r_i = b_i whatever x is, so
-that solve is the global minimum.  A singular block, or one whose solve
-leaves a live residual above round-off, goes to the stage loop instead.
-
 Every Newton system is factored by ``cho_factor``.  A single system is
 factored and solved by direct LAPACK calls (``potrf``/``potrs``, looked
 up once at import) rather than through scipy's checking wrappers; the
@@ -84,7 +77,6 @@ _ARMIJO_C = 1e-4
 _MAX_BACKTRACKS = 60
 _EPS_REL = 1e-8  # the final smoothing stage
 _STAGE_ITER = 80  # Newton iterations allowed per stage
-_EXACT_TOL = 1e-12  # live residual, in units of max |b|, that an exact solve may leave
 _BLOCK = 256  # most rows of a stack that one masked stage loop solves together
 _OVERFLOW = "the objective overflowed, so the exponent is too large for the data"
 _STEP_OVERFLOW = "the Newton system overflowed, so the data are too large for the exponent"
@@ -375,13 +367,6 @@ def minimize_power_residual(A: np.ndarray, b: np.ndarray, weights: np.ndarray,
     coefficients x, and each Newton step factors the Hessian A^T diag(h) A,
     square in the column count of A.
 
-    When exactly n rows of A (n its column count) have a nonzero entry,
-    x solves that square block exactly instead, with ``stages = 0`` and
-    ``decrement = 0.0``: every term of the sum is >= 0, the live terms
-    are then 0, and the rest do not depend on x.  ``value`` is still the
-    objective over all rows.  A singular block, or a live residual above
-    1e-12 of max |b| after the solve, runs the stage loop.
-
     Without ``x0`` the stage loop starts at x = 0 and walks the whole
     smoothing schedule.  With ``x0``, a warm start such as the greedy's
     previous coefficients plus a 0 for the new atom, it runs the final
@@ -402,17 +387,6 @@ def minimize_power_residual(A: np.ndarray, b: np.ndarray, weights: np.ndarray,
         r = b - A @ x
         return PowerSolveResult(x, float(w @ np.abs(r) ** e), 0.0, 0)
     bs = b / scale
-    live = A.any(axis=1)
-    if np.count_nonzero(live) == n:  # the exact case of the docstring
-        try:
-            x = np.linalg.solve(A[live], bs[live])
-        except LinAlgError:
-            pass
-        else:
-            r = bs - A @ x
-            if float(np.abs(r[live]).max()) <= _EXACT_TOL:  # NaN fails too
-                value = float(w @ np.abs(r) ** e) * scale ** e
-                return PowerSolveResult(x * scale, value, 0.0, 0)
     x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float) / scale
 
     def direction(grad, h):

@@ -165,12 +165,19 @@ class UNormMetric(Metric):
 
 
 class PointwiseMaxMetric(Metric):
-    """max over a fixed subset of coordinates |x_i - y_i| (a seminorm)."""
+    """max over a fixed subset of coordinates |x_i - y_i| (a seminorm).
+
+    The indices must be nonnegative and of an integer type, so that a
+    negative index is not read from the end and 1.7 is not read as 1.
+    """
 
     kind = "linf-points"
 
     def __init__(self, indices: np.ndarray):
-        self.indices = np.asarray(indices, dtype=int)
+        idx = np.asarray(indices)
+        if idx.ndim != 1 or idx.dtype.kind not in "iu" or np.any(idx < 0):
+            raise ValueError(f"indices must be nonnegative integers, got {indices!r}")
+        self.indices = idx.astype(int)
 
     def _check_dim(self, cols):
         need = int(self.indices.max(initial=-1)) + 1
@@ -191,7 +198,7 @@ def metric_from_json(doc: dict) -> Metric:
     if kind == "u-norm":
         return UNormMetric(Dictionary.from_json(doc["dictionary"]))
     if kind == "linf-points":
-        return PointwiseMaxMetric(np.asarray(doc["indices"], dtype=int))
+        return PointwiseMaxMetric(doc["indices"])
     raise CertificateError(f"unknown metric kind {kind!r}")
 
 
@@ -309,15 +316,18 @@ def verify_cover(cert: CoverCertificate, witness: np.ndarray) -> bool:
 def verify_packing(cert: PackingCertificate) -> bool:
     """Re-check that the stored points are pairwise >= separation apart.
 
-    Raises CertificateError when they are not, or when the points or the
-    separation are not finite.
+    Raises CertificateError when they are not, when the points or the
+    separation are not finite, or when the points do not fit the metric.
     """
     pts = np.atleast_2d(np.asarray(cert.points, dtype=float))
     if not (np.all(np.isfinite(pts)) and math.isfinite(cert.separation)):
         raise CertificateError("packing points and separation must be finite")
     if pts.shape[0] < 2:
         return True
-    D = cert.metric.pairwise(pts, pts)
+    try:
+        D = cert.metric.pairwise(pts, pts)
+    except DimensionMismatchError as exc:
+        raise CertificateError(f"points do not fit the metric: {exc}") from exc
     off = D + np.diag(np.full(len(D), np.inf))
     smallest = float(off.min())
     if not smallest >= cert.separation - _VERIFY_TOL:  # written so that NaN fails

@@ -8,12 +8,14 @@ the previous step already took, picks the atom with the largest
 absolute pairing (lowest index on ties), gathers the selected atoms
 once, and re-projects onto them.  The largest pairing reaches t times
 the maximum for every t in (0, 1], so each run is also a run of the
-algorithm at every weaker t.  For q = 2 the projection is weighted
-least squares; otherwise it minimizes the q-th power of the residual
-norm with the shared smoothed-Newton solver.  A run stops early on an
-exact recovery (residual norm at most 1e-12), when no atom sees the
-residual, or at a flat step, one whose projection lowers the residual
-norm by less than 1e-9 relative; the flat step is dropped.
+algorithm at every weaker t.  A projection is solved one of three
+ways: in closed form on a support of coordinate atoms in distinct rows,
+at every q; by weighted least squares at q = 2; and otherwise by
+minimizing the q-th power of the residual norm with the shared
+smoothed-Newton solver.  A run stops early on an exact recovery
+(residual norm at most 1e-12), when no atom sees the residual, or at a
+flat step, one whose projection lowers the residual norm by less than
+1e-9 relative; the flat step is dropped.
 ``sigma_profile`` reads an exact recovery as 0 from its step on.
 
 The unit ball of norm_A is the absolutely convex hull of the atoms;
@@ -97,12 +99,16 @@ def chebyshev_project(f: np.ndarray, support: list[int], dictionary: Dictionary,
                       *, tol: float = _PROJECT_TOL) -> np.ndarray:
     """Coefficients minimizing the ambient norm of f - sum c_j g_j on the support.
 
-    q = 2 is closed form (weighted least squares, minimum-norm solution
-    when atoms on the support are dependent).  Other q minimize the
-    q-th-power objective by smoothed Newton down to a relative Newton
-    decrement of tol, except when the support's atoms are nonzero on
-    exactly as many coordinates as there are atoms (coordinate atoms, for
-    one): then one square solve reaches the minimum exactly.
+    Three ways, tried in order:
+
+    - coordinate atoms, each nonzero on one coordinate and no two on the
+      same one: c_j = f_i / g_j(i) on atom j's coordinate i, exact at
+      every q, since it zeroes the residual on the support and no c
+      moves it elsewhere;
+    - q = 2: weighted least squares, the minimum-norm solution when atoms
+      on the support are dependent;
+    - otherwise the q-th-power objective is minimized by smoothed Newton
+      down to a relative Newton decrement of tol.
     """
     f = np.asarray(f, dtype=float)
     fnorm = norm(dictionary.space, f)  # rejects a wrong length or a non-finite f
@@ -117,15 +123,21 @@ def _project(f, fnorm, G, space, tol, warm):
     ``best_mterm_bruteforce`` reuse the same columns for the residual.
     ``warm``, when given, is the Newton start in unscaled coefficients.
     """
-    if G.shape[1] == 0:
+    n = G.shape[1]
+    if n == 0:
         return np.zeros(0)
+    # unit atoms are never zero, so n nonzeros put exactly one in each column
+    if np.count_nonzero(G) == n:
+        cols, rows = np.nonzero(G.T)  # ordered by column
+        if np.unique(rows).size == n:  # coordinate atoms in distinct rows
+            return f[rows] / G[rows, cols]
     w = space.weight_vector()
     if space.q == 2.0:
         sw = np.sqrt(w)
         c, *_ = np.linalg.lstsq(sw[:, None] * G, sw * f, rcond=None)
         return c
     if fnorm == 0.0:
-        return np.zeros(G.shape[1])
+        return np.zeros(n)
     x0 = None if warm is None else warm / fnorm
     res = minimize_power_residual(G, f / fnorm, w, space.q, x0=x0,
                                   decrement_tol=tol)

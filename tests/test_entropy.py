@@ -137,6 +137,22 @@ def test_pointwise_max_metric_needs_its_largest_index():
     assert metric.pairwise(np.zeros((1, 5)), np.ones((1, 3)))[0, 0] == 1.0
 
 
+def test_pointwise_max_metric_rejects_negative_indices():
+    # -1 would quietly measure the last coordinate
+    with pytest.raises(ValueError, match="nonnegative"):
+        metric_from_json({"kind": "linf-points", "indices": [-1]})
+    with pytest.raises(ValueError, match="nonnegative"):
+        PointwiseMaxMetric(np.array([0, -2]))
+
+
+def test_pointwise_max_metric_rejects_fractional_indices():
+    # 1.7 would quietly measure coordinate 1
+    with pytest.raises(ValueError, match="integer"):
+        metric_from_json({"kind": "linf-points", "indices": [0, 1.7]})
+    with pytest.raises(ValueError, match="integer"):
+        PointwiseMaxMetric(np.array([2.0]))
+
+
 def test_metric_json_round_trips():
     pts = np.random.default_rng(1).standard_normal((5, 3))
     metrics = [
@@ -212,6 +228,15 @@ def test_verify_packing_rejects_non_finite_data():
         bad = PackingCertificate(points=points, separation=separation, metric=EUCLID2)
         with pytest.raises(CertificateError, match="finite"):
             verify_packing(bad)
+
+
+def test_verify_packing_names_points_that_do_not_fit_the_metric():
+    # the same fault as a cover's misfit centers, and the same error
+    doc = PackingCertificate(points=np.array([[0.0, 0.0], [2.0, 0.0]]), separation=2.0,
+                             metric=EUCLID2).to_json()
+    doc["points"] = [[0.0, 0.0, 0.0], [2.0, 0.0, 0.0]]  # 3-dimensional points in a 2-dimensional space
+    with pytest.raises(CertificateError, match="do not fit the metric"):
+        verify_packing(PackingCertificate.from_json(doc))
 
 
 def test_packing_certificate_bounds():

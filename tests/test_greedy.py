@@ -131,8 +131,10 @@ def _reference_wcga(f, d, m, stop_flat=True):
     """The greedy loop as it was written before its steps were made lean: the
     norming functional taken from scratch, and the support gathered twice.
 
-    With ``stop_flat`` it drops a flat step and stops, as ``wcga`` does;
-    without, it runs on through flat steps, as ``wcga`` used to.
+    A support of coordinate atoms in distinct rows reproduces f there, at
+    every q.  With ``stop_flat`` it drops a flat step and stops, as
+    ``wcga`` does; without, it runs on through flat steps, as ``wcga``
+    used to.
     """
     space = d.space
     w = space.weight_vector()
@@ -150,7 +152,13 @@ def _reference_wcga(f, d, m, stop_flat=True):
             break
         support.append(j)
         G = d.atoms[:, list(support)]
-        if space.q == 2.0:
+        nonzeros = np.argwhere(G)  # (row, atom) pairs
+        if (sorted(nonzeros[:, 1]) == list(range(len(support)))
+                and len(set(nonzeros[:, 0])) == len(support)):
+            coeffs = np.zeros(len(support))
+            for i, j in nonzeros:
+                coeffs[j] = f[i] / G[i, j]
+        elif space.q == 2.0:
             sw = np.sqrt(w)
             coeffs, *_ = np.linalg.lstsq(sw[:, None] * G, sw * f, rcond=None)
         else:
@@ -493,16 +501,22 @@ def test_sigma_profile_tracks_the_worst_sample():
 
 
 def test_sigma_profile_reads_an_exact_recovery_as_zero():
-    # this two-atom sample is recovered at step 2 with a round-off residual
-    # (1.2e-16 at q = 2, 2.8e-17 at q = 1.5); a dense vertex at q = 4/3
-    # stops at a flat step and keeps its solver floor
+    # two two-atom samples, each recovered at step 2: on coordinate atoms
+    # the closed form leaves an exact 0, and 0.6 g_2 - 0.4 g_7 on dense
+    # atoms a round-off residual (2.6e-16 at q = 2, 4.1e-15 at q = 1.5);
+    # a dense vertex at q = 4/3 stops at a flat step and keeps its solver
+    # floor
     for q in (2.0, 1.5):
-        d = canonical_dictionary(8, q)
-        f = sample_octahedron(d, 4, seed=1)[3]["vector"]
-        assert 0.0 < wcga(f, d, 2).residual_norm <= greedy._STOP_TOL
-        prof = sigma_profile([f], d, [1, 2, 3])
-        assert prof.values[0] > 0.0 and list(prof.values[1:]) == [0.0, 0.0]
-        assert math.isnan(prof.slope)  # one level is not recovered
+        coord = canonical_dictionary(8, q)
+        exact = sample_octahedron(coord, 4, seed=1)[3]["vector"]
+        assert wcga(exact, coord, 2).residual_norm == 0.0
+        dense = _random_unit_dictionary(8, 12, q, seed=4)
+        rounded = 0.6 * dense.atoms[:, 2] - 0.4 * dense.atoms[:, 7]
+        assert 0.0 < wcga(rounded, dense, 2).residual_norm <= greedy._STOP_TOL
+        for f, d in ((exact, coord), (rounded, dense)):
+            prof = sigma_profile([f], d, [1, 2, 3])
+            assert prof.values[0] > 0.0 and list(prof.values[1:]) == [0.0, 0.0]
+            assert math.isnan(prof.slope)  # one level is not recovered
     dense = _random_unit_dictionary(8, 16, 4.0 / 3.0, seed=30)
     f = dense.atoms[:, 3]
     prof = sigma_profile([f], dense, [1, 2, 4])
@@ -641,43 +655,45 @@ def _power_objective(A, b, w, e, x):
 
 
 @given(n=st.integers(1, 8), dead=st.integers(0, 16),
-       e=st.floats(1.0, 6.0, exclude_min=True), coordinate=st.booleans(),
-       seed=st.integers(0, 2 ** 32 - 1))
-def test_square_live_block_is_solved_exactly(n, dead, e, coordinate, seed):
-    # n live rows for n unknowns: the minimum zeroes the live residual and
-    # leaves sum w |b|^e over the rows no column touches
+       q=st.sampled_from([2.0, 1e9]) | st.floats(1.0, 6.0, exclude_min=True),
+       weighted=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_coordinate_supports_are_projected_exactly_at_every_q(n, dead, q, weighted, seed):
+    # n of the n + dead signed coordinate atoms, permuted, each scaled to
+    # unit norm by the weights: the projection zeroes the residual on the
+    # support up to one rounding, and no coefficient touches the other rows
     rng = np.random.default_rng(seed)
-    if coordinate:  # permuted and scaled coordinate atoms
-        block = np.diag(rng.choice([-1.0, 1.0], n) * rng.uniform(0.1, 10.0, n))
-        block = block[rng.permutation(n)]
-    else:  # singular values in [0.1, 10]
-        U, _ = np.linalg.qr(rng.standard_normal((n, n)))
-        V, _ = np.linalg.qr(rng.standard_normal((n, n)))
-        block = (U * rng.uniform(0.1, 10.0, n)) @ V.T
     rows = n + dead
-    live = np.zeros(rows, dtype=bool)
-    live[rng.choice(rows, size=n, replace=False)] = True
-    A = np.zeros((rows, n))
-    A[live] = block
-    b = rng.standard_normal(rows) * 10.0 ** rng.uniform(-3.0, 3.0)
-    w = rng.uniform(0.1, 1.0, rows)
-    res = optim.minimize_power_residual(A, b, w, e)
-    assert res.stages == 0 and res.decrement == 0.0
-    assert np.abs((b - A @ res.x)[live]).max() <= 1e-12 * np.abs(b).max()
-    dead_sum = float(w[~live] @ np.abs(b[~live]) ** e)
-    assert res.value == pytest.approx(dead_sum, rel=1e-12,
-                                      abs=1e-12 * np.abs(b).max() ** e)
-    best = _power_objective(A, b, w, e, res.x)
-    for size in 10.0 ** rng.uniform(-6.0, 0.0, 20):
-        x = res.x + size * np.abs(res.x).max(initial=1.0) * rng.standard_normal(n)
-        assert _power_objective(A, b, w, e, x) >= best
+    if weighted:
+        w = rng.uniform(0.1, 1.0, rows)
+        space = discrete_space(w / w.sum(), q)
+    else:
+        space = sequence_space(rows, q)
+    atoms = np.diag(rng.choice([-1.0, 1.0], rows))[:, rng.permutation(rows)]
+    d = Dictionary(atoms / [norm(space, a) for a in atoms.T], space)
+    support = [int(j) for j in rng.choice(rows, size=n, replace=False)]
+    f = rng.standard_normal(rows) * 10.0 ** rng.uniform(-3.0, 3.0)
+    c = chebyshev_project(f, support, d)
+    G = d.atoms[:, support]
+    r = f - G @ c
+    live = G.any(axis=1)
+    assert np.all(np.abs(r[live]) <= 2.0 * np.finfo(float).eps * np.abs(f[live]))
+    assert np.array_equal(r[~live], f[~live])
+    # every c leaves f on the rows off the support, so this is the minimum
+    assert norm(space, r) == pytest.approx(norm(space, np.where(live, 0.0, f)),
+                                           rel=1e-12, abs=1e-15 * np.abs(f).max())
+    if q < 1e9:  # the power sum overflows at q = 1e9
+        w = space.weight_vector()
+        best = _power_objective(G, f, w, q, c)
+        for size in 10.0 ** rng.uniform(-6.0, 0.0, 20):
+            x = c + size * np.abs(c).max() * rng.standard_normal(n)
+            assert _power_objective(G, f, w, q, x) >= best
 
 
 @pytest.mark.parametrize("second", [[2.0, 2.0], [1.0, 1.0 + 2.0 ** -52]])
 def test_singular_square_block_falls_back_to_newton(second):
-    # with atoms e1 + e2 and 2 (e1 + e2) the live block is singular; with
-    # the second atom one ulp off e1 + e2 the solve succeeds but leaves a
-    # live residual far above round-off.  Newton treats both as one
+    # two columns on two rows: with atoms e1 + e2 and 2 (e1 + e2) the block
+    # is singular, and with the second atom one ulp off e1 + e2 it is
+    # singular to working precision.  The stage loop treats both as one
     # direction, and the residual is minimized at (A x)_1 = (A x)_2 = 1/2
     A = np.array([[1.0, second[0]], [1.0, second[1]], [0.0, 0.0]])
     b = np.array([1.0, 0.0, 3.0])
@@ -688,19 +704,20 @@ def test_singular_square_block_falls_back_to_newton(second):
 
 
 def test_greedy_on_coordinate_atoms_factors_no_newton_system(monkeypatch):
-    factored = []
-    cho_factor = optim.cho_factor
-    monkeypatch.setattr(optim, "cho_factor",
-                        lambda H: factored.append(1) or cho_factor(H))
-    d = canonical_dictionary(12, 1.5)
+    # each projection is the closed form: neither the solver nor least
+    # squares runs, at q = 2 or elsewhere
+    def unexpected(*args, **kwargs):
+        raise AssertionError("a coordinate projection called a solver")
+
+    monkeypatch.setattr(greedy, "minimize_power_residual", unexpected)
+    monkeypatch.setattr(np.linalg, "lstsq", unexpected)
     f = np.random.default_rng(7).standard_normal(12)
-    run = wcga(f, d, 6)
-    assert len(run.support) == 6
-    assert factored == []
-    # the residual is f with its six largest entries removed
-    tail = np.sort(np.abs(f))[:6]
-    assert run.residual_norm == pytest.approx(np.sum(tail ** 1.5) ** (1 / 1.5),
-                                              rel=1e-15)
+    for q in (1.5, 2.0, 3.0):
+        run = wcga(f, canonical_dictionary(12, q), 6)
+        assert len(run.support) == 6
+        # the residual is f with its six largest entries removed
+        tail = np.sort(np.abs(f))[:6]
+        assert run.residual_norm == pytest.approx(np.sum(tail ** q) ** (1 / q), rel=1e-15)
 
 
 # ---------------------------------------------------------------------------

@@ -441,8 +441,8 @@ def test_cli_breached_checks_exit_3_in_one_line(monkeypatch, capsys, argv, modul
 
 
 def test_cli_octahedron_cover_at_a_huge_exponent_succeeds(capsys):
-    # coordinate atoms make every projection an exact square solve, so no
-    # power of the residual is ever differentiated and nothing overflows
+    # on coordinate atoms every projection is the closed form, so no power
+    # of the residual is ever differentiated and nothing overflows
     argv = "it2-octahedron --seed 0 --q 1e9 --n 8 --k-list 3,8 --samples 16"
     assert main(argv.split()) == 0
     rows = capsys.readouterr().out.splitlines()
@@ -492,7 +492,7 @@ def test_benchmark_tracer_counts_every_newton_iteration(monkeypatch):
     cho_factor = optim.cho_factor
     monkeypatch.setattr(optim, "cho_factor",
                         lambda H: factored.append(1) or cho_factor(H))
-    # dense atoms: coordinate atoms would take the exact square solve instead
+    # dense atoms: coordinate atoms would take the closed form instead
     rng = np.random.default_rng(3)
     space = sequence_space(6, 1.5)
     atoms = rng.standard_normal((6, 8))
