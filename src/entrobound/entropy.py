@@ -175,7 +175,8 @@ class PointwiseMaxMetric(Metric):
 
     def __init__(self, indices: np.ndarray):
         idx = np.asarray(indices)
-        if idx.ndim != 1 or idx.dtype.kind not in "iu" or np.any(idx < 0):
+        integral = idx.dtype.kind in "iu" or idx.size == 0  # numpy reads [] as floats
+        if idx.ndim != 1 or not integral or np.any(idx < 0):
             raise ValueError(f"indices must be nonnegative integers, got {indices!r}")
         self.indices = idx.astype(int)
 

@@ -151,6 +151,8 @@ def test_pointwise_max_metric_rejects_fractional_indices():
         metric_from_json({"kind": "linf-points", "indices": [0, 1.7]})
     with pytest.raises(ValueError, match="integer"):
         PointwiseMaxMetric(np.array([2.0]))
+    # an empty list, which numpy reads as floats, still gives the zero seminorm
+    assert metric_from_json({"kind": "linf-points", "indices": []}).indices.size == 0
 
 
 def test_metric_json_round_trips():

@@ -689,6 +689,20 @@ def test_coordinate_supports_are_projected_exactly_at_every_q(n, dead, q, weight
             assert _power_objective(G, f, w, q, x) >= best
 
 
+@pytest.mark.parametrize("q", [1.5, 2.0])
+def test_two_coordinate_atoms_on_one_row_take_the_general_path(q):
+    # atoms 0 and 2, e_0 and -e_0, share a row, so the closed form does not
+    # apply: coefficients (a, b) with a - b = f_0 zero that row, and the
+    # residual keeps f on the others
+    d = Dictionary(np.array([[1.0, 0.0, -1.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]]),
+                   sequence_space(3, q))
+    f = np.array([3.0, -2.0, 1.0])
+    c = chebyshev_project(f, [0, 2], d)
+    assert c[0] - c[1] == pytest.approx(3.0, abs=1e-6)
+    assert norm(d.space, f - d.atoms[:, [0, 2]] @ c) == pytest.approx(
+        norm(d.space, np.array([0.0, -2.0, 1.0])), rel=1e-9)
+
+
 @pytest.mark.parametrize("second", [[2.0, 2.0], [1.0, 1.0 + 2.0 ** -52]])
 def test_singular_square_block_falls_back_to_newton(second):
     # two columns on two rows: with atoms e1 + e2 and 2 (e1 + e2) the block
