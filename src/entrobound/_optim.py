@@ -10,11 +10,18 @@ stage, and Newton does not care about the resulting stiffness.
 
 The stage loop owns the smoothing schedule, the objective and finiteness
 checks, the decrement test, the Armijo backtracking and the final
-non-convergence check.  It serves three forms, which differ only in
-their Newton direction and trial point:
+non-convergence check.  It comes in two shapes.  ``_smoothed_newton``
+runs one problem, and is the residual form itself,
+``minimize_power_residual``: r = b - A x over coefficients x, with the
+Hessian A^T diag(h) A.  Its caller, the greedy projection, solves one
+problem at a time, each warm-started from the last.
+``_masked_newton`` runs a stack of independent problems of one shape,
+one per row, in lockstep numpy calls: each row keeps its own stage,
+iteration count, Armijo step and convergence test, and a row that has
+finished is left alone, so every row takes the steps its own serial
+solve would take.  It serves two forms, which differ only in their
+Newton direction and trial point:
 
-- the residual form, ``minimize_power_residual``: r = b - A x over
-  coefficients x, with the Hessian A^T diag(h) A;
 - the constrained form, ``minimize_power_constrained``: r = g itself,
   over every g with C^T g fixed, with one Schur system
   C^T diag(1/h) C per step;
@@ -22,22 +29,15 @@ their Newton direction and trial point:
   a^T c = 1, written c = c0 + Z y with Z a basis of the null space of
   a^T, with the Hessian (B Z)^T diag(h) (B Z).
 
-The loop comes in two shapes.  ``_smoothed_newton`` runs one problem;
-the residual form uses it, because its caller, the greedy projection,
-solves one problem at a time, each warm-started from the last.
-``_masked_newton`` runs a stack of independent problems of one shape,
-one per row, in lockstep numpy calls: each row keeps its own stage,
-iteration count, Armijo step and convergence test, and a row that has
-finished is left alone, so every row takes the steps its own serial
-solve would take.  The constrained and slice forms take stacks, since
-their callers, the two uniform-norm constant routes, solve one problem
-per support point; those problems are small, so a serial solve is
-bound by numpy call overhead, which the stack shares out.  The stacks
-run at most ``_BLOCK`` rows at a time, which bounds every stacked
-array.  A single problem is cheaper serial: on 200 cold greedy-shaped
-solves (160 rows, 12 unknowns, exponent 4/3, a 2-vCPU x86_64 host) the
-masked loop on stacks of one took 0.74-0.87 s, against 0.26-0.27 s for
-``_smoothed_newton``, about 3 times as long.
+Both take a stack and return ``(minimizers, values)``, one row or
+entry per problem, since their callers, the two uniform-norm constant
+routes, solve one problem per support point; those problems are small,
+so a serial solve is bound by numpy call overhead, which the stack
+shares out.  The stacks run at most ``_BLOCK`` rows at a time, which
+bounds every stacked array.  A single problem is cheaper serial: on 200
+cold greedy-shaped solves (160 rows, 12 unknowns, exponent 4/3, a
+2-vCPU x86_64 host) the masked loop on stacks of one took 0.74-0.87 s,
+against 0.26-0.27 s for ``_smoothed_newton``, about 3 times as long.
 
 A warm start skips the continuation.  The stages before the last carry
 a far start across the region where the unsmoothed gradient is not
@@ -101,16 +101,13 @@ def cho_factor(H: np.ndarray) -> np.ndarray:
 
 @dataclass
 class PowerSolveResult:
-    """A solve's minimizer, objective value, last decrement and stage count.
-
-    A stacked solve gives ``x`` one row per problem and the other fields
-    one entry per problem.
-    """
+    """A residual-form solve's minimizer, objective value, last decrement
+    and stage count."""
 
     x: np.ndarray
-    value: float | np.ndarray
-    decrement: float | np.ndarray
-    stages: int | np.ndarray
+    value: float
+    decrement: float
+    stages: int
 
 
 def _spd_solve(H: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -154,23 +151,16 @@ def _eps_levels() -> list[float]:
     return levels
 
 
-def _smoothed_newton(direction, trial, point: np.ndarray, r: np.ndarray,
-                     w: np.ndarray, e: float, scale: float,
-                     decrement_tol: float, warm: bool) -> PowerSolveResult:
-    """The stage loop on one problem: minimize sum w |r|**e.
+def _smoothed_newton(A: np.ndarray, bs: np.ndarray, x: np.ndarray, w: np.ndarray,
+                     e: float, scale: float, decrement_tol: float,
+                     warm: bool) -> PowerSolveResult:
+    """The stage loop on one problem: minimize sum w |r|**e with r = bs - A x.
 
-    ``r`` is the residual vector at ``point``, both divided by the data
-    scale.  Each smoothing stage minimizes sum w (r^2 + eps^2)^(e/2) by
-    damped Newton with Armijo backtracking, with eps walked down
-    geometrically from 0.1 to ``_EPS_REL``.  The form enters through two
-    callables:
-
-    - ``direction(grad, h)`` returns the Newton direction and the
-      decrement squared, given the gradient of the smoothed objective in
-      r and its Hessian in r, which is diagonal (the vector ``h``); an
-      overflowed Newton system returns an infinite decrement;
-    - ``trial(point, t, d)`` returns the point t d along the direction
-      and the residual there.
+    ``bs`` and the start ``x`` are divided by the data scale.  Each
+    smoothing stage minimizes sum w (r^2 + eps^2)^(e/2) by damped Newton
+    with Armijo backtracking, with eps walked down geometrically from 0.1
+    to ``_EPS_REL``.  Its Hessian in r is diagonal (the vector h), so
+    each Newton step factors A^T diag(h) A.
 
     A ``warm`` start, one next to the minimizer, runs the final stage
     alone first, since it has no far region for the earlier stages to
@@ -193,9 +183,10 @@ def _smoothed_newton(direction, trial, point: np.ndarray, r: np.ndarray,
     stages = 0
     iterations = 0
     eps_levels = _eps_levels()
-    start = point, r
+    start = x
     for levels in (eps_levels[-1:], eps_levels) if warm else (eps_levels,):
-        point, r = start
+        x = start
+        r = bs - A @ x
         last = levels is eps_levels
         try:
             for eps in levels:
@@ -209,8 +200,14 @@ def _smoothed_newton(direction, trial, point: np.ndarray, r: np.ndarray,
                     if not math.isfinite(f_cur):  # overflow: no Newton step exists
                         raise NonConvergenceError(f_cur, iterations, decrement_tol,
                                                   _OVERFLOW)
-                    d, dec = direction(we * r * base,
-                                       we * base * (e_minus_1 * r * r + e2) / s2)
+                    grad = we * r * base
+                    h = we * base * (e_minus_1 * r * r + e2) / s2
+                    g = A.T @ grad  # minus the gradient in x
+                    H = (A * h[:, None]).T @ A
+                    dec = math.inf
+                    if math.isfinite(H.trace()):  # h >= 0: an overflow shows on the diagonal
+                        d = _spd_solve(H, g)
+                        dec = float(g @ d)
                     if not math.isfinite(dec):
                         raise NonConvergenceError(dec, iterations, decrement_tol,
                                                   _STEP_OVERFLOW)
@@ -218,14 +215,15 @@ def _smoothed_newton(direction, trial, point: np.ndarray, r: np.ndarray,
                         break
                     t = 1.0
                     for _ in range(_MAX_BACKTRACKS):
-                        point_new, r_new = trial(point, t, d)
+                        x_new = x + t * d
+                        r_new = bs - A @ x_new
                         f_new = float(w @ (r_new * r_new + e2) ** half_e)
                         if np.isfinite(f_new) and f_new <= f_cur - _ARMIJO_C * t * dec:
                             break
                         t *= 0.5
                     else:
                         break  # float floor for this stage
-                    point, r = point_new, r_new
+                    x, r = x_new, r_new
         except NonConvergenceError:
             if last:
                 raise
@@ -239,7 +237,7 @@ def _smoothed_newton(direction, trial, point: np.ndarray, r: np.ndarray,
         raise NonConvergenceError(dec, iterations,
                                   decrement_tol * (1.0 + abs(f_final)))
     value = float(w @ np.abs(r) ** e) * scale ** e
-    return PowerSolveResult(point * scale, value, dec, stages)
+    return PowerSolveResult(x * scale, value, dec, stages)
 
 
 def _raise_at(bad: np.ndarray, measure: np.ndarray, rows: np.ndarray,
@@ -261,7 +259,8 @@ def _raise_at(bad: np.ndarray, measure: np.ndarray, rows: np.ndarray,
 
 def _masked_newton(direction, trial, point: np.ndarray, r: np.ndarray,
                    w: np.ndarray, e: float, scale: np.ndarray,
-                   decrement_tol: float, labels: np.ndarray) -> PowerSolveResult:
+                   decrement_tol: float,
+                   labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The stage loop of ``_smoothed_newton`` on a stack of problems, one per row.
 
     Row k of ``point`` and ``r`` is problem k's start and its residual
@@ -277,9 +276,10 @@ def _masked_newton(direction, trial, point: np.ndarray, r: np.ndarray,
     - ``trial(rows, point, t, d)`` returns their points t d along the
       directions, with one t per row, and the residuals there.
 
-    ``point`` and ``r`` are updated in place.  An error names the
-    failing row by its entry in ``labels`` and reports that row's own
-    iteration count.
+    ``point`` and ``r`` are updated in place.  Returns the minimizers and
+    the objective values, one row or entry per problem, in the caller's
+    units.  An error names the failing row by its entry in ``labels`` and
+    reports that row's own iteration count.
     """
     we = w * e
     half_e = e / 2.0
@@ -335,9 +335,7 @@ def _masked_newton(direction, trial, point: np.ndarray, r: np.ndarray,
     target = decrement_tol * (1.0 + np.abs(f_final))
     _raise_at(dec > 1e-6 * (1.0 + np.abs(f_final)), dec, np.arange(n_rows),
               iterations, labels, target, None)
-    value = np.abs(r) ** e @ w * scale ** e
-    return PowerSolveResult(point * scale[:, None], value, dec,
-                            np.full(n_rows, len(e2_levels)))
+    return point * scale[:, None], np.abs(r) ** e @ w * scale ** e
 
 
 def _check_exponent(exponent: float) -> float:
@@ -360,12 +358,12 @@ def minimize_power_residual(A: np.ndarray, b: np.ndarray, weights: np.ndarray,
                             exponent: float,
                             *,
                             x0: np.ndarray | None = None,
-                            decrement_tol: float = 1e-12) -> PowerSolveResult:
+                            decrement_tol: float) -> PowerSolveResult:
     """Minimize sum_i weights_i |b_i - (A x)_i|**exponent over x.
 
-    The residual form of the shared stage loop: the unknowns are the
-    coefficients x, and each Newton step factors the Hessian A^T diag(h) A,
-    square in the column count of A.
+    The residual form, solved by ``_smoothed_newton`` on the data divided
+    by max |b|: the unknowns are the coefficients x, and each Newton step
+    factors the Hessian A^T diag(h) A, square in the column count of A.
 
     Without ``x0`` the stage loop starts at x = 0 and walks the whole
     smoothing schedule.  With ``x0``, a warm start such as the greedy's
@@ -388,21 +386,7 @@ def minimize_power_residual(A: np.ndarray, b: np.ndarray, weights: np.ndarray,
         return PowerSolveResult(x, float(w @ np.abs(r) ** e), 0.0, 0)
     bs = b / scale
     x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float) / scale
-
-    def direction(grad, h):
-        g = A.T @ grad  # minus the gradient in x
-        H = (A * h[:, None]).T @ A
-        if not math.isfinite(H.trace()):  # h >= 0: an overflow shows on the diagonal
-            return None, math.inf
-        d = _spd_solve(H, g)
-        return d, float(g @ d)
-
-    def trial(x, t, d):
-        x_new = x + t * d
-        return x_new, bs - A @ x_new
-
-    return _smoothed_newton(direction, trial, x, bs - A @ x, w, e, scale,
-                            decrement_tol, warm=x0 is not None)
+    return _smoothed_newton(A, bs, x, w, e, scale, decrement_tol, warm=x0 is not None)
 
 
 def _overflowed(H: np.ndarray) -> np.ndarray:
@@ -415,37 +399,33 @@ def _overflowed(H: np.ndarray) -> np.ndarray:
 
 
 @np.errstate(over="ignore")
-def minimize_power_constrained(C: np.ndarray, g0: np.ndarray, weights: np.ndarray,
-                               exponent: float,
-                               *,
-                               decrement_tol: float = 1e-12) -> PowerSolveResult:
-    """Minimize sum_i weights_i |g_i|**exponent over g with C^T g = C^T g0.
+def minimize_power_constrained(C: np.ndarray, starts: np.ndarray, weights: np.ndarray,
+                               exponent: float, *,
+                               decrement_tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """For each row g0 of ``starts``, minimize sum_i weights_i |g_i|**exponent
+    over g with C^T g = C^T g0.
 
-    The constrained form of the stage loop, started at the feasible g0;
-    the result's ``x`` is the minimizer g.  The objective is separable,
-    so its Hessian is a diagonal h, and each equality-constrained Newton
-    step (Boyd & Vandenberghe, *Convex Optimization*, 2004, sections 10.2
-    and 10.4) solves one Schur system S = C^T diag(1/h) C, square in the
-    column count of C: with u the gradient in g, S lam = (C / h)^T u, and
-    the step (C lam - u) / h leaves C^T g unchanged, so every iterate
-    stays feasible up to round-off.
-
-    ``g0`` may be a stack, one start per row, each solved on its own
-    under the one C; the result then has one row or entry per start.
-    Every Schur system of a step comes from one product
+    The constrained form of the stage loop, one problem per start, each
+    started at its feasible g0 and solved on its own under the one C;
+    returns the minimizers g and the values, one row or entry per start.
+    The objective is separable, so its Hessian is a diagonal h, and each
+    equality-constrained Newton step (Boyd & Vandenberghe, *Convex
+    Optimization*, 2004, sections 10.2 and 10.4) solves one Schur system
+    S = C^T diag(1/h) C, square in the column count of C: with u the
+    gradient in g, S lam = (C / h)^T u, and the step (C lam - u) / h
+    leaves C^T g unchanged, so every iterate stays feasible up to
+    round-off.  Every Schur system of a step comes from one product
     (1/h) @ (C outer C), with C outer C the row outer products of C.  A
     zero start needs no solve: g = 0 is feasible, and the objective
     vanishes there.
     """
     C = np.asarray(C, dtype=float)
-    g0 = np.asarray(g0, dtype=float)
+    starts = np.asarray(starts, dtype=float)
     w = np.asarray(weights, dtype=float)
     e = _check_exponent(exponent)
-    starts = np.atleast_2d(g0)
-    n_starts, d = len(starts), C.shape[1]
+    d = C.shape[1]
     x = np.zeros_like(starts)
-    value, dec = np.zeros(n_starts), np.zeros(n_starts)
-    stages = np.zeros(n_starts, dtype=int)
+    value = np.zeros(len(starts))
     scale = np.abs(starts).max(axis=1, initial=0.0)
     CC = (C[:, :, None] * C[:, None, :]).reshape(len(C), d * d)  # row outer products
 
@@ -464,23 +444,19 @@ def minimize_power_constrained(C: np.ndarray, g0: np.ndarray, weights: np.ndarra
 
     for block in _blocks(np.flatnonzero(scale), _BLOCK):
         gs = starts[block] / scale[block, None]
-        res = _masked_newton(direction, trial, gs, gs, w, e, scale[block],
-                             decrement_tol, block)
-        x[block], value[block], dec[block], stages[block] = (
-            res.x, res.value, res.decrement, res.stages)
-    if g0.ndim == 1:
-        return PowerSolveResult(x[0], float(value[0]), float(dec[0]), int(stages[0]))
-    return PowerSolveResult(x, value, dec, stages)
+        x[block], value[block] = _masked_newton(direction, trial, gs, gs, w, e,
+                                                scale[block], decrement_tol, block)
+    return x, value
 
 
 @np.errstate(over="ignore")
-def minimize_power_sliced(B: np.ndarray, rows: np.ndarray, weights: np.ndarray,
-                          exponent: float, *, decrement_tol: float) -> PowerSolveResult:
-    """For each row a of ``rows``, minimize sum_i weights_i |(B c)_i|**exponent
+def minimize_power_sliced(B: np.ndarray, weights: np.ndarray, exponent: float, *,
+                          decrement_tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """For each row a of B, minimize sum_i weights_i |(B c)_i|**exponent
     over c with a^T c = 1.
 
-    The slice form of the stage loop, one problem per row, solved as a
-    stack; B must have full column rank.  Each problem starts at
+    The slice form of the stage loop, one problem per row of B, solved
+    as a stack; B must have full column rank.  Each problem starts at
     c0 = a / |a|^2 and moves in the null space of a^T, whose basis Z
     comes from one stacked SVD of the rows; over y in c = c0 + Z y it is
     the residual form with A = B Z and b = -B c0, and each Newton step
@@ -491,26 +467,24 @@ def minimize_power_sliced(B: np.ndarray, rows: np.ndarray, weights: np.ndarray,
     left at an extremal's zeros.  A block holds at most
     ``_BLOCK // (d - 1)`` rows, so that its stack of A holds at most
     ``_BLOCK`` x N entries, as each stack of the constrained form does.
-    The result's ``x`` holds the minimizers c,
-    one row per problem.  A zero row admits no c: its value is inf and
-    its c is zero.  A single column leaves c = c0 as the only choice.
+    Returns the minimizers c and the values, one row or entry per
+    problem.  A zero row admits no c: its value is inf and its c is
+    zero.  A single column leaves c = c0 as the only choice.
     """
     B = np.asarray(B, dtype=float)
-    rows = np.asarray(rows, dtype=float)
     w = np.asarray(weights, dtype=float)
     e = _check_exponent(exponent)
     d = B.shape[1]
-    sq = np.einsum("ij,ij->i", rows, rows)
-    x = np.zeros_like(rows)
-    value, dec = np.full(len(rows), math.inf), np.zeros(len(rows))
-    stages = np.zeros(len(rows), dtype=int)
+    sq = np.einsum("ij,ij->i", B, B)
+    x = np.zeros_like(B)
+    value = np.full(len(B), math.inf)
     live = np.flatnonzero(sq)
-    x[live] = rows[live] / sq[live, None]
+    x[live] = B[live] / sq[live, None]
     if d == 1:
         value[live] = np.abs(x[live] @ B.T) ** e @ w
-        return PowerSolveResult(x, value, dec, stages)
+        return x, value
     for block in _blocks(live, max(1, _BLOCK // (d - 1))):
-        Z = np.linalg.svd(rows[block, None, :])[2][:, 1:].swapaxes(1, 2)  # d x (d - 1)
+        Z = np.linalg.svd(B[block, None, :])[2][:, 1:].swapaxes(1, 2)  # d x (d - 1)
         A = B @ Z
         bs = -(x[block] @ B.T)
         scale = np.abs(bs).max(axis=1)
@@ -531,8 +505,7 @@ def minimize_power_sliced(B: np.ndarray, rows: np.ndarray, weights: np.ndarray,
             return y_new, bs[k] - (A[k] @ y_new[:, :, None])[:, :, 0]
 
         y = np.zeros((block.size, d - 1))
-        res = _masked_newton(direction, trial, y, bs.copy(), w, e, scale,
-                             decrement_tol, block)
-        x[block] += (Z @ res.x[:, :, None])[:, :, 0]
-        value[block], dec[block], stages[block] = res.value, res.decrement, res.stages
-    return PowerSolveResult(x, value, dec, stages)
+        y, value[block] = _masked_newton(direction, trial, y, bs.copy(), w, e, scale,
+                                         decrement_tol, block)
+        x[block] += (Z @ y[:, :, None])[:, :, 0]
+    return x, value

@@ -145,17 +145,22 @@ class Subspace:
 
 @dataclass(frozen=True, eq=False)
 class SamplePointSet:
-    """Distinct support-point indices at which functions are sampled."""
+    """Distinct support-point indices at which functions are sampled.
+
+    The indices must be nonnegative and of an integer type, so that 1.7
+    is not read as 1, nor 0.5 and 1.2 as the distinct 0 and 1.
+    """
 
     indices: np.ndarray
 
     def __post_init__(self):
-        idx = np.asarray(self.indices, dtype=int)
-        object.__setattr__(self, "indices", idx)
+        idx = np.asarray(self.indices)
         if idx.ndim != 1 or idx.size == 0:
             raise ValueError("need at least one sample point")
-        if np.any(idx < 0):
-            raise ValueError("indices must be nonnegative")
+        if idx.dtype.kind not in "iu" or np.any(idx < 0):
+            raise ValueError(f"indices must be nonnegative integers, got {self.indices!r}")
+        idx = idx.astype(int)
+        object.__setattr__(self, "indices", idx)
         if len(np.unique(idx)) != idx.size:
             raise ValueError("indices must be distinct")
 
@@ -177,9 +182,9 @@ def _direct_solves(sub: Subspace, p: float,
     c*, one per support point, from one stacked slice-form solve.  Where
     every subspace element vanishes, the point value is 0 and c* is zero.
     """
-    res = minimize_power_sliced(sub.basis, sub.basis, sub.measure.weights, p,
-                                decrement_tol=tol)
-    return res.value ** (-1.0 / p), res.x  # the value inf of a vanishing point gives 0
+    coefficients, values = minimize_power_sliced(sub.basis, sub.measure.weights, p,
+                                                 decrement_tol=tol)
+    return values ** (-1.0 / p), coefficients  # the value inf of a vanishing point gives 0
 
 
 def m_p_direct(sub: Subspace, p: float) -> float:
@@ -215,9 +220,9 @@ def _dual_solves(sub: Subspace, p: float,
     pp = p / (p - 1.0)
     if sub.dim == sub.support_size:
         return (np.abs(K) ** pp @ mu) ** (1.0 / pp), K.copy()
-    res = minimize_power_constrained(mu[:, None] * sub.basis, K, mu, pp,
-                                     decrement_tol=tol)
-    return res.value ** (1.0 / pp), res.x
+    minimizers, values = minimize_power_constrained(mu[:, None] * sub.basis, K, mu, pp,
+                                                    decrement_tol=tol)
+    return values ** (1.0 / pp), minimizers
 
 
 def m_p_dual(sub: Subspace, p: float) -> float:

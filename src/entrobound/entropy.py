@@ -116,6 +116,10 @@ class Metric:
         if cols != self._dim:
             raise DimensionMismatchError(self._dim, cols, "point")
 
+    def norms(self, R: np.ndarray) -> np.ndarray:
+        """The norm of every row of R, each its distance to 0."""
+        return np.abs(self.features(R)).max(axis=1)
+
     def pairwise(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         A = np.atleast_2d(np.asarray(A, dtype=float))
         B = np.atleast_2d(np.asarray(B, dtype=float))
@@ -141,6 +145,9 @@ class AmbientMetric(Metric):
 
     def _feature_dist(self, FA, FB):
         return cdist(FA, FB, "minkowski", p=self.space.q, w=self.space.weights)
+
+    def norms(self, R):
+        return _power_norm(R, self.space.weight_vector(), self.space.q)
 
     def to_json(self):
         return {"kind": self.kind, "space": self.space.to_json()}
@@ -359,7 +366,7 @@ class EntropyProfile:
     @classmethod
     def build(cls, k_list, lower, upper, lower_source, upper_source) -> "EntropyProfile":
         k_list = [int(k) for k in k_list]
-        if sorted(k_list) != k_list:
+        if any(a >= b for a, b in zip(k_list, k_list[1:])):
             raise ValueError("k_list must be increasing")
         lower = np.asarray(lower, dtype=float).copy()
         upper = np.asarray(upper, dtype=float).copy()
@@ -698,17 +705,6 @@ def _max_grid_radius(count, m: int, target: int) -> int:
     return lo
 
 
-def _row_norms(metric: Metric, R: np.ndarray) -> np.ndarray:
-    """The norm of every row of R in a cover metric.
-
-    Ambient rows take the space's weighted l_q norm; point-evaluation
-    rows take the max.
-    """
-    if isinstance(metric, PointwiseMaxMetric):
-        return np.abs(R[:, metric.indices]).max(axis=1)
-    return _power_norm(R, metric.space.weight_vector(), metric.space.q)
-
-
 def _quantized_cover(sample: np.ndarray, atoms: np.ndarray, level, grid_count,
                      metric: Metric, k: int, m_max: int) -> CoverCertificate:
     """Cover a witness sample by grid-quantized m-term approximants.
@@ -727,7 +723,7 @@ def _quantized_cover(sample: np.ndarray, atoms: np.ndarray, level, grid_count,
         raise QuantizationBudgetError(f"k must be nonnegative, got {k}")
     runs = sample.shape[0]
     dim, n = atoms.shape
-    best = (float(_row_norms(metric, sample).max()), 0, 0, 0.0, None)
+    best = (float(metric.norms(sample).max()), 0, 0, 0.0, None)
     for m in range(1, min(k, m_max) + 1):
         # comb(n, m) is not monotone in m, so infeasible m never break the scan
         M = _max_grid_radius(grid_count, m, (1 << k) // math.comb(n, m))
@@ -739,7 +735,7 @@ def _quantized_cover(sample: np.ndarray, atoms: np.ndarray, level, grid_count,
         quantized = np.zeros((runs, n + 1))  # column n takes the padding
         quantized[np.arange(runs)[:, None], support] = z * delta
         centers = quantized[:, :n] @ atoms.T
-        radius = float(_row_norms(metric, sample - centers).max())
+        radius = float(metric.norms(sample - centers).max())
         if radius < best[0]:
             best = (radius, m, M, delta, (support, z, centers))
 

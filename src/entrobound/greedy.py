@@ -307,7 +307,7 @@ def sigma_profile(samples: list[np.ndarray], dictionary: Dictionary,
     """
     if not samples:
         raise EmptySampleError("sigma profile needs at least one sample")
-    if not m_list or sorted(m_list) != list(m_list) or m_list[0] < 1:
+    if not m_list or m_list[0] < 1 or any(a >= b for a, b in zip(m_list, m_list[1:])):
         raise ValueError("m_list must be increasing positive integers")
     for i, f in enumerate(samples):
         value = norm_A(f, dictionary)

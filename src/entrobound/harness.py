@@ -162,7 +162,7 @@ def _field_problem(cfg: "ExperimentConfig", name: str, q_max: float) -> str | No
             return f"{name}: must be a nonempty list, got {value!r}"
         if not all(_is_int(v) for v in value):
             return f"{name}: entries must be integers, got {value!r}"
-        if sorted(value) != list(value) or value[0] < 1:
+        if value[0] < 1 or any(a >= b for a, b in zip(value, value[1:])):
             return f"{name}: must be increasing and >= 1, got {value!r}"
         if _is_int(cap) and value[-1] > cap:
             return f"{name}: entries must stay <= n = {cap}, got {value[-1]}"

@@ -298,6 +298,16 @@ def test_sigma_profile_rejects_non_finite_samples():
                       d, [1, 2])
 
 
+def test_sigma_profile_rejects_repeated_levels():
+    # a repeated m is sorted but not increasing: it would list its level twice
+    d = canonical_dictionary(3, 1.5)
+    f = np.array([0.5, 0.25, 0.0])
+    for m_list in ([1, 1, 2], [2, 2]):
+        with pytest.raises(ValueError, match="increasing"):
+            sigma_profile([f], d, m_list)
+    assert sigma_profile([f], d, [1, 2]).values[-1] == 0.0
+
+
 def test_chebyshev_project_rejects_non_finite_input():
     # at q = 1.5 the solver used to blame an overflowing objective
     f = np.array([np.nan, 1.0, 0.0])
@@ -553,7 +563,8 @@ def test_each_smoothing_stage_runs_once(monkeypatch, eps_rel, stages):
     rng = np.random.default_rng(1)
     A = rng.standard_normal((12, 3))
     b = rng.standard_normal(12)
-    res = optim.minimize_power_residual(A, b, np.full(12, 1.0 / 12), 1.5)
+    res = optim.minimize_power_residual(A, b, np.full(12, 1.0 / 12), 1.5,
+                                        decrement_tol=1e-12)
     assert res.stages == stages
 
 
@@ -562,9 +573,10 @@ def test_non_finite_objective_raises_instead_of_reaching_the_factorization():
     rng = np.random.default_rng(0)
     A = rng.standard_normal((8, 2))
     b = 4.0 * rng.standard_normal(8)
-    for solve in (optim.minimize_power_residual, optim.minimize_power_constrained):
+    for solve, start in ((optim.minimize_power_residual, b),
+                         (optim.minimize_power_constrained, b[None, :])):
         with pytest.raises(NonConvergenceError) as exc:
-            solve(A, b, np.full(8, 1.0 / 8), 1e9)
+            solve(A, start, np.full(8, 1.0 / 8), 1e9, decrement_tol=1e-12)
         assert exc.value.iterations == 1
         assert "residual measure inf" in str(exc.value)
         assert "the objective overflowed" in str(exc.value)
@@ -575,9 +587,10 @@ def test_overflowing_hessian_raises_instead_of_passing_as_converged():
     # so does the Schur system A^T diag(1/h) A of the constrained form
     A = np.array([[1e200, 0.0], [0.0, 1e200], [1e200, 1e200]])
     b = np.array([1.0, -1.0, 0.5])
-    for solve in (optim.minimize_power_residual, optim.minimize_power_constrained):
+    for solve, start in ((optim.minimize_power_residual, b),
+                         (optim.minimize_power_constrained, b[None, :])):
         with pytest.raises(NonConvergenceError) as exc:
-            solve(A, b, np.ones(3), 3.0)
+            solve(A, start, np.ones(3), 3.0, decrement_tol=1e-12)
         assert exc.value.iterations == 1
         assert "the Newton system overflowed" in str(exc.value)
 
@@ -617,20 +630,21 @@ def test_singular_hessian_falls_back_to_the_ridge_solve(monkeypatch):
             raise
 
     monkeypatch.setattr(optim, "cho_factor", counted)
-    res = optim.minimize_power_residual(A, b, w, 1.5)
+    res = optim.minimize_power_residual(A, b, w, 1.5, decrement_tol=1e-12)
     assert failures
     assert np.all(np.isfinite(res.x))
     # the duplicate column adds nothing: the minimum is that of the reduced problem
-    reduced = optim.minimize_power_residual(A[:, 1:], b, w, 1.5)
+    reduced = optim.minimize_power_residual(A[:, 1:], b, w, 1.5, decrement_tol=1e-12)
     assert res.value == pytest.approx(reduced.value, rel=1e-8)
     # the same columns as constraints make the Schur system singular; the
     # ridge keeps each step feasible to about 1e-12 relative
     failures.clear()
-    res = optim.minimize_power_constrained(A, b, w, 1.5)
+    g, value = optim.minimize_power_constrained(A, b[None, :], w, 1.5, decrement_tol=1e-12)
     assert failures
-    assert A.T @ res.x == pytest.approx(A.T @ b, rel=1e-9)
-    reduced = optim.minimize_power_constrained(A[:, 1:], b, w, 1.5)
-    assert res.value == pytest.approx(reduced.value, rel=1e-8)
+    assert A.T @ g[0] == pytest.approx(A.T @ b, rel=1e-9)
+    _, reduced = optim.minimize_power_constrained(A[:, 1:], b[None, :], w, 1.5,
+                                                  decrement_tol=1e-12)
+    assert value[0] == pytest.approx(reduced[0], rel=1e-8)
 
 
 def test_a_singular_system_in_a_stack_gets_the_ridge_alone():
@@ -711,7 +725,7 @@ def test_singular_square_block_falls_back_to_newton(second):
     # direction, and the residual is minimized at (A x)_1 = (A x)_2 = 1/2
     A = np.array([[1.0, second[0]], [1.0, second[1]], [0.0, 0.0]])
     b = np.array([1.0, 0.0, 3.0])
-    res = optim.minimize_power_residual(A, b, np.ones(3), 1.5)
+    res = optim.minimize_power_residual(A, b, np.ones(3), 1.5, decrement_tol=1e-12)
     assert res.stages == 8
     assert A[0] @ res.x == pytest.approx(0.5, abs=1e-6)
     assert res.value == pytest.approx(2 * 0.5 ** 1.5 + 3.0 ** 1.5, rel=1e-9)
@@ -835,11 +849,12 @@ def test_warm_solve_that_cannot_converge_raises_after_both_runs(monkeypatch):
                         lambda H: factored.append(1) or cho_factor(H))
     monkeypatch.setattr(optim, "_MAX_BACKTRACKS", 0)
     with pytest.raises(NonConvergenceError) as exc:
-        optim.minimize_power_residual(A, b, w, 1.5, x0=np.zeros(3))
+        optim.minimize_power_residual(A, b, w, 1.5, x0=np.zeros(3), decrement_tol=1e-12)
     assert exc.value.iterations == len(factored) == 1 + len(optim._eps_levels())
     # an overflowing objective raises in the final stage, and again at
     # the first iterate of the fallback
     with pytest.raises(NonConvergenceError) as exc:
-        optim.minimize_power_residual(A, 4.0 * b, w, 1e9, x0=np.zeros(3))
+        optim.minimize_power_residual(A, 4.0 * b, w, 1e9, x0=np.zeros(3),
+                                      decrement_tol=1e-12)
     assert exc.value.iterations == 2
     assert "the objective overflowed" in str(exc.value)

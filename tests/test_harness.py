@@ -290,6 +290,15 @@ def test_exponent_not_2_reports_match_golden_digests(experiment):
     assert digest == _GOLDEN_EXPONENT_NOT_2[experiment]
 
 
+def test_it1_at_p_4_matches_its_golden_digest():
+    # the p = 3 digest reaches the serial Newton loop through dense greedy at
+    # q = 1.5; this one pins the q = 4/3 greedy and the p = 4 M_p solves too
+    params = dict(_TINY["it1"], p=4.0)
+    _, text = run(ExperimentConfig(experiment="it1", seed=1, format="json", **params))
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == "ba9a757d8e91d52b5e20169c35ccc948b003f276083fe677e497a621b5b7010d"
+
+
 def test_run_rejects_invalid_configs():
     with pytest.raises(ConfigValidationError):
         run(ExperimentConfig(experiment="ball-entropy", seed=0, p=1.0))
@@ -367,6 +376,21 @@ def test_cli_rejects_mistyped_config_values(tmp_path, capsys, doc, problem):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err.splitlines() == [problem]
+
+
+@pytest.mark.parametrize("argv, problem", [
+    ("sigma-decay --seed 1 --n 16 --m-list 2,2,4,8 --samples 5",
+     "error: m_list: must be increasing and >= 1, got [2, 2, 4, 8]"),
+    ("ball-entropy --seed 1 --k-list 3,3,8", "error: k_list: must be increasing"),
+    ("it2-octahedron --seed 1 --k-list 3,3,8", "error: k_list: must be increasing"),
+])
+def test_cli_rejects_repeated_list_entries(capsys, argv, problem):
+    # a repeated level is sorted, but it would be run and reported twice
+    assert main(argv.split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith(problem)
 
 
 @pytest.mark.parametrize("argv, code, problem", [
