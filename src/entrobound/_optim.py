@@ -10,8 +10,8 @@ stage, and Newton does not care about the resulting stiffness.
 
 The stage loop owns the smoothing schedule, the objective and finiteness
 checks, the decrement test, the Armijo backtracking and the final
-non-convergence check.  It comes in two shapes.  ``_smoothed_newton``
-runs one problem, and is the residual form itself,
+non-convergence check.  It comes in two shapes.  The serial loop runs
+one problem, and is the residual form itself,
 ``minimize_power_residual``: r = b - A x over coefficients x, with the
 Hessian A^T diag(h) A.  Its caller, the greedy projection, solves one
 problem at a time, each warm-started from the last.
@@ -37,7 +37,11 @@ shares out.  The stacks run at most ``_BLOCK`` rows at a time, which
 bounds every stacked array.  A single problem is cheaper serial: on 200
 cold greedy-shaped solves (160 rows, 12 unknowns, exponent 4/3, a
 2-vCPU x86_64 host) the masked loop on stacks of one took 0.74-0.87 s,
-against 0.26-0.27 s for ``_smoothed_newton``, about 3 times as long.
+against 0.26-0.27 s for the serial loop, about 3 times as long.
+
+The rules both loops apply (smoothed model and value, decrement test,
+stall threshold, reported value) are each written once, along the last
+axis, so one residual vector and a stack of residual rows share them.
 
 A warm start skips the continuation.  The stages before the last carry
 a far start across the region where the unsmoothed gradient is not
@@ -77,6 +81,7 @@ _ARMIJO_C = 1e-4
 _MAX_BACKTRACKS = 60
 _EPS_REL = 1e-8  # the final smoothing stage
 _STAGE_ITER = 80  # Newton iterations allowed per stage
+_STALL_TOL = 1e-6  # the final check's decrement tol: a solve that stalled above it raises
 _BLOCK = 256  # most rows of a stack that one masked stage loop solves together
 _OVERFLOW = "the objective overflowed, so the exponent is too large for the data"
 _STEP_OVERFLOW = "the Newton system overflowed, so the data are too large for the exponent"
@@ -101,8 +106,8 @@ def cho_factor(H: np.ndarray) -> np.ndarray:
 
 @dataclass
 class PowerSolveResult:
-    """A residual-form solve's minimizer, objective value, last decrement
-    and stage count."""
+    """``minimize_power_residual``'s minimizer, value sum w |r|^e, last Newton
+    decrement and stage count (both runs of a warm start that fell back)."""
 
     x: np.ndarray
     value: float
@@ -151,93 +156,28 @@ def _eps_levels() -> list[float]:
     return levels
 
 
-def _smoothed_newton(A: np.ndarray, bs: np.ndarray, x: np.ndarray, w: np.ndarray,
-                     e: float, scale: float, decrement_tol: float,
-                     warm: bool) -> PowerSolveResult:
-    """The stage loop on one problem: minimize sum w |r|**e with r = bs - A x.
-
-    ``bs`` and the start ``x`` are divided by the data scale.  Each
-    smoothing stage minimizes sum w (r^2 + eps^2)^(e/2) by damped Newton
-    with Armijo backtracking, with eps walked down geometrically from 0.1
-    to ``_EPS_REL``.  Its Hessian in r is diagonal (the vector h), so
-    each Newton step factors A^T diag(h) A.
-
-    A ``warm`` start, one next to the minimizer, runs the final stage
-    alone first, since it has no far region for the earlier stages to
-    carry it across.  That stage is accepted only if it ends on its own
-    decrement test, decrement <= decrement_tol * (1 + |f|).  If it ends
-    at the stage cap or the backtracking floor instead, or raises, the
-    full schedule runs from the same start; ``stages`` counts the stages
-    of both runs, and an error reports the iterations of both.
-
-    The reported value is the true objective at the final iterate; it
-    exceeds the true minimum by at most the final stage's smoothing gap
-    sum(w) * eps^e plus half the final Newton decrement, both far below
-    every tolerance consumed downstream.
-    """
+def _smoothed_model(r, w, e: float, e2):
+    """A stage's objective sum w (r^2 + e2)^(e/2), e2 = eps^2, with its
+    gradient and its diagonal curvature h in r (e2 a column on a stack)."""
     we = w * e
-    half_e = e / 2.0
-    base_pow = half_e - 1.0
-    e_minus_1 = e - 1.0
-    dec = 0.0
-    stages = 0
-    iterations = 0
-    eps_levels = _eps_levels()
-    start = x
-    for levels in (eps_levels[-1:], eps_levels) if warm else (eps_levels,):
-        x = start
-        r = bs - A @ x
-        last = levels is eps_levels
-        try:
-            for eps in levels:
-                stages += 1
-                e2 = eps * eps
-                for _ in range(_STAGE_ITER):
-                    iterations += 1
-                    s2 = r * r + e2
-                    base = s2 ** base_pow
-                    f_cur = float(w @ (s2 * base))
-                    if not math.isfinite(f_cur):  # overflow: no Newton step exists
-                        raise NonConvergenceError(f_cur, iterations, decrement_tol,
-                                                  _OVERFLOW)
-                    grad = we * r * base
-                    h = we * base * (e_minus_1 * r * r + e2) / s2
-                    g = A.T @ grad  # minus the gradient in x
-                    H = (A * h[:, None]).T @ A
-                    dec = math.inf
-                    if math.isfinite(H.trace()):  # h >= 0: an overflow shows on the diagonal
-                        d = _spd_solve(H, g)
-                        dec = float(g @ d)
-                    if not math.isfinite(dec):
-                        raise NonConvergenceError(dec, iterations, decrement_tol,
-                                                  _STEP_OVERFLOW)
-                    if dec <= decrement_tol * (1.0 + abs(f_cur)):
-                        break
-                    t = 1.0
-                    for _ in range(_MAX_BACKTRACKS):
-                        x_new = x + t * d
-                        r_new = bs - A @ x_new
-                        f_new = float(w @ (r_new * r_new + e2) ** half_e)
-                        if np.isfinite(f_new) and f_new <= f_cur - _ARMIJO_C * t * dec:
-                            break
-                        t *= 0.5
-                    else:
-                        break  # float floor for this stage
-                    x, r = x_new, r_new
-        except NonConvergenceError:
-            if last:
-                raise
-            continue
-        # the last (dec, f_cur) failed the decrement test unless the stage
-        # ended on it
-        if last or dec <= decrement_tol * (1.0 + abs(f_cur)):
-            break
-    f_final = float(w @ (r * r + eps_levels[-1] ** 2) ** half_e)
-    if dec > 1e-6 * (1.0 + abs(f_final)):
-        raise NonConvergenceError(dec, iterations,
-                                  decrement_tol * (1.0 + abs(f_final)))
-    value = float(w @ np.abs(r) ** e) * scale ** e
-    return PowerSolveResult(x * scale, value, dec, stages)
+    s2 = r * r + e2
+    base = s2 ** (e / 2.0 - 1.0)
+    return (s2 * base) @ w, we * r * base, we * base * ((e - 1.0) * r * r + e2) / s2
+
+
+def _smoothed_value(r, w, e: float, e2):
+    """The smoothed objective alone, at a trial point or the final iterate."""
+    return (r * r + e2) ** (e / 2.0) @ w
+
+
+def _decrement_target(f, tol: float):
+    """The decrement test's target tol (1 + |f|) at objective f."""
+    return tol * (1.0 + abs(f))
+
+
+def _power_sum(r, w, e: float):
+    """The reported value sum w |r|^e, the unsmoothed objective."""
+    return abs(r) ** e @ w
 
 
 def _raise_at(bad: np.ndarray, measure: np.ndarray, rows: np.ndarray,
@@ -261,13 +201,13 @@ def _masked_newton(direction, trial, point: np.ndarray, r: np.ndarray,
                    w: np.ndarray, e: float, scale: np.ndarray,
                    decrement_tol: float,
                    labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The stage loop of ``_smoothed_newton`` on a stack of problems, one per row.
+    """The stage loop of ``minimize_power_residual`` on a stack of problems, one per row.
 
     Row k of ``point`` and ``r`` is problem k's start and its residual
     there, both divided by ``scale[k]``.  Each row keeps its own stage,
     iteration count, Armijo step and decrement test, and leaves the loop
     when it finishes its last stage; the arithmetic per row is that of
-    ``_smoothed_newton``.  The callables act on the rows still running,
+    the serial loop.  The callables act on the rows still running,
     listed in ``rows``:
 
     - ``direction(rows, grad, h)`` returns their Newton directions and
@@ -281,10 +221,6 @@ def _masked_newton(direction, trial, point: np.ndarray, r: np.ndarray,
     units.  An error names the failing row by its entry in ``labels`` and
     reports that row's own iteration count.
     """
-    we = w * e
-    half_e = e / 2.0
-    base_pow = half_e - 1.0
-    e_minus_1 = e - 1.0
     e2_levels = np.square(_eps_levels())
     n_rows = len(point)
     stage = np.zeros(n_rows, dtype=int)
@@ -295,18 +231,14 @@ def _masked_newton(direction, trial, point: np.ndarray, r: np.ndarray,
     while rows.size:
         iterations[rows] += 1
         e2 = e2_levels[stage[rows]][:, None]
-        rr = r[rows]
-        s2 = rr * rr + e2
-        base = s2 ** base_pow
-        f_cur = (s2 * base) @ w
+        f_cur, grad, h = _smoothed_model(r[rows], w, e, e2)
         _raise_at(~np.isfinite(f_cur), f_cur, rows, iterations, labels,
                   decrement_tol, _OVERFLOW)
-        d, dec_rows = direction(rows, we * rr * base,
-                                we * base * (e_minus_1 * rr * rr + e2) / s2)
+        d, dec_rows = direction(rows, grad, h)
         _raise_at(~np.isfinite(dec_rows), dec_rows, rows, iterations, labels,
                   decrement_tol, _STEP_OVERFLOW)
         dec[rows] = dec_rows
-        moving = np.flatnonzero(dec_rows > decrement_tol * (1.0 + np.abs(f_cur)))
+        moving = np.flatnonzero(dec_rows > _decrement_target(f_cur, decrement_tol))
         stepped = np.zeros(rows.size, dtype=bool)
         # Armijo backtracking, one step length per moving row
         t = np.ones(moving.size)
@@ -316,7 +248,7 @@ def _masked_newton(direction, trial, point: np.ndarray, r: np.ndarray,
                 break
             k = moving[pending]
             point_new, r_new = trial(rows[k], point[rows[k]], t[pending], d[k])
-            f_new = (r_new * r_new + e2[k]) ** half_e @ w
+            f_new = _smoothed_value(r_new, w, e, e2[k])
             ok = np.isfinite(f_new) & (
                 f_new <= f_cur[k] - _ARMIJO_C * t[pending] * dec_rows[k])
             point[rows[k[ok]]] = point_new[ok]
@@ -331,11 +263,10 @@ def _masked_newton(direction, trial, point: np.ndarray, r: np.ndarray,
         stage[ended] += 1
         steps[ended] = 0
         rows = rows[stage[rows] < len(e2_levels)]
-    f_final = (r * r + e2_levels[-1]) ** half_e @ w
-    target = decrement_tol * (1.0 + np.abs(f_final))
-    _raise_at(dec > 1e-6 * (1.0 + np.abs(f_final)), dec, np.arange(n_rows),
-              iterations, labels, target, None)
-    return point * scale[:, None], np.abs(r) ** e @ w * scale ** e
+    f_final = _smoothed_value(r, w, e, e2_levels[-1])
+    _raise_at(dec > _decrement_target(f_final, _STALL_TOL), dec, np.arange(n_rows),
+              iterations, labels, _decrement_target(f_final, decrement_tol), None)
+    return point * scale[:, None], _power_sum(r, w, e) * scale ** e
 
 
 def _check_exponent(exponent: float) -> float:
@@ -350,10 +281,10 @@ def _blocks(rows: np.ndarray, size: int):
     return (rows[i:i + size] for i in range(0, rows.size, size))
 
 
-# in every form overflow is handled where it arises: the line search rejects
-# non-finite trial values, and a non-finite objective, Newton system or
-# decrement raises
-@np.errstate(over="ignore")
+# in every form overflow, and the nan it leaves, is handled where it arises:
+# the line search rejects non-finite trial values, and a non-finite
+# objective, Newton system or decrement raises
+@np.errstate(over="ignore", invalid="ignore")
 def minimize_power_residual(A: np.ndarray, b: np.ndarray, weights: np.ndarray,
                             exponent: float,
                             *,
@@ -361,18 +292,28 @@ def minimize_power_residual(A: np.ndarray, b: np.ndarray, weights: np.ndarray,
                             decrement_tol: float) -> PowerSolveResult:
     """Minimize sum_i weights_i |b_i - (A x)_i|**exponent over x.
 
-    The residual form, solved by ``_smoothed_newton`` on the data divided
-    by max |b|: the unknowns are the coefficients x, and each Newton step
-    factors the Hessian A^T diag(h) A, square in the column count of A.
+    The residual form, run by the serial stage loop on the data divided
+    by max |b|: the unknowns are the coefficients x.  Each smoothing
+    stage minimizes sum w (r^2 + eps^2)^(e/2) by damped Newton with
+    Armijo backtracking, with eps walked down geometrically from 0.1 to
+    ``_EPS_REL``.  Its Hessian in r is diagonal (the vector h), so each
+    Newton step factors A^T diag(h) A, square in the column count of A.
 
-    Without ``x0`` the stage loop starts at x = 0 and walks the whole
-    smoothing schedule.  With ``x0``, a warm start such as the greedy's
-    previous coefficients plus a 0 for the new atom, it runs the final
-    stage alone from ``x0``, and falls back to the whole schedule from
-    ``x0`` when that stage ends above ``decrement_tol * (1 + |f|)`` or
-    raises; ``stages`` then counts both runs.  On it1's default
-    dictionary at p = 4 this cut the greedy's Newton iterations from
-    85,590 to 34,405, with no fallback.
+    Without ``x0`` the loop starts at x = 0 and walks the whole smoothing
+    schedule.  With ``x0``, a warm start such as the greedy's previous
+    coefficients plus a 0 for the new atom, it runs the final stage alone
+    from ``x0``.  That stage is accepted only if it ends on its own
+    decrement test, decrement <= decrement_tol * (1 + |f|).  If it ends
+    at the stage cap or the backtracking floor instead, or raises, the
+    full schedule runs from ``x0``; ``stages`` then counts the stages of
+    both runs, and an error reports the iterations of both.  On it1's
+    default dictionary at p = 4 the warm start cut the greedy's Newton
+    iterations from 85,590 to 34,405, with no fallback.
+
+    The reported value is the true objective at the final iterate; it
+    exceeds the true minimum by at most the final stage's smoothing gap
+    sum(w) * eps^e plus half the final Newton decrement, both far below
+    every tolerance consumed downstream.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -382,11 +323,61 @@ def minimize_power_residual(A: np.ndarray, b: np.ndarray, weights: np.ndarray,
     scale = float(np.abs(b).max(initial=0.0))
     if n == 0 or scale == 0.0:
         x = np.zeros(n)
-        r = b - A @ x
-        return PowerSolveResult(x, float(w @ np.abs(r) ** e), 0.0, 0)
+        return PowerSolveResult(x, float(_power_sum(b - A @ x, w, e)), 0.0, 0)
     bs = b / scale
-    x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float) / scale
-    return _smoothed_newton(A, bs, x, w, e, scale, decrement_tol, warm=x0 is not None)
+    start = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float) / scale
+    dec, stages, iterations = 0.0, 0, 0
+    eps_levels = _eps_levels()
+    for levels in (eps_levels,) if x0 is None else (eps_levels[-1:], eps_levels):
+        x = start
+        r = bs - A @ x
+        last = levels is eps_levels
+        try:
+            for eps in levels:
+                stages += 1
+                e2 = eps * eps
+                for _ in range(_STAGE_ITER):
+                    iterations += 1
+                    f_cur, grad, h = _smoothed_model(r, w, e, e2)
+                    f_cur = float(f_cur)
+                    if not math.isfinite(f_cur):  # overflow: no Newton step exists
+                        raise NonConvergenceError(f_cur, iterations, decrement_tol,
+                                                  _OVERFLOW)
+                    g = A.T @ grad  # minus the gradient in x
+                    H = (A * h[:, None]).T @ A
+                    dec = math.inf
+                    if math.isfinite(H.trace()):  # h >= 0: an overflow shows on the diagonal
+                        d = _spd_solve(H, g)
+                        dec = float(g @ d)
+                    if not math.isfinite(dec):
+                        raise NonConvergenceError(dec, iterations, decrement_tol,
+                                                  _STEP_OVERFLOW)
+                    if dec <= _decrement_target(f_cur, decrement_tol):
+                        break
+                    t = 1.0
+                    for _ in range(_MAX_BACKTRACKS):
+                        x_new = x + t * d
+                        r_new = bs - A @ x_new
+                        f_new = float(_smoothed_value(r_new, w, e, e2))
+                        if np.isfinite(f_new) and f_new <= f_cur - _ARMIJO_C * t * dec:
+                            break
+                        t *= 0.5
+                    else:
+                        break  # float floor for this stage
+                    x, r = x_new, r_new
+        except NonConvergenceError:
+            if last:
+                raise
+            continue
+        # the last (dec, f_cur) failed the decrement test unless the stage
+        # ended on it
+        if last or dec <= _decrement_target(f_cur, decrement_tol):
+            break
+    f_final = float(_smoothed_value(r, w, e, eps_levels[-1] ** 2))
+    if dec > _decrement_target(f_final, _STALL_TOL):
+        raise NonConvergenceError(dec, iterations, _decrement_target(f_final, decrement_tol))
+    value = float(_power_sum(r, w, e)) * scale ** e
+    return PowerSolveResult(x * scale, value, dec, stages)
 
 
 def _overflowed(H: np.ndarray) -> np.ndarray:
@@ -398,7 +389,7 @@ def _overflowed(H: np.ndarray) -> np.ndarray:
     return np.where(np.isfinite(np.trace(H, axis1=1, axis2=2)), 0.0, np.inf)
 
 
-@np.errstate(over="ignore")
+@np.errstate(over="ignore", invalid="ignore")
 def minimize_power_constrained(C: np.ndarray, starts: np.ndarray, weights: np.ndarray,
                                exponent: float, *,
                                decrement_tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -449,7 +440,7 @@ def minimize_power_constrained(C: np.ndarray, starts: np.ndarray, weights: np.nd
     return x, value
 
 
-@np.errstate(over="ignore")
+@np.errstate(over="ignore", invalid="ignore")
 def minimize_power_sliced(B: np.ndarray, weights: np.ndarray, exponent: float, *,
                           decrement_tol: float) -> tuple[np.ndarray, np.ndarray]:
     """For each row a of B, minimize sum_i weights_i |(B c)_i|**exponent
@@ -481,7 +472,7 @@ def minimize_power_sliced(B: np.ndarray, weights: np.ndarray, exponent: float, *
     live = np.flatnonzero(sq)
     x[live] = B[live] / sq[live, None]
     if d == 1:
-        value[live] = np.abs(x[live] @ B.T) ** e @ w
+        value[live] = _power_sum(x[live] @ B.T, w, e)
         return x, value
     for block in _blocks(live, max(1, _BLOCK // (d - 1))):
         Z = np.linalg.svd(B[block, None, :])[2][:, 1:].swapaxes(1, 2)  # d x (d - 1)

@@ -415,9 +415,8 @@ class SubspaceEntropyResult:
     spread: float
 
 
-def it1_experiment(sub: Subspace, pts: SamplePointSet, p: float,
-                   k_list: list[int], *, seed: int = 0,
-                   cover_sample_size: int = 320) -> SubspaceEntropyResult:
+def it1_experiment(sub: Subspace, pts: SamplePointSet, p: float, k_list: list[int], *,
+                   seed: int, cover_sample_size: int) -> SubspaceEntropyResult:
     """Entropy profile of { f : ||f||_p <= 1 } in max_j |f(x^j)|.
 
     Upper entries take the smaller of the trivial radius M_p (the whole

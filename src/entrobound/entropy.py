@@ -55,6 +55,7 @@ from .greedy import Octahedron, sample_octahedron, wcga
 from .spaces import (
     Dictionary,
     NormedSpaceSpec,
+    _is_int,
     _power_norm,
     dual_norm,
     norm,
@@ -219,9 +220,9 @@ class CoverCertificate:
 
     ``count_bound`` is the certified number of possible centers (a
     combinatorial count for constructive covers; the literal center
-    count otherwise) and must satisfy count_bound <= 2^k.  ``centers``
-    materializes only the centers actually assigned to witness points,
-    which is enough for independent re-verification.
+    count otherwise), an integer like k, and must satisfy count_bound <=
+    2^k.  ``centers`` materializes only the centers actually assigned to
+    witness points, which is enough for independent re-verification.
     """
 
     centers: np.ndarray
@@ -231,6 +232,11 @@ class CoverCertificate:
     metric: Metric
     provenance: str
     extra: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        for name, value in (("k", self.k), ("count_bound", self.count_bound)):
+            if not _is_int(value):  # a document's 3.9 is not read as 3
+                raise ValueError(f"{name} must be an integer, got {value!r}")
 
     def to_json(self) -> dict:
         return {
@@ -249,8 +255,8 @@ class CoverCertificate:
         return cls(
             centers=np.asarray(doc["centers"], dtype=float),
             radius=float(doc["radius"]),
-            k=int(doc["k"]),
-            count_bound=int(doc["count_bound"]),
+            k=doc["k"],
+            count_bound=doc["count_bound"],
             metric=metric_from_json(doc["metric"]),
             provenance=str(doc["provenance"]),
             extra=dict(doc.get("extra", {})),
@@ -928,7 +934,7 @@ class BallEntropyResult:
 
 
 def ball_entropy_experiment(p: float, n: int, k_list: list[int], *,
-                            sample_size: int = 2048, seed: int = 0) -> BallEntropyResult:
+                            sample_size: int, seed: int) -> BallEntropyResult:
     """Bracketed entropy profile of the unit l_p ball in the max norm.
 
     Upper entries come from the constructive keep-m-coordinates covers:
@@ -1027,12 +1033,12 @@ class DualitySumReport:
 
 
 def duality_sum_check(dictionary: Dictionary, m: int, *,
-                      sample_size: int = 320, seed: int = 0) -> DualitySumReport:
+                      sample_size: int, seed: int) -> DualitySumReport:
     """Empirical check that the two dual entropy sums stay comparable.
 
-    Brackets epsilon-hat_k for k = 0..m on both sides (exact restricted
-    covers where the budget allows, greedy covers beyond, packings for
-    lower bounds), forms sum epsilon^p with p = q'/2, and reports the
+    Brackets epsilon-hat_k for k = 0..m on both sides with greedy covers
+    and packings alone (``_greedy_brackets``; no exact restricted cover),
+    forms sum epsilon^p with p = q'/2, and reports the
     ratio interval.  Flags the report when the interval excludes every
     constant in [1e-3, 1e3]; a wide bracket alone downgrades the status
     to 'warning' without failing.
@@ -1048,8 +1054,8 @@ def duality_sum_check(dictionary: Dictionary, m: int, *,
         raise ValueError("m must be nonnegative")
     p_exp = space.dual_exponent / 2.0
 
-    # duplicate witnesses inflate the exact set-cover instances without
-    # changing any radius, so drop them up front
+    # duplicate witnesses inflate the distance matrices and the greedy
+    # searches over them without changing any radius, so drop them up front
     hull_sample = np.unique(_octahedron_witness(dictionary, sample_size, seed), axis=0)
     hull_D = AmbientMetric(space).pairwise(hull_sample, hull_sample)
 

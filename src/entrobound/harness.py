@@ -38,7 +38,7 @@ from .entropy import (
 )
 from .errors import ConfigValidationError
 from .greedy import Octahedron, sample_octahedron, sigma_profile
-from .spaces import MeasureSpace, canonical_dictionary
+from .spaces import MeasureSpace, _is_int, canonical_dictionary
 
 __all__ = [
     "EXPERIMENTS",
@@ -114,10 +114,6 @@ def fit_envelope(table, n: int | None = None,
 
 # ---------------------------------------------------------------------------
 # configuration
-
-def _is_int(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
 
 def _is_real(value) -> bool:
     return (isinstance(value, (int, float, np.integer, np.floating))

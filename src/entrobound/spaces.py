@@ -68,6 +68,11 @@ _ATOM_TOL = 1e-10
 _SPAN_TOL = 1e-8  # relative least-squares residual that still counts as in the span
 
 
+def _is_int(value) -> bool:
+    """A Python or numpy integer; a bool is not one, nor is an integral float."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _power_norm(values: np.ndarray, w: np.ndarray, q: float):
     """(sum_i w_i |v_i|^q)^(1/q) of a vector, or of every row of a matrix.
 
@@ -113,6 +118,8 @@ class MeasureSpace:
 
     @classmethod
     def uniform(cls, size: int) -> "MeasureSpace":
+        if size < 1:
+            raise ValueError("weights must be a nonempty vector")
         return cls(np.full(size, 1.0 / size))
 
     def norm(self, values: np.ndarray, p: float) -> float:
@@ -133,8 +140,8 @@ class NormedSpaceSpec:
     weights: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError(f"dim must be >= 1, got {self.dim}")
+        if not _is_int(self.dim) or self.dim < 1:
+            raise ValueError(f"dim must be an integer >= 1, got {self.dim!r}")
         if not (self.q > 1.0) or not math.isfinite(self.q):
             raise ValueError(f"q must lie in (1, inf), got {self.q}")
         if self.weights is not None:
@@ -173,7 +180,7 @@ class NormedSpaceSpec:
         if kind is not None and (kind == "discrete_lq_mu") != (weights is not None):
             raise ValueError(f"norm kind {kind!r} contradicts the weights")
         return cls(
-            dim=int(doc["dim"]),
+            dim=doc["dim"],
             q=float(doc["q"]),
             weights=None if weights is None else np.asarray(weights, dtype=float),
         )

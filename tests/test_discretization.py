@@ -80,6 +80,8 @@ def test_random_subspace_is_orthonormal_and_deterministic():
     assert np.array_equal(a.basis, b.basis)
     with pytest.raises(ValueError):
         random_subspace(11, 10, seed=0)
+    with pytest.raises(ValueError, match="nonempty"):  # once a ZeroDivisionError
+        random_subspace(1, 0, seed=0)
     with pytest.raises(DimensionMismatchError):
         random_subspace(2, 10, seed=0, measure=MeasureSpace.uniform(8))
 
@@ -162,7 +164,7 @@ def test_m_p_rejects_small_exponents():
         with pytest.raises(ValueError, match="finite p >= 2"):
             m_p_dual(sub, p)
         with pytest.raises(ValueError, match="finite p >= 2"):
-            it1_experiment(sub, pts, p, [2])
+            it1_experiment(sub, pts, p, [2], seed=0, cover_sample_size=320)
 
 
 def _direct_point_solve(sub, x, p, tol):
@@ -474,8 +476,8 @@ def test_it1_validates_k_list():
     sub = random_subspace(2, 16, seed=20)
     pts = SamplePointSet(np.arange(8))
     with pytest.raises(ValueError):
-        it1_experiment(sub, pts, 2.0, [9])
+        it1_experiment(sub, pts, 2.0, [9], seed=0, cover_sample_size=320)
     with pytest.raises(ValueError):
-        it1_experiment(sub, pts, 2.0, [])
+        it1_experiment(sub, pts, 2.0, [], seed=0, cover_sample_size=320)
     with pytest.raises(ValueError):
-        it1_experiment(sub, pts, 1.0, [4])
+        it1_experiment(sub, pts, 1.0, [4], seed=0, cover_sample_size=320)

@@ -251,6 +251,24 @@ def test_packing_certificate_bounds():
         verify_packing(bad)
 
 
+def test_certificate_documents_reject_non_integral_counts():
+    # int() once read k 3.9 as 3, count_bound 4.9 as 4 and the space's dim
+    # 2.7 as 2, and verify_cover passed each of them
+    cert, W = _toy_cover()
+    doc = cert.to_json()
+    flat = dict(doc["metric"], space=dict(doc["metric"]["space"], dim=2.7))
+    for bad, match in ((dict(doc, k=3.9), "k must be an integer"),
+                       (dict(doc, k=3, count_bound=4.9), "count_bound must be an integer"),
+                       (dict(doc, k=True), "k must be an integer"),
+                       (dict(doc, metric=flat), "dim must be an integer")):
+        with pytest.raises(ValueError, match=match):
+            CoverCertificate.from_json(bad)
+    numpy_ints = CoverCertificate(centers=cert.centers, radius=1.0, k=np.int64(0),
+                                  count_bound=np.int64(1), metric=EUCLID2,
+                                  provenance="greedy-cover")
+    assert verify_cover(numpy_ints, W)
+
+
 def test_certificate_json_round_trips():
     cert, W = _toy_cover()
     again = CoverCertificate.from_json(cert.to_json())
@@ -875,14 +893,14 @@ def test_ball_entropy_brackets_the_segment():
 
 def test_ball_entropy_validation():
     with pytest.raises(ValueError):
-        ball_entropy_experiment(1.5, 4, [2])
+        ball_entropy_experiment(1.5, 4, [2], sample_size=2048, seed=0)
     for p in (math.nan, math.inf):  # NaN once slipped through as NaN uppers
         with pytest.raises(ValueError, match="finite p >= 2"):
-            ball_entropy_experiment(p, 8, [3, 8], sample_size=64)
+            ball_entropy_experiment(p, 8, [3, 8], sample_size=64, seed=0)
     with pytest.raises(ValueError):
-        ball_entropy_experiment(2.0, 4, [5])
+        ball_entropy_experiment(2.0, 4, [5], sample_size=2048, seed=0)
     with pytest.raises(ValueError):
-        ball_entropy_experiment(2.0, 4, [])
+        ball_entropy_experiment(2.0, 4, [], sample_size=2048, seed=0)
 
 
 def test_importing_the_package_leaves_scipy_stats_unloaded():
@@ -945,8 +963,8 @@ def test_duality_sum_check_brackets_nest():
 
 def test_duality_sum_check_validation():
     with pytest.raises(BudgetExceededError):
-        duality_sum_check(canonical_dictionary(13, 2.0), 2)
+        duality_sum_check(canonical_dictionary(13, 2.0), 2, sample_size=320, seed=0)
     with pytest.raises(ValueError):
-        duality_sum_check(canonical_dictionary(4, 3.0), 2)
+        duality_sum_check(canonical_dictionary(4, 3.0), 2, sample_size=320, seed=0)
     with pytest.raises(ValueError):
-        duality_sum_check(canonical_dictionary(4, 2.0), -1)
+        duality_sum_check(canonical_dictionary(4, 2.0), -1, sample_size=320, seed=0)

@@ -595,6 +595,55 @@ def test_overflowing_hessian_raises_instead_of_passing_as_converged():
         assert "the Newton system overflowed" in str(exc.value)
 
 
+@pytest.mark.parametrize("e", [4.0 / 3.0, 1.5, 3.0, 4.0])
+@pytest.mark.parametrize("eps", [0.1, 1e-8])
+def test_smoothed_model_matches_differences_of_its_objective(e, eps):
+    # residuals away from 0, where the differences resolve every level of eps
+    rng = np.random.default_rng(11)
+    r = rng.uniform(0.2, 1.0, 9) * rng.choice([-1.0, 1.0], 9)
+    w = rng.uniform(0.2, 1.0, 9)
+    w /= w.sum()
+    e2 = eps * eps
+    f, grad, h = optim._smoothed_model(r, w, e, e2)
+    assert f == pytest.approx(optim._smoothed_value(r, w, e, e2), rel=1e-14)
+    step = np.eye(9)
+    for i in range(9):
+        up, down = (optim._smoothed_value(r + s * step[i], w, e, e2) for s in (1e-6, -1e-6))
+        assert grad[i] == pytest.approx((up - down) / 2e-6, rel=1e-7)
+        up, down = (optim._smoothed_value(r + s * step[i], w, e, e2) for s in (1e-4, -1e-4))
+        assert h[i] == pytest.approx((up - 2.0 * f + down) / 1e-8, rel=1e-5)
+
+
+@pytest.mark.parametrize("e", [4.0 / 3.0, 1.5, 3.0, 4.0])
+def test_stacked_model_rows_equal_the_one_row_model(e):
+    # both stage loops call one model: a stack of rows, each at its own
+    # level, takes each row's gradient and curvature to the last bit; the
+    # objective sums as a matrix-vector product there and as a dot product
+    # for one row, so it may differ in the last bits
+    rng = np.random.default_rng(12)
+    R = rng.standard_normal((6, 40))
+    R[:, :5] = 0.0  # residual zeros, where the smoothing matters
+    w = rng.uniform(0.2, 1.0, 40)
+    e2 = np.square([0.1, 1e-8] * 3)
+    f, grad, h = optim._smoothed_model(R, w, e, e2[:, None])
+    for k in range(6):
+        f_k, grad_k, h_k = optim._smoothed_model(R[k], w, e, e2[k])
+        assert np.array_equal(grad[k], grad_k)
+        assert np.array_equal(h[k], h_k)
+        assert f[k] == pytest.approx(f_k, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("q", [1.5, 2.0, 3.0])
+def test_warm_start_whose_residual_overflows_raises_without_a_warning(q):
+    # b - A x0 squares to inf: the objective is not finite, and the gradient
+    # and curvature formed beside it hold nan, which the objective check
+    # stops before any step; at q = 1.5 the objective itself once warned
+    A = np.array([[1e160], [1.0]])
+    with pytest.raises(NonConvergenceError, match="the objective overflowed"):
+        optim.minimize_power_residual(A, np.ones(2), np.ones(2), q, x0=np.ones(1),
+                                      decrement_tol=1e-12)
+
+
 @pytest.mark.parametrize("n", [1, 2, 5, 24, 60, 154])
 def test_newton_kernel_matches_scipy_bit_for_bit(n):
     # the kernel's LAPACK calls must reproduce scipy's wrappers exactly,

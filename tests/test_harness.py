@@ -554,6 +554,7 @@ def test_benchmark_workloads_call_the_library_as_it_stands(monkeypatch):
     wanted = {
         "closed-form": ("octahedron_cover_profile:q=2", "it1_experiment:p=2",
                         "exact_entropy_small"),
+        "greedy-newton": ("sigma_profile:q=1.5", "octahedron_cover_profile:q=1.5"),
         "subspace-newton": ("run:mp-duality", "it1_experiment:p=4"),
     }
     for workload, prefixes in wanted.items():

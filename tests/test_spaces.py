@@ -135,6 +135,16 @@ def test_weight_vector_is_built_once_and_read_only():
     assert measured.weight_vector() is measured.weights
 
 
+def test_space_rejects_non_integral_dimensions():
+    # int() once read a document's dim 2.7 as 2
+    for dim in (2.5, True):
+        with pytest.raises(ValueError, match="dim must be an integer"):
+            NormedSpaceSpec(dim=dim, q=2.0)
+    with pytest.raises(ValueError, match="dim must be an integer"):
+        NormedSpaceSpec.from_json({"dim": 2.7, "q": 2.0})
+    assert NormedSpaceSpec(dim=np.int64(2), q=2.0).dim == 2
+
+
 def test_space_json_round_trip():
     for space in (sequence_space(5, 1.5), discrete_space([0.2, 0.3, 0.5], 3.0)):
         back = NormedSpaceSpec.from_json(space.to_json())

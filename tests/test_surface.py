@@ -24,7 +24,7 @@ def _settable_values(tree):
     return count
 
 
-def test_settable_values_stay_at_38():
+def test_settable_values_stay_at_32():
     """Parameters with defaults plus dataclass fields with defaults.
 
     Every such default is a value a caller may set, so the count moves
@@ -33,4 +33,4 @@ def test_settable_values_stay_at_38():
     """
     total = sum(_settable_values(ast.parse(path.read_text()))
                 for path in sorted(_PACKAGE.glob("*.py")))
-    assert total == 38
+    assert total == 32
