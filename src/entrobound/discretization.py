@@ -38,6 +38,7 @@ kernel row D(x^j, .).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -65,7 +66,8 @@ from .errors import (
     PropertyViolationError,
 )
 from .greedy import Octahedron
-from .spaces import Dictionary, MeasureSpace, discrete_space, norm_U
+from .spaces import (Dictionary, MeasureSpace, _indices, _integer, _levels,
+                     discrete_space, norm_U)
 
 __all__ = [
     "Subspace",
@@ -145,21 +147,14 @@ class Subspace:
 
 @dataclass(frozen=True, eq=False)
 class SamplePointSet:
-    """Distinct support-point indices at which functions are sampled.
-
-    The indices must be nonnegative and of an integer type, so that 1.7
-    is not read as 1, nor 0.5 and 1.2 as the distinct 0 and 1.
-    """
+    """Distinct support-point indices at which functions are sampled."""
 
     indices: np.ndarray
 
     def __post_init__(self):
-        idx = np.asarray(self.indices)
-        if idx.ndim != 1 or idx.size == 0:
+        idx = _indices(self.indices)
+        if idx.size == 0:
             raise ValueError("need at least one sample point")
-        if idx.dtype.kind not in "iu" or np.any(idx < 0):
-            raise ValueError(f"indices must be nonnegative integers, got {self.indices!r}")
-        idx = idx.astype(int)
         object.__setattr__(self, "indices", idx)
         if len(np.unique(idx)) != idx.size:
             raise ValueError("indices must be distinct")
@@ -350,8 +345,8 @@ class TransferReport:
     bound: float            # 2 M_p
 
 
-def verify_transfer(sub: Subspace, ddict: DiscretizationDictionary,
-                    trials: int = 100, seed: int = 0) -> TransferReport:
+def verify_transfer(sub: Subspace, ddict: DiscretizationDictionary, *,
+                    trials: int, seed: int) -> TransferReport:
     """Check max_j |f(x^j)| <= 2 M_p max_j |<f, g_j>| on random f.
 
     Draws Gaussian coefficient vectors; a violation beyond the 1e-8
@@ -430,9 +425,7 @@ def it1_experiment(sub: Subspace, pts: SamplePointSet, p: float, k_list: list[in
     """
     _validate_p(p)
     n = pts.count
-    k_list = sorted(int(k) for k in k_list)
-    if not k_list or k_list[0] < 1 or k_list[-1] > n:
-        raise ValueError(f"k_list must sit inside [1, n] = [1, {n}]")
+    k_list = _levels("k_list", k_list, 1, n)
 
     ddict = build_discretization_dictionary(sub, pts, p)
     octa = Octahedron(ddict.u_dictionary())
@@ -463,13 +456,12 @@ def it1_experiment(sub: Subspace, pts: SamplePointSet, p: float, k_list: list[in
 def random_subspace(dim: int, support_size: int, seed: int, *,
                     measure: MeasureSpace | None = None) -> Subspace:
     """Orthonormalize seeded Gaussian vectors under the weighted product."""
+    _integer("support_size", support_size, 1, math.inf)
     if measure is None:
         measure = MeasureSpace.uniform(support_size)
     if measure.size != support_size:
         raise DimensionMismatchError(support_size, measure.size, "measure points")
-    if not 1 <= dim <= support_size:
-        raise ValueError(
-            f"subspace dimension must lie in [1, {support_size}], got {dim}")
+    _integer("dim", dim, 1, support_size)
     rng = np.random.default_rng(seed)
     G = rng.standard_normal((support_size, dim))
     root = np.sqrt(measure.weights)

@@ -55,7 +55,10 @@ from .greedy import Octahedron, sample_octahedron, wcga
 from .spaces import (
     Dictionary,
     NormedSpaceSpec,
-    _is_int,
+    _indices,
+    _integer,
+    _is_real,
+    _levels,
     _power_norm,
     dual_norm,
     norm,
@@ -173,20 +176,12 @@ class UNormMetric(Metric):
 
 
 class PointwiseMaxMetric(Metric):
-    """max over a fixed subset of coordinates |x_i - y_i| (a seminorm).
-
-    The indices must be nonnegative and of an integer type, so that a
-    negative index is not read from the end and 1.7 is not read as 1.
-    """
+    """max over a fixed subset of coordinates |x_i - y_i| (a seminorm)."""
 
     kind = "linf-points"
 
     def __init__(self, indices: np.ndarray):
-        idx = np.asarray(indices)
-        integral = idx.dtype.kind in "iu" or idx.size == 0  # numpy reads [] as floats
-        if idx.ndim != 1 or not integral or np.any(idx < 0):
-            raise ValueError(f"indices must be nonnegative integers, got {indices!r}")
-        self.indices = idx.astype(int)
+        self.indices = _indices(indices)
 
     def _check_dim(self, cols):
         need = int(self.indices.max(initial=-1)) + 1
@@ -234,9 +229,11 @@ class CoverCertificate:
     extra: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        for name, value in (("k", self.k), ("count_bound", self.count_bound)):
-            if not _is_int(value):  # a document's 3.9 is not read as 3
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        # a document's k 3.9 is not read as 3, nor its radius true as 1.0
+        _integer("k", self.k, 0, math.inf)
+        _integer("count_bound", self.count_bound, 0, math.inf)
+        if not _is_real(self.radius):
+            raise ValueError(f"radius: need a real number, got {self.radius!r}")
 
     def to_json(self) -> dict:
         return {
@@ -254,7 +251,7 @@ class CoverCertificate:
     def from_json(cls, doc: dict) -> "CoverCertificate":
         return cls(
             centers=np.asarray(doc["centers"], dtype=float),
-            radius=float(doc["radius"]),
+            radius=doc["radius"],
             k=doc["k"],
             count_bound=doc["count_bound"],
             metric=metric_from_json(doc["metric"]),
@@ -275,6 +272,10 @@ class PackingCertificate:
     separation: float
     metric: Metric
 
+    def __post_init__(self):
+        if not _is_real(self.separation):  # a document's "1.5" is not read as 1.5
+            raise ValueError(f"separation: need a real number, got {self.separation!r}")
+
     @property
     def count(self) -> int:
         return int(np.atleast_2d(self.points).shape[0])
@@ -291,7 +292,7 @@ class PackingCertificate:
     def from_json(cls, doc: dict) -> "PackingCertificate":
         return cls(
             points=np.asarray(doc["points"], dtype=float),
-            separation=float(doc["separation"]),
+            separation=doc["separation"],
             metric=metric_from_json(doc["metric"]),
         )
 
@@ -300,12 +301,10 @@ def verify_cover(cert: CoverCertificate, witness: np.ndarray) -> bool:
     """Re-check a cover certificate against a witness sample.
 
     Uses only the stored metric and centers.  Raises CertificateError
-    naming the first violated condition, and ValueError for a witness
-    that is not finite.
+    naming the first violated condition; a witness that is not finite
+    raises ValueError, and an empty one EmptySampleError.
     """
-    witness = np.atleast_2d(np.asarray(witness, dtype=float))
-    if not np.all(np.isfinite(witness)):
-        raise ValueError("witness points must be finite")
+    witness = _sample_points(witness)
     if cert.count_bound > 2 ** cert.k:
         raise CertificateError(
             f"count bound {cert.count_bound} exceeds 2^{cert.k}")
@@ -371,9 +370,7 @@ class EntropyProfile:
 
     @classmethod
     def build(cls, k_list, lower, upper, lower_source, upper_source) -> "EntropyProfile":
-        k_list = [int(k) for k in k_list]
-        if any(a >= b for a, b in zip(k_list, k_list[1:])):
-            raise ValueError("k_list must be increasing")
+        k_list = _levels("k_list", k_list, 0, math.inf)
         lower = np.asarray(lower, dtype=float).copy()
         upper = np.asarray(upper, dtype=float).copy()
         if not (np.isfinite(lower).all() and np.isfinite(upper).all()):
@@ -572,15 +569,20 @@ def _sample_points(W) -> np.ndarray:
     return W
 
 
-def exact_cover_count(W: np.ndarray, radius: float, metric: Metric) -> int:
-    """Exact minimal number of radius-balls centered in W that cover W."""
+def _exact_distances(W, metric: Metric) -> np.ndarray:
+    """Pairwise distances of a sample within the exact oracles' point limit."""
     W = _sample_points(W)
-    if not (math.isfinite(radius) and radius >= 0):
-        raise ValueError(f"radius must be finite and nonnegative, got {radius}")
     if W.shape[0] > _EXACT_MAX_POINTS:
         raise BudgetExceededError(
             f"{W.shape[0]} points exceed the exact-oracle limit {_EXACT_MAX_POINTS}")
-    return _min_cover_count(*_cover_matrix(metric.pairwise(W, W), radius))[0]
+    return metric.pairwise(W, W)
+
+
+def exact_cover_count(W: np.ndarray, radius: float, metric: Metric) -> int:
+    """Exact minimal number of radius-balls centered in W that cover W."""
+    if not (_is_real(radius) and 0 <= radius < math.inf):
+        raise ValueError(f"radius must be finite and nonnegative, got {radius!r}")
+    return _min_cover_count(*_cover_matrix(_exact_distances(W, metric), radius))[0]
 
 
 def exact_entropy_small(W: np.ndarray, k: int, metric: Metric) -> float:
@@ -596,15 +598,10 @@ def exact_entropy_small(W: np.ndarray, k: int, metric: Metric) -> float:
     moves the upper end of the search to the cover's own radius.
     Budgeted at |W| <= 512 and 2^k <= 16.
     """
-    W = _sample_points(W)
-    num = W.shape[0]
-    if num > _EXACT_MAX_POINTS:
-        raise BudgetExceededError(
-            f"{num} points exceed the exact-oracle limit {_EXACT_MAX_POINTS}")
-    if k < 0 or 2 ** k > _EXACT_MAX_CENTERS:
+    if _integer("k", k, -math.inf, math.inf) < 0 or 2 ** k > _EXACT_MAX_CENTERS:
         raise BudgetExceededError(
             f"2^{k} centers exceed the exact-oracle limit {_EXACT_MAX_CENTERS}")
-    return _exact_restricted_radius(metric.pairwise(W, W), 2 ** k)
+    return _exact_restricted_radius(_exact_distances(W, metric), 2 ** k)
 
 
 def greedy_cover(W: np.ndarray, epsilon: float, metric: Metric) -> CoverCertificate:
@@ -666,8 +663,7 @@ def farthest_point_packing(W: np.ndarray, count: int,
     """
     W = _sample_points(W)
     num = W.shape[0]
-    if not 1 <= count <= num:
-        raise ValueError(f"count must lie in [1, {num}], got {count}")
+    _integer("count", count, 1, num)
     Dm = metric.pairwise(W, W)
     picked, _ = _fps(Dm, count, int(np.random.default_rng(0).integers(num)))
     pts = W[picked]
@@ -725,8 +721,6 @@ def _quantized_cover(sample: np.ndarray, atoms: np.ndarray, level, grid_count,
     and the smallest wins (the first among ties).  Only the winner's
     centers are deduplicated into the certificate.
     """
-    if k < 0:
-        raise QuantizationBudgetError(f"k must be nonnegative, got {k}")
     runs = sample.shape[0]
     dim, n = atoms.shape
     best = (float(metric.norms(sample).max()), 0, 0, 0.0, None)
@@ -873,22 +867,16 @@ def octahedron_cover_profile(octa: Octahedron, k_list: list[int], *,
     """
     dictionary = octa.dictionary
     n = dictionary.size
-    k_list = [int(k) for k in k_list]
-    if not k_list or min(k_list) < 0:
-        raise ValueError(f"k_list must hold at least one k >= 0, got {k_list}")
+    # the one-atom hull's dyadic covers take any k; other budgets stop at n
+    k_list = _levels("k_list", k_list, 0, n if n > 1 else math.inf)
     if sample is None:
         sample = _octahedron_witness(dictionary, sample_size, seed)
-    sample = np.atleast_2d(np.asarray(sample, dtype=float))
-    if sample.shape[0] == 0:
-        raise EmptySampleError("cannot cover an empty witness sample")
+    sample = _sample_points(sample)
     metric = AmbientMetric(dictionary.space)
     if n == 1:
         return {k: _dyadic_segment_cover(octa, k, sample, metric) for k in k_list}
-    k_max = max(k_list)
-    if k_max > n:
-        raise ValueError(f"cover budgets stop at k = n = {n}, got k = {k_max}")
-    feasible_m = [m for m in range(1, min(n, _COVER_M_CAP, k_max) + 1)
-                  if math.comb(n, m) <= (1 << k_max)]
+    feasible_m = [m for m in range(1, min(n, _COVER_M_CAP, k_list[-1]) + 1)
+                  if math.comb(n, m) <= (1 << k_list[-1])]
     m_max = max(feasible_m, default=0)
     level = _greedy_levels(sample, dictionary, m_max)
     return {k: _quantized_cover(sample, dictionary.atoms, level, _l1_grid_count,
@@ -900,7 +888,7 @@ def octahedron_cover_profile(octa: Octahedron, k_list: list[int], *,
 # lp-ball experiment
 
 def _validate_p(p: float) -> None:
-    if not (math.isfinite(p) and p >= 2):
+    if not (_is_real(p) and 2 <= p < math.inf):
         raise ValueError(f"the exponent must be a finite p >= 2, got {p!r}")
 
 
@@ -944,11 +932,7 @@ def ball_entropy_experiment(p: float, n: int, k_list: list[int], *,
     witness sample.  Everything refers to the sampled ball; k stops at n.
     """
     _validate_p(p)
-    k_list = sorted(int(k) for k in k_list)
-    if not k_list or k_list[0] < 1:
-        raise ValueError("k_list entries must be >= 1")
-    if k_list[-1] > n:
-        raise ValueError(f"profiles stop at k = n = {n}, got k = {k_list[-1]}")
+    k_list = _levels("k_list", k_list, 1, n)
     sample = _ball_witness(p, n, sample_size, seed)
     metric = PointwiseMaxMetric(np.arange(n))
     order = np.argsort(-np.abs(sample), axis=1, kind="stable")
@@ -1050,8 +1034,7 @@ def duality_sum_check(dictionary: Dictionary, m: int, *,
             f"duality sum check is budgeted for n <= 12 atoms, got {n}")
     if not 1.0 < space.q <= 2.0:
         raise ValueError(f"the sum comparison needs q in (1, 2], got {space.q}")
-    if m < 0:
-        raise ValueError("m must be nonnegative")
+    _integer("m", m, 0, math.inf)
     p_exp = space.dual_exponent / 2.0
 
     # duplicate witnesses inflate the distance matrices and the greedy

@@ -40,7 +40,7 @@ from .errors import (
     SpanMembershipError,
     ZeroVectorError,
 )
-from .spaces import Dictionary, _power_norm, norm, norm_A
+from .spaces import Dictionary, _integer, _levels, _power_norm, norm, norm_A
 
 __all__ = [
     "SparseApproximant",
@@ -152,8 +152,7 @@ def best_mterm_bruteforce(f: np.ndarray, dictionary: Dictionary,
     intended tool.  Ties go to the lexicographically first support.
     """
     n = dictionary.size
-    if not 0 <= m <= n:
-        raise ValueError(f"m must lie in [0, {n}], got {m}")
+    _integer("m", m, 0, n)
     count = math.comb(n, m)
     if count > _BRUTE_FORCE_BUDGET:
         raise BudgetExceededError(
@@ -217,9 +216,7 @@ def wcga(f: np.ndarray, dictionary: Dictionary, m: int,
     a full solve each.
     """
     space = dictionary.space
-    n = dictionary.size
-    if not 0 <= m <= n:
-        raise ValueError(f"m must lie in [0, {n}], got {m}")
+    _integer("m", m, 0, dictionary.size)
     f = np.asarray(f, dtype=float)
     w = space.weight_vector()
     fnorm = norm(space, f)  # rejects a non-finite f
@@ -265,7 +262,7 @@ def sample_octahedron(dictionary: Dictionary, count: int, seed: int) -> list[dic
     with independent signs, hence sum |c_j| = 1 exactly.  Returns dicts
     with the vector and its generating (indices, coefficients) pair.
     """
-    if count < 1:
+    if _integer("count", count, -math.inf, math.inf) < 1:
         raise EmptySampleError("need at least one sample")
     rng = np.random.default_rng(seed)
     n = dictionary.size
@@ -307,8 +304,7 @@ def sigma_profile(samples: list[np.ndarray], dictionary: Dictionary,
     """
     if not samples:
         raise EmptySampleError("sigma profile needs at least one sample")
-    if not m_list or m_list[0] < 1 or any(a >= b for a, b in zip(m_list, m_list[1:])):
-        raise ValueError("m_list must be increasing positive integers")
+    m_list = _levels("m_list", m_list, 1, math.inf)
     for i, f in enumerate(samples):
         value = norm_A(f, dictionary)
         if value > 1.0 + _MEMBERSHIP_TOL:
@@ -329,4 +325,4 @@ def sigma_profile(samples: list[np.ndarray], dictionary: Dictionary,
                            np.log2(values[pos]), 1)[0]
     else:
         slope = float("nan")
-    return SigmaProfile(m_list=list(m_list), values=values, slope=float(slope))
+    return SigmaProfile(m_list=m_list, values=values, slope=float(slope))

@@ -34,11 +34,12 @@ from .entropy import (
     _envelope_ratio,
     ball_entropy_experiment,
     duality_sum_check,
+    log_ratio_envelope,
     octahedron_cover_profile,
 )
 from .errors import ConfigValidationError
 from .greedy import Octahedron, sample_octahedron, sigma_profile
-from .spaces import MeasureSpace, _is_int, canonical_dictionary
+from .spaces import MeasureSpace, _integer, _is_int, _is_real, _levels, canonical_dictionary
 
 __all__ = [
     "EXPERIMENTS",
@@ -91,7 +92,7 @@ def fit_envelope(table, n: int | None = None,
             raise ValueError("the log-ratio model needs the set size n")
         keep = xs >= math.log2(n)
         xs, values = xs[keep], values[keep]
-        predictor = np.log2(2.0 * n / xs) / xs
+        predictor = log_ratio_envelope(n, xs, 1.0)
     else:
         predictor = xs
     bad = [int(i) for i in np.nonzero(~(np.isfinite(values) & (values > 0)))[0]]
@@ -114,11 +115,6 @@ def fit_envelope(table, n: int | None = None,
 
 # ---------------------------------------------------------------------------
 # configuration
-
-def _is_real(value) -> bool:
-    return (isinstance(value, (int, float, np.integer, np.floating))
-            and not isinstance(value, bool) and math.isfinite(value))
-
 
 @dataclass(frozen=True)
 class _Experiment:
@@ -143,29 +139,23 @@ def _field_problem(cfg: "ExperimentConfig", name: str, q_max: float) -> str | No
     """The problem with one field, judged by its name; None when it is fine."""
     value = getattr(cfg, name)
     if name == "q":
-        if not _is_real(value) or not 1.0 < value <= q_max:
+        if not (_is_real(value) and 1.0 < value <= q_max and value < math.inf):
             span = f"(1.0, {q_max}]" if math.isfinite(q_max) else "finite q > 1.0"
             return f"q: needs {span}, got {value!r}"
     elif name == "p":
-        if not _is_real(value) or value < 2:
+        if not (_is_real(value) and 2 <= value < math.inf):
             return ("p: the subspace and ball experiments require a finite "
                     f"p >= 2, got {value!r}")
-    elif name.endswith("_list"):
-        cap = cfg.n
-        if value is None and not _is_int(cap):
-            return None  # derived from n, whose own problem is reported
-        if not isinstance(value, (list, tuple)) or not value:
-            return f"{name}: must be a nonempty list, got {value!r}"
-        if not all(_is_int(v) for v in value):
-            return f"{name}: entries must be integers, got {value!r}"
-        if value[0] < 1 or any(a >= b for a, b in zip(value, value[1:])):
-            return f"{name}: must be increasing and >= 1, got {value!r}"
-        if _is_int(cap) and value[-1] > cap:
-            return f"{name}: entries must stay <= n = {cap}, got {value[-1]}"
+    elif name.endswith("_list") and value is None and not _is_int(cfg.n):
+        return None  # derived from n, whose own problem is reported
     else:
-        minimum = 0 if name == "m" else 1
-        if not _is_int(value) or value < minimum:
-            return f"{name}: need an integer >= {minimum}, got {value!r}"
+        try:
+            if name.endswith("_list"):
+                _levels(name, value, 1, cfg.n if _is_int(cfg.n) else math.inf)
+            else:
+                _integer(name, value, 0 if name == "m" else 1, math.inf)
+        except ValueError as exc:
+            return str(exc)
     return None
 
 

@@ -28,6 +28,11 @@ to a dictionary D = {g_1, ..., g_n} of unit atoms:
 
 ``smoothness_bound`` evaluates the analytic bounds on the modulus of
 smoothness above.
+
+The package's input rules are defined here once, each raising a
+``ValueError`` that names the argument: an integer in [lo, hi]
+(``_integer``), a level list (``_levels``), an index vector
+(``_indices``) and a real number (``_is_real``).
 """
 
 from __future__ import annotations
@@ -71,6 +76,43 @@ _SPAN_TOL = 1e-8  # relative least-squares residual that still counts as in the 
 def _is_int(value) -> bool:
     """A Python or numpy integer; a bool is not one, nor is an integral float."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    """A Python or numpy real, inf and NaN included; a bool or a string is not one."""
+    return (isinstance(value, (int, float, np.integer, np.floating))
+            and not isinstance(value, bool))
+
+
+def _integer(name: str, value, lo, hi):
+    """``value`` when it is an integer in [lo, hi], else a ValueError naming ``name``."""
+    if _is_int(value) and lo <= value <= hi:
+        return value
+    span = "" if lo == -math.inf else f" >= {lo}" if hi == math.inf else f" in [{lo}, {hi}]"
+    raise ValueError(f"{name}: need an integer{span}, got {value!r}")
+
+
+def _levels(name: str, value, lo, hi) -> list[int]:
+    """A list, tuple or 1-D array of increasing integers in [lo, hi], as a list of ints."""
+    listed = isinstance(value, (list, tuple)) or getattr(value, "ndim", 0) == 1
+    if not listed or not len(value):
+        raise ValueError(f"{name}: must be a nonempty list, got {value!r}")
+    if not all(_is_int(v) for v in value):
+        raise ValueError(f"{name}: entries must be integers, got {value!r}")
+    if value[0] < lo or any(a >= b for a, b in zip(value, value[1:])):
+        raise ValueError(f"{name}: must be increasing and >= {lo}, got {value!r}")
+    if value[-1] > hi:
+        raise ValueError(f"{name}: entries must stay <= {hi}, got {value[-1]}")
+    return [int(v) for v in value]
+
+
+def _indices(value) -> np.ndarray:
+    """A 1-D vector of nonnegative integers: -1 is not read from the end, nor 1.7 as 1."""
+    idx = np.asarray(value)
+    integral = idx.dtype.kind in "iu" or idx.size == 0  # numpy reads [] as floats
+    if idx.ndim != 1 or not integral or np.any(idx < 0):
+        raise ValueError(f"indices must be nonnegative integers, got {value!r}")
+    return idx.astype(int)
 
 
 def _power_norm(values: np.ndarray, w: np.ndarray, q: float):
@@ -118,9 +160,7 @@ class MeasureSpace:
 
     @classmethod
     def uniform(cls, size: int) -> "MeasureSpace":
-        if size < 1:
-            raise ValueError("weights must be a nonempty vector")
-        return cls(np.full(size, 1.0 / size))
+        return cls(np.full(_integer("size", size, 1, math.inf), 1.0 / size))
 
     def norm(self, values: np.ndarray, p: float) -> float:
         """||values||_{L_p(mu)}; p = inf gives the largest magnitude."""
@@ -140,10 +180,9 @@ class NormedSpaceSpec:
     weights: np.ndarray | None = None
 
     def __post_init__(self):
-        if not _is_int(self.dim) or self.dim < 1:
-            raise ValueError(f"dim must be an integer >= 1, got {self.dim!r}")
-        if not (self.q > 1.0) or not math.isfinite(self.q):
-            raise ValueError(f"q must lie in (1, inf), got {self.q}")
+        _integer("dim", self.dim, 1, math.inf)
+        if not (_is_real(self.q) and 1.0 < self.q < math.inf):
+            raise ValueError(f"q must lie in (1, inf), got {self.q!r}")
         if self.weights is not None:
             w = np.asarray(self.weights, dtype=float)
             if w.shape != (self.dim,):
@@ -181,7 +220,7 @@ class NormedSpaceSpec:
             raise ValueError(f"norm kind {kind!r} contradicts the weights")
         return cls(
             dim=doc["dim"],
-            q=float(doc["q"]),
+            q=doc["q"],
             weights=None if weights is None else np.asarray(weights, dtype=float),
         )
 

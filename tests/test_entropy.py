@@ -257,16 +257,39 @@ def test_certificate_documents_reject_non_integral_counts():
     cert, W = _toy_cover()
     doc = cert.to_json()
     flat = dict(doc["metric"], space=dict(doc["metric"]["space"], dim=2.7))
-    for bad, match in ((dict(doc, k=3.9), "k must be an integer"),
-                       (dict(doc, k=3, count_bound=4.9), "count_bound must be an integer"),
-                       (dict(doc, k=True), "k must be an integer"),
-                       (dict(doc, metric=flat), "dim must be an integer")):
+    for bad, match in ((dict(doc, k=3.9), "k: need an integer"),
+                       (dict(doc, k=3, count_bound=4.9), "count_bound: need an integer"),
+                       (dict(doc, k=True), "k: need an integer"),
+                       (dict(doc, metric=flat), "dim: need an integer")):
         with pytest.raises(ValueError, match=match):
             CoverCertificate.from_json(bad)
     numpy_ints = CoverCertificate(centers=cert.centers, radius=1.0, k=np.int64(0),
                                   count_bound=np.int64(1), metric=EUCLID2,
                                   provenance="greedy-cover")
     assert verify_cover(numpy_ints, W)
+
+
+def test_certificate_documents_reject_non_real_radii():
+    # float() once read "radius": true as 1.0 and "1.5" as 1.5, and the true
+    # document passed verify_cover on the toy cover
+    cert, W = _toy_cover()
+    pack = farthest_point_packing(W, 2, EUCLID2)
+    for bad in (True, "1.5", None):
+        with pytest.raises(ValueError, match="^radius: need a real number"):
+            CoverCertificate.from_json(dict(cert.to_json(), radius=bad))
+        with pytest.raises(ValueError, match="^separation: need a real number"):
+            PackingCertificate.from_json(dict(pack.to_json(), separation=bad))
+    # values pass through as written; finiteness is left to the verifiers
+    assert CoverCertificate.from_json(dict(cert.to_json(), radius=1)).radius == 1
+    assert verify_cover(CoverCertificate.from_json(dict(cert.to_json(), radius=1)), W)
+    lone = farthest_point_packing(W, 1, EUCLID2)
+    assert lone.separation == math.inf
+    back = PackingCertificate.from_json(json.loads(json.dumps(lone.to_json())))
+    assert back.separation == math.inf
+    nan_cover = CoverCertificate.from_json(
+        json.loads(json.dumps(dict(cert.to_json(), radius=math.nan))))
+    with pytest.raises(CertificateError, match="finite"):
+        verify_cover(nan_cover, W)
 
 
 def test_certificate_json_round_trips():

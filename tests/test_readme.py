@@ -1,7 +1,12 @@
-"""The README's library quick start runs as written."""
+"""The README's library quick start runs as written, and its CLI examples validate."""
 
+import json
 import pathlib
 import re
+import shlex
+
+from entrobound.cli import _merge_config, build_parser
+from entrobound.harness import ExperimentConfig
 
 _README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
@@ -12,3 +17,20 @@ def test_readme_quick_start_runs():
     assert blocks, "the README has no python example"
     for block in blocks:
         exec(compile(block, str(_README), "exec"), {})
+
+
+def test_readme_command_lines_and_config_validate():
+    # a renamed flag or experiment, or a default that the validation no longer
+    # accepts, fails here; nothing is run
+    text = _README.read_text()
+    lines = [line for block in re.findall(r"```sh\n(.*?)```", text, re.S)
+             for line in block.splitlines()
+             if line.startswith("entrobound ") and "--config" not in line]
+    assert len(lines) == 6, lines
+    for line in lines:
+        args = build_parser().parse_args(shlex.split(line)[1:])
+        _merge_config(args).resolved().validate()
+    configs = re.findall(r"```json\n(.*?)```", text, re.S)
+    assert len(configs) == 1
+    doc = dict(json.loads(configs[0]), experiment="ball-entropy")
+    ExperimentConfig.from_json(doc).resolved().validate()

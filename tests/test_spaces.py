@@ -138,11 +138,19 @@ def test_weight_vector_is_built_once_and_read_only():
 def test_space_rejects_non_integral_dimensions():
     # int() once read a document's dim 2.7 as 2
     for dim in (2.5, True):
-        with pytest.raises(ValueError, match="dim must be an integer"):
+        with pytest.raises(ValueError, match="dim: need an integer"):
             NormedSpaceSpec(dim=dim, q=2.0)
-    with pytest.raises(ValueError, match="dim must be an integer"):
+    with pytest.raises(ValueError, match="dim: need an integer"):
         NormedSpaceSpec.from_json({"dim": 2.7, "q": 2.0})
     assert NormedSpaceSpec(dim=np.int64(2), q=2.0).dim == 2
+
+
+def test_space_documents_reject_a_non_real_exponent():
+    # float() once read "q": "1.5" as 1.5
+    for q in ("1.5", True, None):
+        with pytest.raises(ValueError, match="^q must lie in"):
+            NormedSpaceSpec.from_json({"dim": 2, "q": q})
+    assert NormedSpaceSpec.from_json({"dim": 2, "q": 3}).q == 3
 
 
 def test_space_json_round_trip():
