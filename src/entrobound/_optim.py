@@ -76,6 +76,7 @@ import numpy as np
 from scipy.linalg import LinAlgError, get_lapack_funcs
 
 from .errors import NonConvergenceError
+from .spaces import _exponent
 
 _ARMIJO_C = 1e-4
 _MAX_BACKTRACKS = 60
@@ -269,13 +270,6 @@ def _masked_newton(direction, trial, point: np.ndarray, r: np.ndarray,
     return point * scale[:, None], _power_sum(r, w, e) * scale ** e
 
 
-def _check_exponent(exponent: float) -> float:
-    e = float(exponent)
-    if e <= 1.0:
-        raise ValueError(f"exponent must exceed 1, got {exponent}")
-    return e
-
-
 def _blocks(rows: np.ndarray, size: int):
     """``rows`` in consecutive runs of at most ``size``."""
     return (rows[i:i + size] for i in range(0, rows.size, size))
@@ -318,7 +312,7 @@ def minimize_power_residual(A: np.ndarray, b: np.ndarray, weights: np.ndarray,
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     w = np.asarray(weights, dtype=float)
-    e = _check_exponent(exponent)
+    e = _exponent("exponent", exponent, math.inf)
     n = A.shape[1]
     scale = float(np.abs(b).max(initial=0.0))
     if n == 0 or scale == 0.0:
@@ -413,7 +407,7 @@ def minimize_power_constrained(C: np.ndarray, starts: np.ndarray, weights: np.nd
     C = np.asarray(C, dtype=float)
     starts = np.asarray(starts, dtype=float)
     w = np.asarray(weights, dtype=float)
-    e = _check_exponent(exponent)
+    e = _exponent("exponent", exponent, math.inf)
     d = C.shape[1]
     x = np.zeros_like(starts)
     value = np.zeros(len(starts))
@@ -464,7 +458,7 @@ def minimize_power_sliced(B: np.ndarray, weights: np.ndarray, exponent: float, *
     """
     B = np.asarray(B, dtype=float)
     w = np.asarray(weights, dtype=float)
-    e = _check_exponent(exponent)
+    e = _exponent("exponent", exponent, math.inf)
     d = B.shape[1]
     sq = np.einsum("ij,ij->i", B, B)
     x = np.zeros_like(B)

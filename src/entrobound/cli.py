@@ -5,12 +5,14 @@ config file with flag overrides on top (flags win).  The machine
 output goes to --out when given (stdout otherwise); the human summary
 goes to stdout alongside a written file, to stderr when the machine
 text occupies stdout.  Exit codes: 0 on success, 1 when the run fails
-(the solver does not converge, the numbers it meets are unusable, or a
+(the solver does not converge, the numbers it meets are unusable, a
 sigma-decay fit keeps fewer than 3 levels once the exactly recovered
-ones are left out), 2 when the configuration fails validation, 3 when
-a verified property is breached (any ``PropertyViolationError``).
-Exits 1 and 2 print one ``error:`` line per problem, exit 3 one
-``property violation:`` line.
+ones are left out, or the report cannot be written), 2 when a flag does
+not parse or the configuration fails validation, which runs first (a
+--format other than csv or json, an --out in a missing or unwritable
+directory), 3 when a verified property is breached (any
+``PropertyViolationError``).  Exits 1 and 2 print one ``error:`` line
+per problem, exit 3 one ``property violation:`` line.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import json
 import sys
 
 from .errors import ConfigValidationError, EntroboundError, PropertyViolationError
-from .harness import _REGISTRY, ExperimentConfig, run
+from .harness import _REGISTRY, ExperimentConfig, _field_kind, _settable, run
 
 
 def _int_list(text: str) -> list[int]:
@@ -37,18 +39,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="entropy-number experiments for atom hulls, balls, "
                     "and subspaces")
     sub = parser.add_subparsers(dest="experiment", required=True)
+    types = {"exponent": float, "levels": _int_list, "count": int, "text": str}
     for name, entry in _REGISTRY.items():
         cmd = sub.add_parser(name, help=entry.help)
         cmd.add_argument("--config", help="JSON config file")
-        cmd.add_argument("--seed", type=int, help="random seed (required "
-                         "here or in the config)")
-        cmd.add_argument("--out", help="output file path")
-        cmd.add_argument("--format", choices=("csv", "json"),
-                         help="output format (default csv)")
-        for field in entry.fields:
-            kind = (_int_list if field.endswith("_list")
-                    else float if field in ("p", "q") else int)
-            cmd.add_argument("--" + field.replace("_", "-"), type=kind)
+        for field in _settable(name):
+            cmd.add_argument("--" + field.replace("_", "-"),
+                             type=types[_field_kind(field)])
     return parser
 
 
@@ -64,14 +61,9 @@ def _merge_config(args: argparse.Namespace) -> ExperimentConfig:
             raise ConfigValidationError([f"config: invalid JSON ({exc})"])
         if not isinstance(doc, dict):
             raise ConfigValidationError(["config: must hold a JSON object"])
-    doc["experiment"] = args.experiment
-    for key, value in vars(args).items():
-        if key in ("experiment", "config") or value is None:
-            continue
-        doc[key] = value
-    if "seed" not in doc:
-        raise ConfigValidationError(
-            ["seed: required (pass --seed or set it in the config)"])
+    for key, value in vars(args).items():  # the subcommand names the experiment
+        if key != "config" and value is not None:
+            doc[key] = value
     return ExperimentConfig.from_json(doc)
 
 
@@ -87,7 +79,7 @@ def main(argv: list[str] | None = None) -> int:
     except PropertyViolationError as exc:
         print(f"property violation: {exc}", file=sys.stderr)
         return 3
-    except (EntroboundError, ValueError) as exc:
+    except (EntroboundError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if config.out is None:

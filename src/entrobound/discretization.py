@@ -55,7 +55,6 @@ from .entropy import (
     _envelope_ratio,
     _fps,  # unused here; perfbench/tracing.py wraps it by this name
     _packing_lowers,
-    _validate_p,
     octahedron_cover_profile,
 )
 from .errors import (
@@ -66,7 +65,7 @@ from .errors import (
     PropertyViolationError,
 )
 from .greedy import Octahedron
-from .spaces import (Dictionary, MeasureSpace, _indices, _integer, _levels,
+from .spaces import (Dictionary, MeasureSpace, _indices, _integer, _levels, _real,
                      discrete_space, norm_U)
 
 __all__ = [
@@ -190,7 +189,7 @@ def m_p_direct(sub: Subspace, p: float) -> float:
     slice; all points are solved as one stack.  p = 2 collapses to the
     closed form sqrt(D(x, x)).
     """
-    _validate_p(p)
+    _real("p", p, 2)
     if p == 2:
         return float(np.sqrt((sub.basis ** 2).sum(axis=1).max()))
     return float(_direct_solves(sub, p, _MP_TOL)[0].max())
@@ -233,7 +232,7 @@ def m_p_dual(sub: Subspace, p: float) -> float:
     primal problem, is the duality cross-check.  p = 2 collapses to
     ||D(x, .)||_2, the Hilbert projection onto the complement being zero.
     """
-    _validate_p(p)
+    _real("p", p, 2)
     if p == 2:
         mu = sub.measure.weights
         K = sub._kernel
@@ -297,7 +296,7 @@ def build_discretization_dictionary(sub: Subspace, pts: SamplePointSet,
     checked here: the reproducing identity on the basis to 1e-8, and
     the norm bound ||w_j||_{p'} <= 2 M_p + 1e-6.
     """
-    _validate_p(p)
+    _real("p", p, 2)
     if np.any(pts.indices >= sub.support_size):
         raise ValueError(
             f"sample points must index the {sub.support_size} support points")
@@ -423,7 +422,7 @@ def it1_experiment(sub: Subspace, pts: SamplePointSet, p: float, k_list: list[in
     sampled unit-ball functions.  Ratios compare the uppers against
     M_p (log2(2n/k)/k)^(1/p).
     """
-    _validate_p(p)
+    _real("p", p, 2)
     n = pts.count
     k_list = _levels("k_list", k_list, 1, n)
 

@@ -55,11 +55,13 @@ from .greedy import Octahedron, sample_octahedron, wcga
 from .spaces import (
     Dictionary,
     NormedSpaceSpec,
+    _exponent,
     _indices,
     _integer,
     _is_real,
     _levels,
     _power_norm,
+    _real,
     dual_norm,
     norm,
     pair,
@@ -580,8 +582,7 @@ def _exact_distances(W, metric: Metric) -> np.ndarray:
 
 def exact_cover_count(W: np.ndarray, radius: float, metric: Metric) -> int:
     """Exact minimal number of radius-balls centered in W that cover W."""
-    if not (_is_real(radius) and 0 <= radius < math.inf):
-        raise ValueError(f"radius must be finite and nonnegative, got {radius!r}")
+    radius = _real("radius", radius, 0)
     return _min_cover_count(*_cover_matrix(_exact_distances(W, metric), radius))[0]
 
 
@@ -607,14 +608,13 @@ def exact_entropy_small(W: np.ndarray, k: int, metric: Metric) -> float:
 def greedy_cover(W: np.ndarray, epsilon: float, metric: Metric) -> CoverCertificate:
     """First-uncovered-point cover of the sample at a fixed radius."""
     W = _sample_points(W)
-    if not epsilon >= 0:
-        raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
+    epsilon = _real("epsilon", epsilon, 0)
     Dm = metric.pairwise(W, W)
     picked = _greedy_indices_at(Dm, epsilon)
     count = len(picked)
     k = 0 if count <= 1 else math.ceil(math.log2(count))
     return CoverCertificate(
-        centers=W[picked], radius=float(epsilon), k=k, count_bound=count,
+        centers=W[picked], radius=epsilon, k=k, count_bound=count,
         metric=metric, provenance="greedy-cover")
 
 
@@ -887,11 +887,6 @@ def octahedron_cover_profile(octa: Octahedron, k_list: list[int], *,
 # ---------------------------------------------------------------------------
 # lp-ball experiment
 
-def _validate_p(p: float) -> None:
-    if not (_is_real(p) and 2 <= p < math.inf):
-        raise ValueError(f"the exponent must be a finite p >= 2, got {p!r}")
-
-
 def _ball_witness(p: float, n: int, size: int, seed: int) -> np.ndarray:
     """Vertices, dyadic equal-mass points and low-discrepancy sphere points."""
     rng = np.random.default_rng(seed)
@@ -931,7 +926,7 @@ def ball_entropy_experiment(p: float, n: int, k_list: list[int], *,
     never exceeds 1); lower entries from farthest-point packings of the
     witness sample.  Everything refers to the sampled ball; k stops at n.
     """
-    _validate_p(p)
+    _real("p", p, 2)
     k_list = _levels("k_list", k_list, 1, n)
     sample = _ball_witness(p, n, sample_size, seed)
     metric = PointwiseMaxMetric(np.arange(n))
@@ -1032,8 +1027,7 @@ def duality_sum_check(dictionary: Dictionary, m: int, *,
     if n > 12:
         raise BudgetExceededError(
             f"duality sum check is budgeted for n <= 12 atoms, got {n}")
-    if not 1.0 < space.q <= 2.0:
-        raise ValueError(f"the sum comparison needs q in (1, 2], got {space.q}")
+    _exponent("q", space.q, 2.0)
     _integer("m", m, 0, math.inf)
     p_exp = space.dual_exponent / 2.0
 

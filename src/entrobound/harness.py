@@ -16,6 +16,7 @@ import csv
 import io
 import json
 import math
+import os
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, fields
 from enum import Enum
@@ -39,7 +40,7 @@ from .entropy import (
 )
 from .errors import ConfigValidationError
 from .greedy import Octahedron, sample_octahedron, sigma_profile
-from .spaces import MeasureSpace, _integer, _is_int, _is_real, _levels, canonical_dictionary
+from .spaces import MeasureSpace, _exponent, _integer, _is_int, _levels, _real, canonical_dictionary
 
 __all__ = [
     "EXPERIMENTS",
@@ -122,41 +123,60 @@ class _Experiment:
 
     ``fields`` maps every config field the experiment reads to its
     default, in validation order (``k_list: None`` derives the list from
-    ``n``); each field gets the check its name implies and one CLI flag.
+    ``n``); each field gets the check its kind implies and one CLI flag.
     ``checks`` are the cross-field checks: each takes the config and
     returns a problem, or a falsy value when the config is fine.
-    ``q_max`` caps the exponent q.
     """
 
     help: str
     fields: dict
     checks: tuple
     runner: Callable
-    q_max: float = math.inf
 
 
-def _field_problem(cfg: "ExperimentConfig", name: str, q_max: float) -> str | None:
-    """The problem with one field, judged by its name; None when it is fine."""
+def _settable(experiment: str) -> tuple[str, ...]:
+    """The config fields a run of ``experiment`` reads, in validation order."""
+    entry = _REGISTRY.get(experiment)
+    return ("seed", *(entry.fields if entry else ()), "out", "format")
+
+
+def _field_kind(name: str) -> str:
+    """A config field's kind, read off its name: exponent, levels, count or text."""
+    return ("exponent" if name in ("p", "q") else "levels" if name.endswith("_list")
+            else "text" if name in ("out", "format") else "count")
+
+
+def _field_problem(cfg: "ExperimentConfig", name: str) -> str | None:
+    """The problem with one field, judged by its kind; None when it is fine."""
     value = getattr(cfg, name)
-    if name == "q":
-        if not (_is_real(value) and 1.0 < value <= q_max and value < math.inf):
-            span = f"(1.0, {q_max}]" if math.isfinite(q_max) else "finite q > 1.0"
-            return f"q: needs {span}, got {value!r}"
-    elif name == "p":
-        if not (_is_real(value) and 2 <= value < math.inf):
-            return ("p: the subspace and ball experiments require a finite "
-                    f"p >= 2, got {value!r}")
-    elif name.endswith("_list") and value is None and not _is_int(cfg.n):
-        return None  # derived from n, whose own problem is reported
-    else:
-        try:
-            if name.endswith("_list"):
+    kind = _field_kind(name)
+    try:
+        if name == "q":
+            _exponent("q", value, math.inf)
+        elif kind == "exponent":  # the subspace and ball results need p >= 2
+            _real(name, value, 2)
+        elif kind == "levels":
+            # a list left unset is derived from n, whose own problem is reported
+            if value is not None or _is_int(cfg.n):
                 _levels(name, value, 1, cfg.n if _is_int(cfg.n) else math.inf)
-            else:
-                _integer(name, value, 0 if name == "m" else 1, math.inf)
-        except ValueError as exc:
-            return str(exc)
+        elif kind == "count":
+            _integer(name, value, 0 if name in ("m", "seed") else 1, math.inf)
+        elif name == "format" and value not in ("csv", "json"):
+            return f"format: must be csv or json, got {value!r}"
+        elif name == "out" and value is not None and not (
+                isinstance(value, str) and value
+                and os.access(os.path.dirname(value) or ".", os.W_OK)):
+            return f"out: need a file path in a writable directory, got {value!r}"
+    except ValueError as exc:
+        return str(exc)
     return None
+
+
+def _plain(value):
+    """A numpy value, or a list of them, as the Python value it holds; others as they are."""
+    if isinstance(value, (list, tuple)):
+        return type(value)(map(_plain, value))
+    return value.tolist() if isinstance(value, (np.generic, np.ndarray)) else value
 
 
 @dataclass
@@ -186,8 +206,8 @@ class ExperimentConfig:
     format: str = "csv"
 
     def resolved(self) -> "ExperimentConfig":
-        """Fill experiment-specific defaults, leaving set fields alone."""
-        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        """Fill experiment-specific defaults, leaving set fields alone; numpy values go plain."""
+        values = {f.name: _plain(getattr(self, f.name)) for f in fields(self)}
         entry = _REGISTRY.get(self.experiment)
         defaults = entry.fields if entry is not None else {}
         for key, default in defaults.items():
@@ -205,38 +225,23 @@ class ExperimentConfig:
         The experiment's cross-field checks run once all of its fields
         pass their own checks, so they may rely on well-typed values.
         """
-        problems: list[str] = []
-        entry = None
-        if self.experiment in EXPERIMENTS:
-            entry = _REGISTRY[self.experiment]
-        else:
-            problems.append(
-                f"experiment: {self.experiment!r} is not one of {', '.join(EXPERIMENTS)}")
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool) or self.seed < 0:
-            problems.append(f"seed: need a nonnegative integer, got {self.seed!r}")
-        if self.format not in ("csv", "json"):
-            problems.append(f"format: must be csv or json, got {self.format!r}")
-        if self.out is not None and not isinstance(self.out, str):
-            problems.append(f"out: must be a file path, got {self.out!r}")
-        if entry is not None:
-            found = [problem for name in entry.fields
-                     if (problem := _field_problem(self, name, entry.q_max))]
-            problems += found or [problem for check in entry.checks
-                                  if (problem := check(self))]
+        entry = _REGISTRY.get(self.experiment)
+        problems = [] if entry else [
+            f"experiment: {self.experiment!r} is not one of {', '.join(EXPERIMENTS)}"]
+        problems += [problem for name in _settable(self.experiment)
+                     if (problem := _field_problem(self, name))]
+        if entry and not problems:
+            problems = [problem for check in entry.checks if (problem := check(self))]
         if problems:
             raise ConfigValidationError(problems)
 
     @classmethod
     def from_json(cls, doc: dict) -> "ExperimentConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(doc) - known)
-        if unknown:
-            raise ConfigValidationError(
-                [f"{key}: unknown configuration field" for key in unknown])
-        if "experiment" not in doc or "seed" not in doc:
-            raise ConfigValidationError(
-                [f"{key}: required" for key in ("experiment", "seed")
-                 if key not in doc])
+        problems = [f"{key}: unknown configuration field"
+                    for key in sorted(set(doc) - {f.name for f in fields(cls)})]
+        problems += [f"{key}: required" for key in ("experiment", "seed") if key not in doc]
+        if problems:
+            raise ConfigValidationError(problems)
         return cls(**doc)
 
 
@@ -275,12 +280,9 @@ class Report:
 
 def emit(report: Report, fmt: str, out: str | None = None) -> str:
     """Render the report; write it to ``out`` when a path is given."""
-    if fmt == "csv":
-        text = report.csv_text()
-    elif fmt == "json":
-        text = report.json_text()
-    else:
+    if fmt not in ("csv", "json"):
         raise ConfigValidationError([f"format: must be csv or json, got {fmt!r}"])
+    text = report.csv_text() if fmt == "csv" else report.json_text()
     if out is not None:
         with open(out, "w") as fh:
             fh.write(text)
@@ -479,9 +481,11 @@ _REGISTRY = {
     "duality-check": _Experiment(
         "two-sided entropy sum comparison for hull and dual ball",
         {"q": 2.0, "n": 8, "m": 6, "samples": 320},
-        (lambda c: c.n > 12 and
-         f"n: the duality check is budgeted for n <= 12, got {c.n}",),
-        _run_duality_check, q_max=2.0),
+        (lambda c: c.q > 2.0 and
+         f"q: the sum comparison needs q in (1, 2], got {c.q!r}",
+         lambda c: c.n > 12 and
+         f"n: the duality check is budgeted for n <= 12, got {c.n}"),
+        _run_duality_check),
     "mp-duality": _Experiment(
         "uniform-norm constant by direct and dual routes",
         {"p": 2.0, "subspace_dim": 4, "support_size": 64, "trials": 20},
@@ -517,7 +521,7 @@ def run(config: ExperimentConfig) -> tuple[Report, str]:
     columns, findings, summary = entry.runner(cfg)
     # runners that report a sample size put it among their findings
     metadata = {name: getattr(cfg, name) for name in ("seed", *entry.fields)
-                if name != "samples" and not name.endswith("_list")}
+                if name != "samples" and _field_kind(name) != "levels"}
     metadata.update(findings, version=_VERSION)
     report = Report(cfg.experiment, columns, metadata, summary)
     text = emit(report, cfg.format, cfg.out)

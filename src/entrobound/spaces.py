@@ -30,9 +30,11 @@ to a dictionary D = {g_1, ..., g_n} of unit atoms:
 smoothness above.
 
 The package's input rules are defined here once, each raising a
-``ValueError`` that names the argument: an integer in [lo, hi]
-(``_integer``), a level list (``_levels``), an index vector
-(``_indices``) and a real number (``_is_real``).
+``ValueError`` whose text starts with the argument's name: an integer
+in [lo, hi] (``_integer``), a finite real >= lo (``_real``), a finite
+exponent in (1, hi] (``_exponent``), a level list (``_levels``) and an
+index vector (``_indices``).  None of them takes a bool or a string,
+and the real rules refuse NaN and inf.
 """
 
 from __future__ import annotations
@@ -71,6 +73,7 @@ __all__ = [
 _WEIGHT_TOL = 1e-12
 _ATOM_TOL = 1e-10
 _SPAN_TOL = 1e-8  # relative least-squares residual that still counts as in the span
+_FLOAT_MAX = float(np.finfo(float).max)  # inf, and an integer above it, has no finite float
 
 
 def _is_int(value) -> bool:
@@ -92,6 +95,21 @@ def _integer(name: str, value, lo, hi):
     raise ValueError(f"{name}: need an integer{span}, got {value!r}")
 
 
+def _real(name: str, value, lo) -> float:
+    """``value`` as a float when it is a finite real >= lo, else a ValueError naming ``name``."""
+    if _is_real(value) and lo <= value <= _FLOAT_MAX:  # NaN fails both comparisons
+        return float(value)
+    raise ValueError(f"{name}: need a finite real number >= {lo}, got {value!r}")
+
+
+def _exponent(name: str, value, hi) -> float:
+    """``value`` as a float when it is a finite exponent in (1, hi], else a ValueError."""
+    if _is_real(value) and 1 < value <= min(hi, _FLOAT_MAX):
+        return float(value)
+    span = "> 1" if hi == math.inf else f"in (1, {hi}]"
+    raise ValueError(f"{name}: need a finite exponent {span}, got {value!r}")
+
+
 def _levels(name: str, value, lo, hi) -> list[int]:
     """A list, tuple or 1-D array of increasing integers in [lo, hi], as a list of ints."""
     listed = isinstance(value, (list, tuple)) or getattr(value, "ndim", 0) == 1
@@ -109,8 +127,8 @@ def _levels(name: str, value, lo, hi) -> list[int]:
 def _indices(value) -> np.ndarray:
     """A 1-D vector of nonnegative integers: -1 is not read from the end, nor 1.7 as 1."""
     idx = np.asarray(value)
-    integral = idx.dtype.kind in "iu" or idx.size == 0  # numpy reads [] as floats
-    if idx.ndim != 1 or not integral or np.any(idx < 0):
+    # entry by entry, since numpy reads [0, True] as integers and [] as floats
+    if idx.ndim != 1 or not all(_is_int(v) for v in value) or np.any(idx < 0):
         raise ValueError(f"indices must be nonnegative integers, got {value!r}")
     return idx.astype(int)
 
@@ -181,8 +199,7 @@ class NormedSpaceSpec:
 
     def __post_init__(self):
         _integer("dim", self.dim, 1, math.inf)
-        if not (_is_real(self.q) and 1.0 < self.q < math.inf):
-            raise ValueError(f"q must lie in (1, inf), got {self.q!r}")
+        _exponent("q", self.q, math.inf)
         if self.weights is not None:
             w = np.asarray(self.weights, dtype=float)
             if w.shape != (self.dim,):
@@ -381,8 +398,7 @@ def norm_U(F: np.ndarray, dictionary: Dictionary) -> float:
 
 def smoothness_bound(space: NormedSpaceSpec, u: float) -> float:
     """Analytic upper bound for the modulus of smoothness at u >= 0."""
-    if not (math.isfinite(u) and u >= 0):
-        raise ValueError(f"u must be finite and nonnegative, got {u!r}")
+    u = _real("u", u, 0)
     q = space.q
     if q <= 2.0:
         return (u ** q) / q

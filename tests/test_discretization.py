@@ -159,11 +159,11 @@ def test_m_p_rejects_small_exponents():
     sub = random_subspace(2, 8, seed=13)
     pts = SamplePointSet(np.arange(4))
     for p in (1.5, math.nan, math.inf):
-        with pytest.raises(ValueError, match="finite p >= 2"):
+        with pytest.raises(ValueError, match="^p: need a finite real number >= 2"):
             m_p_direct(sub, p)
-        with pytest.raises(ValueError, match="finite p >= 2"):
+        with pytest.raises(ValueError, match="^p: need a finite real number >= 2"):
             m_p_dual(sub, p)
-        with pytest.raises(ValueError, match="finite p >= 2"):
+        with pytest.raises(ValueError, match="^p: need a finite real number >= 2"):
             it1_experiment(sub, pts, p, [2], seed=0, cover_sample_size=320)
 
 

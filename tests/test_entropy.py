@@ -918,7 +918,7 @@ def test_ball_entropy_validation():
     with pytest.raises(ValueError):
         ball_entropy_experiment(1.5, 4, [2], sample_size=2048, seed=0)
     for p in (math.nan, math.inf):  # NaN once slipped through as NaN uppers
-        with pytest.raises(ValueError, match="finite p >= 2"):
+        with pytest.raises(ValueError, match="^p: need a finite real number >= 2"):
             ball_entropy_experiment(p, 8, [3, 8], sample_size=64, seed=0)
     with pytest.raises(ValueError):
         ball_entropy_experiment(2.0, 4, [5], sample_size=2048, seed=0)

@@ -1,8 +1,10 @@
 """Experiment configs, reports, envelope fits, and the CLI."""
 
 import argparse
+import contextlib
 import hashlib
 import importlib
+import io
 import json
 import math
 from dataclasses import fields
@@ -10,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from entrobound import (
     ConfigValidationError,
@@ -341,6 +345,27 @@ def test_cli_requires_a_seed(capsys):
     assert "seed: required" in captured.err
 
 
+def test_cli_checks_the_out_path_before_the_run(monkeypatch, tmp_path, capsys):
+    # a missing directory once surfaced as a traceback after the whole run
+    monkeypatch.setattr(harness, "duality_sum_check", _never_called)
+    argv = "duality-check --seed 0 --q 1.5 --n 4 --m 2 --out".split()
+    assert main(argv + [str(tmp_path / "missing" / "x.csv")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: out: need a file path in a writable directory")
+    assert len(captured.err.splitlines()) == 1
+    # a path that validates but cannot be written exits 1, after the run
+    monkeypatch.undo()
+    assert main(argv + [str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
+
+
+def _never_called(*args, **kwargs):
+    raise AssertionError("the experiment ran")
+
+
 def test_cli_flags_override_the_config_file(tmp_path, capsys):
     config = tmp_path / "run.json"
     config.write_text(json.dumps({"seed": 1, "p": 2.0, "n": 8, "samples": 64,
@@ -474,6 +499,41 @@ def test_cli_octahedron_cover_at_a_huge_exponent_succeeds(capsys):
     radii = [float(row.split(",")[1]) for row in rows[1:]]
     assert len(radii) == 2
     assert all(math.isfinite(r) and 0.0 < r <= 1.0 for r in radii)
+
+
+# small values every flag may take, so that a run of valid flags ends in seconds
+_VALID_FLAGS = {
+    "seed": ["0", "1"], "q": ["1.5", "2"], "p": ["2", "3"], "n": ["2", "4", "8"],
+    "subspace_dim": ["1", "2"], "support_size": ["8", "16"],
+    "k_list": ["1,2", "2,3"], "m_list": ["1,2,4"], "m": ["0", "2"],
+    "samples": ["4", "16"], "trials": ["1", "2"], "format": ["csv", "json"],
+}
+_HOSTILE_FLAGS = ["-1", "0", "nan", "inf", "1e309", "abc", "", "yaml"]
+_MISSING_DIRECTORY = "/no/such/directory/report.csv"
+
+
+@pytest.mark.parametrize("experiment", harness.EXPERIMENTS)
+@given(data=st.data())
+def test_cli_ends_every_argv_in_a_documented_exit(tmp_path_factory, experiment, data):
+    # each flag small and valid, or hostile: no input may end in a traceback
+    names = harness._settable(experiment)
+    hostile = data.draw(st.sets(st.sampled_from(names), max_size=2))
+    out = str(tmp_path_factory.getbasetemp() / "report.out")
+    argv = [experiment]
+    for name in names:
+        if name == "out":  # a hostile path is refused, so no report lands elsewhere
+            pool = ["", _MISSING_DIRECTORY] if name in hostile else [out]
+        else:
+            pool = _HOSTILE_FLAGS if name in hostile else _VALID_FLAGS[name]
+        argv.append(f"--{name.replace('_', '-')}={data.draw(st.sampled_from(pool))}")
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refuses what it cannot parse
+            code = exc.code
+    assert code in (0, 1, 2, 3), (argv, stderr.getvalue())
+    assert "Traceback" not in stderr.getvalue()
 
 
 def test_cli_flags_are_the_registry_fields():

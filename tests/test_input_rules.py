@@ -5,15 +5,25 @@ bool, an integral float, a fractional float and a string with a
 ValueError whose text starts with the argument's name, where it once
 truncated, sorted, or failed inside numpy with a TypeError.  A level
 list must also be strictly increasing.  Numpy integers still pass.
+
+Real numbers and exponents must be finite reals in their range: each
+site refuses a bool, a string, NaN, inf and a value out of range the
+same way, where it once read true as 1.0, let inf through, or failed
+with a TypeError.  Numpy floats still pass.
 """
+
+import json
+import math
 
 import numpy as np
 import pytest
 
 from entrobound import (
     AmbientMetric,
+    ConfigValidationError,
     CoverCertificate,
     EntropyProfile,
+    ExperimentConfig,
     MeasureSpace,
     NormedSpaceSpec,
     Octahedron,
@@ -21,17 +31,29 @@ from entrobound import (
     SamplePointSet,
     ball_entropy_experiment,
     best_mterm_bruteforce,
+    build_discretization_dictionary,
     canonical_dictionary,
     duality_sum_check,
+    exact_cover_count,
     exact_entropy_small,
     farthest_point_packing,
+    greedy_cover,
     it1_experiment,
+    m_p_direct,
+    m_p_dual,
     octahedron_cover_profile,
     random_subspace,
+    run,
     sample_octahedron,
     sequence_space,
     sigma_profile,
+    smoothness_bound,
     wcga,
+)
+from entrobound._optim import (
+    minimize_power_constrained,
+    minimize_power_residual,
+    minimize_power_sliced,
 )
 
 _D3 = canonical_dictionary(3, 2.0)
@@ -108,7 +130,7 @@ _ROWS = (
        for value in ([True, 3], [2.0, 3], [2.5, 3], ["2", 3], "23", [3, 2], [2, 2])]
     + [(site, "indices", call, value)
        for site, call in _INDICES
-       for value in ([True, False], [0.0, 1.0], [0, 1.5], ["0", "1"])]
+       for value in ([True, False], [0, True], [0.0, 1.0], [0, 1.5], ["0", "1"])]
 )
 
 
@@ -133,3 +155,101 @@ _PASSING = (
     ids=[f"{site}-{name}" for site, name, call, value in _PASSING])
 def test_each_entry_point_takes_numpy_integers(site, name, call, value):
     call(value)
+
+
+_A = np.eye(3)[:, :2]
+_B = np.array([1.0, 0.5, 0.25])
+_ONES = np.ones(3)
+_SUB = random_subspace(2, 8, seed=0)
+_PTS = SamplePointSet([0, 2, 4, 6])
+
+
+def _validated(experiment, **fields):
+    # the harness reports a problem line that starts with the field's name
+    try:
+        ExperimentConfig(experiment=experiment, seed=0, **fields).resolved().validate()
+    except ConfigValidationError as exc:
+        raise ValueError("; ".join(exc.problems)) from exc
+
+
+# (site, argument, call, a real out of range, a numpy float that passes)
+_REALS = [
+    ("NormedSpaceSpec", "q", lambda v: NormedSpaceSpec(dim=2, q=v), 1.0,
+     np.float64(1.5)),
+    ("minimize_power_residual", "exponent",
+     lambda v: minimize_power_residual(_A, _B, _ONES, v, decrement_tol=1e-10), 1.0,
+     np.float64(1.5)),
+    ("minimize_power_constrained", "exponent",
+     lambda v: minimize_power_constrained(_A, _B[None, :], _ONES, v,
+                                          decrement_tol=1e-10), 1.0, np.float64(1.5)),
+    ("minimize_power_sliced", "exponent",
+     lambda v: minimize_power_sliced(_A, _ONES, v, decrement_tol=1e-10), 1.0,
+     np.float64(1.5)),
+    ("duality_sum_check", "q",
+     lambda v: duality_sum_check(canonical_dictionary(2, v), 1, sample_size=8, seed=0),
+     3.0, np.float64(1.5)),
+    ("ball_entropy_experiment", "p",
+     lambda v: ball_entropy_experiment(v, 4, [1, 2], sample_size=16, seed=0), 1.5,
+     np.float64(3.0)),
+    ("m_p_direct", "p", lambda v: m_p_direct(_SUB, v), 1.5, np.float64(3.0)),
+    ("m_p_dual", "p", lambda v: m_p_dual(_SUB, v), 1.5, np.float64(3.0)),
+    ("build_discretization_dictionary", "p",
+     lambda v: build_discretization_dictionary(_SUB, _PTS, v), 1.5, np.float64(3.0)),
+    ("it1_experiment", "p",
+     lambda v: it1_experiment(_SUB, _PTS, v, [2], seed=0, cover_sample_size=16), 1.5,
+     np.float64(3.0)),
+    ("exact_cover_count", "radius", lambda v: exact_cover_count(_W4, v, _L2_4), -0.5,
+     np.float64(0.5)),
+    ("greedy_cover", "epsilon", lambda v: greedy_cover(_W4, v, _L2_4), -0.5,
+     np.float64(0.5)),
+    ("smoothness_bound", "u", lambda v: smoothness_bound(sequence_space(2, 1.5), v),
+     -0.5, np.float64(0.5)),
+    ("ExperimentConfig", "q", lambda v: _validated("sigma-decay", q=v), 1.0,
+     np.float64(1.5)),
+    ("ExperimentConfig-duality-check", "q", lambda v: _validated("duality-check", q=v),
+     3.0, np.float64(1.5)),
+    ("ExperimentConfig", "p", lambda v: _validated("ball-entropy", p=v), 1.5,
+     np.float64(3.0)),
+]
+
+_REAL_ROWS = [(site, name, call, value)
+              for site, name, call, outside, _ in _REALS
+              for value in (True, "2", math.nan, math.inf, outside)]
+
+
+@pytest.mark.parametrize(
+    "site, name, call, value", _REAL_ROWS,
+    ids=[f"{site}-{name}-{value!r}" for site, name, call, value in _REAL_ROWS])
+def test_each_real_site_refuses_what_is_not_a_finite_real_in_range(site, name, call,
+                                                                    value):
+    with pytest.raises(ValueError, match=rf"^{name}\b"):
+        call(value)
+
+
+@pytest.mark.parametrize(
+    "site, name, call, value", [(site, name, call, value)
+                                for site, name, call, _, value in _REALS],
+    ids=[f"{site}-{name}" for site, name, *_ in _REALS])
+def test_each_real_site_takes_numpy_floats(site, name, call, value):
+    call(value)
+
+
+def test_greedy_cover_at_radius_inf_is_refused_before_any_certificate():
+    # it once returned a radius-inf certificate that verify_cover refused
+    with pytest.raises(ValueError, match="^epsilon: need a finite real"):
+        greedy_cover(_W4, math.inf, _L2_4)
+
+
+def test_a_config_of_numpy_integers_writes_the_same_json():
+    # seed np.int64(0) was refused by a check of its own, and n np.int64(8)
+    # reached json.dumps, which cannot write it
+    def report(seed, n, p):
+        return run(ExperimentConfig(experiment="ball-entropy", seed=seed, n=n, p=p,
+                                    samples=16, format="json"))[1]
+
+    text = report(np.int64(0), np.int64(8), np.float64(2.0))
+    assert text == report(0, 8, 2.0)
+    assert json.loads(text)["metadata"]["n"] == 8
+    # a Python value is written as it was given
+    assert json.loads(report(0, 8, 2))["metadata"]["p"] == 2
+    assert '"p": 2,' in report(0, 8, 2)

@@ -148,7 +148,7 @@ def test_space_rejects_non_integral_dimensions():
 def test_space_documents_reject_a_non_real_exponent():
     # float() once read "q": "1.5" as 1.5
     for q in ("1.5", True, None):
-        with pytest.raises(ValueError, match="^q must lie in"):
+        with pytest.raises(ValueError, match="^q: need a finite exponent > 1"):
             NormedSpaceSpec.from_json({"dim": 2, "q": q})
     assert NormedSpaceSpec.from_json({"dim": 2, "q": 3}).q == 3
 
