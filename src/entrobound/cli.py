@@ -10,8 +10,8 @@ sigma-decay fit keeps fewer than 3 levels once the exactly recovered
 ones are left out, or the report cannot be written), 2 when a flag does
 not parse or the configuration fails validation, which runs first (a
 --format other than csv or json, an --out in a missing or unwritable
-directory), 3 when a verified property is breached (any
-``PropertyViolationError``).  Exits 1 and 2 print one ``error:`` line
+directory or naming a directory), 3 when a verified property is
+breached (any ``PropertyViolationError``).  Exits 1 and 2 print one ``error:`` line
 per problem, exit 3 one ``property violation:`` line.
 """
 

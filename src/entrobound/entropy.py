@@ -51,7 +51,13 @@ from .errors import (
     EntroboundError,
     QuantizationBudgetError,
 )
-from .greedy import Octahedron, sample_octahedron, wcga
+from .greedy import (
+    Octahedron,
+    _coordinate_rows,
+    _coordinate_wcga,
+    sample_octahedron,
+    wcga,
+)
 from .spaces import (
     Dictionary,
     NormedSpaceSpec,
@@ -792,26 +798,38 @@ def _greedy_levels(sample: np.ndarray, dictionary: Dictionary, m_max: int):
 
     Each run of up to ``m_max`` steps fills one row of three tables: its
     support (padded with n), its coefficients after each step
-    (zero-padded) and each step's l1 norm.  The returned ``level(m)``
-    reads every witness's approximant after min(m, steps taken) steps,
-    with the largest of their l1 norms as the grid bound; a zero witness
-    or a run with no step reads as the zero approximant.
+    (zero-padded) and each step's l1 norm.  Coordinate atoms run every
+    witness in one ``_coordinate_wcga`` pass; other atoms call ``wcga``
+    once per witness.  The returned ``level(m)`` reads every witness's
+    approximant after min(m, steps taken) steps, with the largest of
+    their l1 norms as the grid bound; a zero witness or a run with no
+    step reads as the zero approximant.
     """
     runs = sample.shape[0]
     support = np.full((runs, m_max), dictionary.size)
     coef = np.zeros((runs, m_max, m_max))
     l1 = np.zeros((runs, m_max))
     steps = np.zeros(runs, dtype=int)
-    for i, f in enumerate(sample):
-        if norm(dictionary.space, f) == 0.0:
-            continue
-        run = wcga(f, dictionary, m_max, project_tol=_COVER_PROJECT_TOL)
-        steps[i] = len(run.support)
-        support[i, :steps[i]] = run.support
-        for j, c in enumerate(run.step_coefficients):
-            coef[i, j, :j + 1] = c
-            # summed unpadded: a zero-padded row can round differently
-            l1[i, j] = np.abs(c).sum()
+    live = np.flatnonzero([norm(dictionary.space, f) != 0.0 for f in sample])
+    coordinate_rows = _coordinate_rows(dictionary.atoms)
+    if coordinate_rows is None:
+        for i in live:
+            run = wcga(sample[i], dictionary, m_max, project_tol=_COVER_PROJECT_TOL)
+            steps[i] = len(run.support)
+            support[i, :steps[i]] = run.support
+            for j, c in enumerate(run.step_coefficients):
+                coef[i, j, :j + 1] = c
+                # summed unpadded: a zero-padded row can round differently
+                l1[i, j] = np.abs(c).sum()
+    else:
+        support[live], c, _, steps[live] = _coordinate_wcga(
+            sample[live], dictionary, coordinate_rows, m_max)
+        # a coordinate coefficient never changes, so step j keeps the first j + 1
+        coef[live] = np.where(np.tri(m_max, dtype=bool), c[:, None, :], 0.0)
+        for j in range(m_max):
+            took = steps[live] > j
+            # summed unpadded, as the loop above sums them
+            l1[live[took], j] = np.abs(c[took, :j + 1]).sum(axis=1)
     rows = np.arange(runs)
 
     def level(m):
@@ -859,11 +877,12 @@ def octahedron_cover_profile(octa: Octahedron, k_list: list[int], *,
 
     All budgets share one greedy pass: each witness gets one greedy run
     of as many steps as the largest budget can use, and the run's
-    per-step coefficients are tabulated once.  A witness's m-term
-    approximant is its run after min(m, steps taken) steps; the grid
-    bound is the largest l1 norm of those coefficients over the
-    witnesses.  A one-atom hull is a segment and gets the dyadic offset
-    grid instead.
+    per-step coefficients are tabulated once.  On coordinate atoms the
+    runs of all witnesses take one stacked pass, equal to ``wcga`` on
+    each witness.  A witness's m-term approximant is its run after
+    min(m, steps taken) steps; the grid bound is the largest l1 norm of
+    those coefficients over the witnesses.  A one-atom hull is a segment
+    and gets the dyadic offset grid instead.
     """
     dictionary = octa.dictionary
     n = dictionary.size

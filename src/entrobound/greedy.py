@@ -18,6 +18,13 @@ flat step, one whose projection lowers the residual norm by less than
 1e-9 relative; the flat step is dropped.
 ``sigma_profile`` reads an exact recovery as 0 from its step on.
 
+On coordinate atoms, each nonzero in one row and no two in the same
+row, the greedy keeps the largest weighted coefficients, and a step is
+a few array operations.  There ``sigma_profile`` and the octahedron
+covers run all their samples in one stacked pass, step by step, that
+equals ``wcga`` on each sample bit for bit; other dictionaries run
+``wcga`` once per sample.
+
 The unit ball of norm_A is the absolutely convex hull of the atoms;
 ``Octahedron`` wraps a dictionary with that membership test and
 ``sample_octahedron`` draws signed Dirichlet mixtures from it, mixing
@@ -116,6 +123,20 @@ def chebyshev_project(f: np.ndarray, support: list[int], dictionary: Dictionary,
     return _project(f, fnorm, G, dictionary.space, tol, None)
 
 
+def _coordinate_rows(atoms: np.ndarray) -> np.ndarray | None:
+    """Each atom's row when the atoms are coordinate, else None.
+
+    Coordinate means that each atom (column) has one nonzero and no two
+    atoms share a row.
+    """
+    n = atoms.shape[1]
+    # unit atoms are never zero, so n nonzeros put exactly one in each column
+    if np.count_nonzero(atoms) != n:
+        return None
+    _, rows = np.nonzero(atoms.T)  # ordered by column
+    return rows if np.unique(rows).size == n else None
+
+
 def _project(f, fnorm, G, space, tol, warm):
     """``chebyshev_project`` of a checked f of norm fnorm onto the columns of G.
 
@@ -126,11 +147,9 @@ def _project(f, fnorm, G, space, tol, warm):
     n = G.shape[1]
     if n == 0:
         return np.zeros(0)
-    # unit atoms are never zero, so n nonzeros put exactly one in each column
-    if np.count_nonzero(G) == n:
-        cols, rows = np.nonzero(G.T)  # ordered by column
-        if np.unique(rows).size == n:  # coordinate atoms in distinct rows
-            return f[rows] / G[rows, cols]
+    rows = _coordinate_rows(G)
+    if rows is not None:
+        return f[rows] / G[rows, np.arange(n)]
     w = space.weight_vector()
     if space.q == 2.0:
         sw = np.sqrt(w)
@@ -254,6 +273,72 @@ def wcga(f: np.ndarray, dictionary: Dictionary, m: int,
                              history=history, step_coefficients=snaps)
 
 
+def _coordinate_wcga(samples: np.ndarray, dictionary: Dictionary,
+                     rows: np.ndarray, m: int):
+    """``wcga`` on every row of ``samples`` at once, for coordinate atoms.
+
+    ``rows`` is ``_coordinate_rows(dictionary.atoms)``.  On such atoms
+    the greedy keeps the largest weighted coefficients: atom j's pairing
+    with a functional F is (w_i F_i) g_j(i) on its row i, the one nonzero
+    term of ``pairings``, and its coefficient f_i / g_j(i) never changes
+    once it is picked.  Each step takes the pairings, picks, coefficients
+    and residual entries of all live runs in one stacked pass, with the
+    operations ``wcga`` rounds through, and measures each new residual
+    through ``_power_norm``'s vector path, one run at a time, since the
+    matrix path rounds differently.  So each run takes the steps, stops
+    and errors of ``wcga(f, dictionary, m)``, bit for bit.
+
+    Returns four arrays: the supports (runs x m, padded with the
+    dictionary size), the coefficients in pick order (zero-padded), the
+    histories (runs x (m + 1), each padded with its last entry) and the
+    number of steps of each run.
+    """
+    space, n = dictionary.space, dictionary.size
+    _integer("m", m, 0, n)
+    w = space.weight_vector()
+    f = np.asarray(samples, dtype=float)
+    runs = f.shape[0]
+    fnorm = np.array([norm(space, row) for row in f])  # rejects a non-finite row
+    if not fnorm.all():
+        raise ZeroVectorError("cannot run the greedy loop on the zero vector")
+    g = dictionary.atoms[rows, np.arange(n)]  # each atom's nonzero
+    support = np.full((runs, m), n)
+    coef = np.zeros((runs, m))
+    history = np.repeat(fnorm[:, None], m + 1, axis=1)
+    steps = np.zeros(runs, dtype=int)
+    residual = f.copy()
+    picked = np.zeros((runs, n), dtype=bool)
+    unseen = 1e-14 * np.maximum(fnorm, 1.0)
+    live = np.flatnonzero(fnorm > _STOP_TOL)
+    for s in range(m):
+        if not live.size:
+            break
+        last = history[live, s]
+        r = residual[live]
+        # the norming functionals of the residuals, whose norms are last
+        F = np.sign(r) * np.power(np.abs(r) / last[:, None], space.q - 1.0)
+        vals = np.abs((w * F)[:, rows] * g)
+        vals[picked[live]] = -1.0
+        j = np.argmax(vals, axis=1)
+        at = np.arange(live.size)
+        seen = vals[at, j] > unseen[live]  # else the residual is invisible
+        i = rows[j]
+        c = f[live, i] / g[j]
+        r[at, i] = f[live, i] - g[j] * c
+        rnorm = np.array([_power_norm(v, w, space.q) for v in r])
+        # a flat step is dropped and ends its run
+        kept = seen & (rnorm < last * (1.0 - _FLAT_TOL))
+        live, j, c, r, rnorm = live[kept], j[kept], c[kept], r[kept], rnorm[kept]
+        residual[live] = r
+        picked[live, j] = True
+        support[live, s] = j
+        coef[live, s] = c
+        history[live, s + 1:] = rnorm[:, None]
+        steps[live] = s + 1
+        live = live[rnorm > _STOP_TOL]  # an exact recovery
+    return support, coef, history, steps
+
+
 def sample_octahedron(dictionary: Dictionary, count: int, seed: int) -> list[dict]:
     """Draw signed Dirichlet mixtures of atoms from the norm_A unit ball.
 
@@ -294,10 +379,11 @@ def sigma_profile(samples: list[np.ndarray], dictionary: Dictionary,
 
     Every sample must pass the hull membership test (norm_A <= 1 plus
     tolerance).  One greedy run per sample up to max(m_list) supplies
-    the residuals at every intermediate m.  A run that ends on an exact
-    recovery (residual norm at most 1e-12) reads 0 from that step on, not
-    its round-off; a run that ends on a flat step keeps its last
-    residual, a solver floor.  So a value is 0 exactly when every sample
+    the residuals at every intermediate m; on coordinate atoms all runs
+    take one stacked pass, equal to ``wcga`` on each sample.  A run that
+    ends on an exact recovery (residual norm at most 1e-12) reads 0 from
+    that step on, not its round-off; a run that ends on a flat step
+    keeps its last residual, a solver floor.  So a value is 0 exactly when every sample
     is recovered by that m.  The reported slope is the least-squares fit
     of log2(value) against log2(m) over the levels not recovered, the
     positive entries.
@@ -311,14 +397,17 @@ def sigma_profile(samples: list[np.ndarray], dictionary: Dictionary,
             raise ValueError(
                 f"sample {i} lies outside the octahedron: norm_A = {value!r}")
     m_max = m_list[-1]
-    table = np.zeros((len(samples), len(m_list)))
-    for i, f in enumerate(samples):
-        hist = wcga(f, dictionary, m_max).history
-        if hist[-1] <= _STOP_TOL:  # an exact recovery
-            hist = hist[:-1] + [0.0]
-        for j, m in enumerate(m_list):
-            table[i, j] = hist[m] if m < len(hist) else hist[-1]
-    values = table.max(axis=0)
+    rows = _coordinate_rows(dictionary.atoms)
+    if rows is None:
+        history = np.zeros((len(samples), m_max + 1))
+        for i, f in enumerate(samples):
+            hist = wcga(f, dictionary, m_max).history
+            history[i] = hist + hist[-1:] * (m_max + 1 - len(hist))
+    else:
+        history = _coordinate_wcga(samples, dictionary, rows, m_max)[2]
+    # only a run's last entry can be an exact recovery; it reads 0 from its step on
+    history[history <= _STOP_TOL] = 0.0
+    values = history[:, m_list].max(axis=0)
     pos = values > 0
     if pos.sum() >= 2:
         slope = np.polyfit(np.log2(np.asarray(m_list)[pos]),

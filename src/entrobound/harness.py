@@ -134,9 +134,14 @@ class _Experiment:
     runner: Callable
 
 
+def _entry(experiment) -> _Experiment | None:
+    """The registry entry of ``experiment``; None for any other value, unhashable ones too."""
+    return _REGISTRY.get(experiment) if isinstance(experiment, str) else None
+
+
 def _settable(experiment: str) -> tuple[str, ...]:
     """The config fields a run of ``experiment`` reads, in validation order."""
-    entry = _REGISTRY.get(experiment)
+    entry = _entry(experiment)
     return ("seed", *(entry.fields if entry else ()), "out", "format")
 
 
@@ -163,10 +168,13 @@ def _field_problem(cfg: "ExperimentConfig", name: str) -> str | None:
             _integer(name, value, 0 if name in ("m", "seed") else 1, math.inf)
         elif name == "format" and value not in ("csv", "json"):
             return f"format: must be csv or json, got {value!r}"
-        elif name == "out" and value is not None and not (
-                isinstance(value, str) and value
-                and os.access(os.path.dirname(value) or ".", os.W_OK)):
-            return f"out: need a file path in a writable directory, got {value!r}"
+        elif name == "out" and value is not None:
+            # os.access raises on a NUL byte, so test for one first
+            if not (isinstance(value, str) and value and "\0" not in value
+                    and os.access(os.path.dirname(value) or ".", os.W_OK)):
+                return f"out: need a file path in a writable directory, got {value!r}"
+            if os.path.isdir(value):
+                return f"out: need a file path, got the directory {value!r}"
     except ValueError as exc:
         return str(exc)
     return None
@@ -208,7 +216,7 @@ class ExperimentConfig:
     def resolved(self) -> "ExperimentConfig":
         """Fill experiment-specific defaults, leaving set fields alone; numpy values go plain."""
         values = {f.name: _plain(getattr(self, f.name)) for f in fields(self)}
-        entry = _REGISTRY.get(self.experiment)
+        entry = _entry(self.experiment)
         defaults = entry.fields if entry is not None else {}
         for key, default in defaults.items():
             if values[key] is None:  # copied, so the registry default stays put
@@ -225,7 +233,7 @@ class ExperimentConfig:
         The experiment's cross-field checks run once all of its fields
         pass their own checks, so they may rely on well-typed values.
         """
-        entry = _REGISTRY.get(self.experiment)
+        entry = _entry(self.experiment)
         problems = [] if entry else [
             f"experiment: {self.experiment!r} is not one of {', '.join(EXPERIMENTS)}"]
         problems += [problem for name in _settable(self.experiment)

@@ -9,6 +9,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import entrobound._optim as optim
+import entrobound.entropy as entropy
 import entrobound.greedy as greedy
 from entrobound import (
     BudgetExceededError,
@@ -24,6 +25,7 @@ from entrobound import (
     norm,
     norm_A,
     norming_functional,
+    octahedron_cover_profile,
     sample_octahedron,
     sequence_space,
     sigma_profile,
@@ -532,6 +534,101 @@ def test_sigma_profile_reads_an_exact_recovery_as_zero():
     prof = sigma_profile([f], dense, [1, 2, 4])
     assert list(prof.values) == [wcga(f, dense, 1).residual_norm] * 3
     assert all(v > 0.0 for v in prof.values)
+
+
+# ---------------------------------------------------------------------------
+# the lockstep pass on coordinate atoms
+
+@st.composite
+def _coordinate_cases(draw):
+    """A coordinate dictionary, a few nonzero samples and a step count.
+
+    The atoms sit in a permutation of the rows, fewer of them than rows
+    when ``sparse``, with random signs, in l_q or a weighted L_q(mu).
+    When ``tied``, weights and sample entries are drawn from a few values,
+    so that pairings tie; otherwise they are uniform and Gaussian.  Zeros
+    are mixed in, and some entries shrink by up to 1e-12, so that steps
+    go flat and residuals go invisible.  A sample that lives on the atom
+    rows is recovered exactly, and m may exceed any sample's support.
+    """
+    dim = draw(st.integers(1, 10))
+    n = draw(st.integers(1, dim)) if draw(st.booleans()) else dim
+    q = draw(st.sampled_from([4.0 / 3.0, 1.5, 2.0, 3.0]))
+    weighted, tied = draw(st.booleans()), draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if weighted:
+        w = rng.choice([0.1, 0.2, 0.3], dim) if tied else rng.uniform(0.05, 1.0, dim)
+        space = discrete_space(w / w.sum(), q)
+    else:
+        space = sequence_space(dim, q)
+    rows = rng.permutation(dim)[:n]
+    atoms = np.zeros((dim, n))
+    atoms[rows, np.arange(n)] = (rng.choice([-1.0, 1.0], n)
+                                 * space.weight_vector()[rows] ** (-1.0 / q))
+    shape = (draw(st.integers(1, 5)), dim)
+    samples = (rng.choice([-1.0, -0.5, 0.5, 1.0], shape) if tied
+               else rng.standard_normal(shape))
+    samples *= rng.random(shape) < rng.uniform(0.2, 1.0)
+    samples *= 10.0 ** -rng.choice([0, 0, 4, 8, 12], shape)
+    if draw(st.booleans()):  # on the atom rows only: exactly recoverable
+        samples[:, np.setdiff1d(np.arange(dim), rows)] = 0.0
+    assume(np.abs(samples).sum(axis=1).all())
+    return Dictionary(atoms, space), samples, draw(st.integers(0, n))
+
+
+@given(case=_coordinate_cases())
+def test_the_lockstep_pass_equals_wcga_run_by_run(case):
+    d, samples, m = case
+    rows = greedy._coordinate_rows(d.atoms)
+    support, coef, history, steps = greedy._coordinate_wcga(samples, d, rows, m)
+    for f, sup, c, hist, k in zip(samples, support, coef, history, steps):
+        run = wcga(f, d, m)
+        assert sup[:k].tolist() == run.support and (sup[k:] == d.size).all()
+        assert hist[:k + 1].tolist() == run.history and (hist[k:] == hist[k]).all()
+        assert len(run.step_coefficients) == k
+        for j, step in enumerate(run.step_coefficients):
+            assert c[:j + 1].tolist() == step.tolist()
+        assert not c[k:].any()
+
+
+def test_coordinate_rows_reads_the_atom_layout():
+    flipped = np.array([[0.0, -1.0, 0.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    assert greedy._coordinate_rows(flipped[:, :2]).tolist() == [2, 0]
+    assert greedy._coordinate_rows(flipped[:, [0, 0]]) is None  # a shared row
+    assert greedy._coordinate_rows(np.ones((2, 2))) is None  # dense
+    with pytest.raises(ZeroVectorError):
+        greedy._coordinate_wcga(np.zeros((1, 3)), canonical_dictionary(3, 1.5),
+                                np.arange(3), 2)
+
+
+def _never_called(*args, **kwargs):
+    raise AssertionError("wcga ran")
+
+
+def test_coordinate_dictionaries_never_call_wcga(monkeypatch):
+    coord = canonical_dictionary(16, 1.5)
+    dense = _random_unit_dictionary(6, 8, 1.5, seed=3)
+    samples = [s["vector"] for s in sample_octahedron(coord, 12, seed=5)]
+    m_list = [1, 2, 4, 8]
+    # the loop of wcga runs: by hand for the profile, and forced for the covers
+    hists = [wcga(f, coord, 8).history for f in samples]
+    values = np.max([[0.0 if h[min(m, len(h) - 1)] <= greedy._STOP_TOL
+                      else h[min(m, len(h) - 1)] for m in m_list] for h in hists], axis=0)
+    monkeypatch.setattr(entropy, "_coordinate_rows", lambda atoms: None)
+    certs = octahedron_cover_profile(Octahedron(coord), [4, 16], sample_size=60, seed=6)
+    monkeypatch.undo()
+    monkeypatch.setattr(greedy, "wcga", _never_called)
+    monkeypatch.setattr(entropy, "wcga", _never_called)
+    # the lockstep pass reads what those runs read
+    assert list(sigma_profile(samples, coord, m_list).values) == list(values)
+    again = octahedron_cover_profile(Octahedron(coord), [4, 16], sample_size=60, seed=6)
+    for k, cert in certs.items():
+        assert np.array_equal(again[k].centers, cert.centers)
+        assert (again[k].radius, again[k].extra) == (cert.radius, cert.extra)
+    with pytest.raises(AssertionError, match="wcga ran"):
+        sigma_profile([dense.atoms[:, 0]], dense, [1, 2])
+    with pytest.raises(AssertionError, match="wcga ran"):
+        octahedron_cover_profile(Octahedron(dense), [3], sample_size=20)
 
 
 # ---------------------------------------------------------------------------

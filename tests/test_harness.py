@@ -20,6 +20,8 @@ from entrobound import (
     Dictionary,
     ExperimentConfig,
     FitModel,
+    NormBoundError,
+    QuantizationBudgetError,
     Report,
     emit,
     fit_envelope,
@@ -34,7 +36,7 @@ import entrobound.discretization as discretization
 import entrobound.entropy as entropy
 import entrobound.greedy as greedy
 import entrobound.harness as harness
-from entrobound.cli import build_parser, main
+from entrobound.cli import _merge_config, build_parser, main
 from entrobound.discretization import _representer
 
 
@@ -354,12 +356,35 @@ def test_cli_checks_the_out_path_before_the_run(monkeypatch, tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: out: need a file path in a writable directory")
     assert len(captured.err.splitlines()) == 1
-    # a path that validates but cannot be written exits 1, after the run
+    # so is an existing directory, which once failed to open after the run
+    assert main(argv + [str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: out: need a file path, got the directory {str(tmp_path)!r}\n"
+    # a path that validates but cannot be written exits 1, after the run:
+    # a file name longer than any file system allows
     monkeypatch.undo()
-    assert main(argv + [str(tmp_path)]) == 1
+    assert main(argv + [str(tmp_path / ("x" * 300))]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("config, problem", [
+    # os.access raises on a NUL byte, whose message once came without its field
+    (ExperimentConfig(experiment="duality-check", seed=0, out="/tmp/a\x00b/x.csv"),
+     "out: need a file path in a writable directory, got '/tmp/a\\x00b/x.csv'"),
+    # a list is unhashable, and the registry lookup once raised TypeError
+    (ExperimentConfig(experiment=["it1"], seed=0),
+     "experiment: ['it1'] is not one of " + ", ".join(harness.EXPERIMENTS)),
+])
+def test_config_problems_name_their_field(config, problem):
+    for validate in (config.validate, lambda: config.resolved().validate()):
+        with pytest.raises(ConfigValidationError) as err:
+            validate()
+        assert problem in err.value.problems
+    if not isinstance(config.experiment, str):
+        assert harness._settable(config.experiment) == ("seed", "out", "format")
 
 
 def _never_called(*args, **kwargs):
@@ -489,6 +514,36 @@ def test_cli_breached_checks_exit_3_in_one_line(monkeypatch, capsys, argv, modul
     assert captured.err.startswith(problem)
 
 
+_max_grid_radius = entropy._max_grid_radius
+
+
+def _grid_radius_past_the_budget(count, m, target):
+    # one grid step finer than fits: comb(n, m) * count(m, M + 1) > 2^k
+    return _max_grid_radius(count, m, target) + 1
+
+
+@pytest.mark.parametrize("argv, module, name, value, error, problem", [
+    ("it1 --seed 0 --p 3 --subspace-dim 3 --support-size 16 --n 4 "
+     "--k-list 2,4 --samples 8", discretization, "_NORM_BOUND_SLACK", -math.inf,
+     NormBoundError, "property violation: representer 0 has dual norm"),
+    ("it2-octahedron --seed 0 --q 1.5 --n 8 --k-list 3,8 --samples 16", entropy,
+     "_max_grid_radius", _grid_radius_past_the_budget, QuantizationBudgetError,
+     "property violation: certified count "),
+])
+def test_cli_breached_bounds_and_budgets_exit_3(monkeypatch, capsys, argv, module,
+                                                name, value, error, problem):
+    # a representer norm above a lowered bound, and a cover grid past its
+    # 2^k center budget, each raise their own property violation
+    monkeypatch.setattr(module, name, value)
+    assert main(argv.split()) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith(problem)
+    with pytest.raises(error):
+        run(_merge_config(build_parser().parse_args(argv.split())))
+
+
 def test_cli_octahedron_cover_at_a_huge_exponent_succeeds(capsys):
     # on coordinate atoms every projection is the closed form, so no power
     # of the residual is ever differentiated and nothing overflows
@@ -522,7 +577,8 @@ def test_cli_ends_every_argv_in_a_documented_exit(tmp_path_factory, experiment, 
     argv = [experiment]
     for name in names:
         if name == "out":  # a hostile path is refused, so no report lands elsewhere
-            pool = ["", _MISSING_DIRECTORY] if name in hostile else [out]
+            pool = (["", _MISSING_DIRECTORY, str(tmp_path_factory.getbasetemp())]
+                    if name in hostile else [out])
         else:
             pool = _HOSTILE_FLAGS if name in hostile else _VALID_FLAGS[name]
         argv.append(f"--{name.replace('_', '-')}={data.draw(st.sampled_from(pool))}")
