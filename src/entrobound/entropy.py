@@ -61,12 +61,13 @@ from .greedy import (
 from .spaces import (
     Dictionary,
     NormedSpaceSpec,
+    _check_rows,
     _exponent,
     _indices,
     _integer,
     _is_real,
     _levels,
-    _power_norm,
+    _matrix_power_norm,
     _real,
     dual_norm,
     norm,
@@ -159,7 +160,7 @@ class AmbientMetric(Metric):
         return cdist(FA, FB, "minkowski", p=self.space.q, w=self.space.weights)
 
     def norms(self, R):
-        return _power_norm(R, self.space.weight_vector(), self.space.q)
+        return _matrix_power_norm(R, self.space.weight_vector(), self.space.q)
 
     def to_json(self):
         return {"kind": self.kind, "space": self.space.to_json()}
@@ -644,9 +645,10 @@ def _packing_lowers(Dm: np.ndarray,
     One farthest-point traversal of the distance matrix ``Dm`` from
     point 0 serves every k, since it visits the same points in the same
     order whatever its length; a k whose 2^k + 1 points the set does not
-    hold gets 0.
+    hold gets 0.  The traversal stops at the last point a k reads.
     """
-    _, insertion = _fps(Dm, min(len(Dm), 2 ** k_list[-1] + 1), 0)
+    count = max((2 ** k + 1 for k in k_list if 2 ** k + 1 <= len(Dm)), default=1)
+    _, insertion = _fps(Dm, count, 0)
     lowers, sources = [], []
     for k in k_list:
         want = 2 ** k + 1
@@ -803,14 +805,16 @@ def _greedy_levels(sample: np.ndarray, dictionary: Dictionary, m_max: int):
     once per witness.  The returned ``level(m)`` reads every witness's
     approximant after min(m, steps taken) steps, with the largest of
     their l1 norms as the grid bound; a zero witness or a run with no
-    step reads as the zero approximant.
+    step reads as the zero approximant.  A zero witness is told by its
+    entries, so each witness is measured once, by its run.
     """
     runs = sample.shape[0]
     support = np.full((runs, m_max), dictionary.size)
     coef = np.zeros((runs, m_max, m_max))
     l1 = np.zeros((runs, m_max))
     steps = np.zeros(runs, dtype=int)
-    live = np.flatnonzero([norm(dictionary.space, f) != 0.0 for f in sample])
+    # a zero witness takes no run
+    live = np.flatnonzero(_check_rows(dictionary.space, sample).any(axis=1))
     coordinate_rows = _coordinate_rows(dictionary.atoms)
     if coordinate_rows is None:
         for i in live:

@@ -7,7 +7,11 @@ class EntroboundError(Exception):
 
 class DimensionMismatchError(EntroboundError):
     def __init__(self, expected, got, what="vector"):
-        super().__init__(f"{what} has length {got}, expected {expected}")
+        # got is a length, or the shape of an input that is not a vector
+        if isinstance(got, tuple):
+            super().__init__(f"{what} has shape {got}, expected length {expected}")
+        else:
+            super().__init__(f"{what} has length {got}, expected {expected}")
         self.expected = expected
         self.got = got
 

@@ -22,8 +22,10 @@ On coordinate atoms, each nonzero in one row and no two in the same
 row, the greedy keeps the largest weighted coefficients, and a step is
 a few array operations.  There ``sigma_profile`` and the octahedron
 covers run all their samples in one stacked pass, step by step, that
-equals ``wcga`` on each sample bit for bit; other dictionaries run
-``wcga`` once per sample.
+equals ``wcga`` on each sample bit for bit: a step measures the
+residuals of every run in one stacked norm call, whose rows round as
+the vector norm of one run does.  Other dictionaries run ``wcga`` once
+per sample.
 
 The unit ball of norm_A is the absolutely convex hull of the atoms;
 ``Octahedron`` wraps a dictionary with that membership test and
@@ -47,7 +49,7 @@ from .errors import (
     SpanMembershipError,
     ZeroVectorError,
 )
-from .spaces import Dictionary, _integer, _levels, _power_norm, norm, norm_A
+from .spaces import Dictionary, _check_rows, _integer, _levels, _power_norm, norm, norm_A
 
 __all__ = [
     "SparseApproximant",
@@ -283,10 +285,12 @@ def _coordinate_wcga(samples: np.ndarray, dictionary: Dictionary,
     term of ``pairings``, and its coefficient f_i / g_j(i) never changes
     once it is picked.  Each step takes the pairings, picks, coefficients
     and residual entries of all live runs in one stacked pass, with the
-    operations ``wcga`` rounds through, and measures each new residual
-    through ``_power_norm``'s vector path, one run at a time, since the
-    matrix path rounds differently.  So each run takes the steps, stops
-    and errors of ``wcga(f, dictionary, m)``, bit for bit.
+    operations ``wcga`` rounds through, and measures every new residual
+    in one ``_power_norm`` call, whose rows round as ``wcga``'s vector
+    does; the samples' norms take one call too, so a pass makes at most
+    m + 1 norm calls.  The samples get the checks ``wcga`` gives f.  So
+    each run takes the steps, stops and errors of ``wcga(f, dictionary,
+    m)``, bit for bit.
 
     Returns four arrays: the supports (runs x m, padded with the
     dictionary size), the coefficients in pick order (zero-padded), the
@@ -296,9 +300,9 @@ def _coordinate_wcga(samples: np.ndarray, dictionary: Dictionary,
     space, n = dictionary.space, dictionary.size
     _integer("m", m, 0, n)
     w = space.weight_vector()
-    f = np.asarray(samples, dtype=float)
+    f = _check_rows(space, samples)
     runs = f.shape[0]
-    fnorm = np.array([norm(space, row) for row in f])  # rejects a non-finite row
+    fnorm = _power_norm(f, w, space.q)
     if not fnorm.all():
         raise ZeroVectorError("cannot run the greedy loop on the zero vector")
     g = dictionary.atoms[rows, np.arange(n)]  # each atom's nonzero
@@ -325,7 +329,7 @@ def _coordinate_wcga(samples: np.ndarray, dictionary: Dictionary,
         i = rows[j]
         c = f[live, i] / g[j]
         r[at, i] = f[live, i] - g[j] * c
-        rnorm = np.array([_power_norm(v, w, space.q) for v in r])
+        rnorm = _power_norm(r, w, space.q)
         # a flat step is dropped and ends its run
         kept = seen & (rnorm < last * (1.0 - _FLAT_TOL))
         live, j, c, r, rnorm = live[kept], j[kept], c[kept], r[kept], rnorm[kept]

@@ -10,10 +10,12 @@ rho(u) <= (q - 1) u^2 / 2.
 The module owns the measure: ``MeasureSpace`` is the one place where
 weights are checked (finite, strictly positive, summing to one), and
 one weighted power norm serves ``norm``, ``dual_norm``,
-``MeasureSpace.norm`` and the row norms of the cover metrics.  A
-functional is a plain coefficient vector; ``pair`` integrates it
-against the measure, and ``norming_functional`` returns the
-coefficients of the functional that norms a vector.
+``MeasureSpace.norm`` and every stack of vectors measured at once, each
+row rounding as the vector alone; only the cover metrics' row norms
+pair a matrix with the weights in one product, which rounds
+differently.  A functional is a plain coefficient vector; ``pair``
+integrates it against the measure, and ``norming_functional`` returns
+the coefficients of the functional that norms a vector.
 
 On top of the ambient norm the module provides the two norms attached
 to a dictionary D = {g_1, ..., g_n} of unit atoms:
@@ -133,20 +135,37 @@ def _indices(value) -> np.ndarray:
     return idx.astype(int)
 
 
+_LEAST_SUBNORMAL = float(np.nextafter(0.0, 1.0))  # no positive float lies below it
+
+
 def _power_norm(values: np.ndarray, w: np.ndarray, q: float):
-    """(sum_i w_i |v_i|^q)^(1/q) of a vector, or of every row of a matrix.
+    """(sum_i w_i |v_i|^q)^(1/q) of a vector, or of every row of a stack.
 
     The peak is factored out so that large q does not underflow; at
     q = inf the weighted sum is raised to the power 0, which leaves the
-    peak.  A vector pairs as w @ v and a matrix as M @ w, and the two
-    round differently, so a vector never goes through the matrix path.
+    peak.  Each row is paired with w by a dot product of its own, the
+    one w @ v takes on a vector, and the stack is laid out in C order
+    first, since a strided row pairs differently.  So every row of a
+    stack rounds exactly as the same vector alone, whatever the stack's
+    size or layout.  A vector's norm is a float, a stack's an array.
     """
-    a = np.abs(values)
+    a = np.abs(values, order="C")
+    top = a.max(axis=-1, keepdims=True, initial=0.0)
+    # a zero row is divided by the least subnormal, which leaves every peak as it is
+    sums = np.vecdot(np.power(a / np.maximum(top, _LEAST_SUBNORMAL), q), w)
     if a.ndim == 1:
-        top = float(a.max(initial=0.0))
-        if top == 0.0:
-            return 0.0
-        return top * float(np.power(w @ np.power(a / top, q), 1.0 / q))
+        return float(top[0]) * float(np.power(sums, 1.0 / q))
+    return top[:, 0] * np.power(sums, 1.0 / q)
+
+
+def _matrix_power_norm(M: np.ndarray, w: np.ndarray, q: float) -> np.ndarray:
+    """``_power_norm`` of every row of a matrix, paired as the one product M @ w.
+
+    A matrix product rounds differently from a row's own dot product, so
+    a value may differ from ``_power_norm`` of its row in the last bit.
+    The cover metrics' row norms read this path.
+    """
+    a = np.abs(M)
     top = a.max(axis=1)
     scaled = a / np.where(top > 0.0, top, 1.0)[:, None]
     return top * np.power(np.power(scaled, q) @ w, 1.0 / q)
@@ -203,7 +222,7 @@ class NormedSpaceSpec:
         if self.weights is not None:
             w = np.asarray(self.weights, dtype=float)
             if w.shape != (self.dim,):
-                raise DimensionMismatchError(self.dim, w.shape, "weight vector")
+                raise DimensionMismatchError(self.dim, _length(w), "weight vector")
             object.__setattr__(self, "weights", MeasureSpace(w).weights)
 
     @property
@@ -251,13 +270,28 @@ def discrete_space(weights: np.ndarray, q: float) -> NormedSpaceSpec:
     return NormedSpaceSpec(dim=w.size, q=q, weights=w)
 
 
+def _length(x: np.ndarray):
+    """A vector's length, or the shape of an array that is not a vector."""
+    return x.shape[0] if x.ndim == 1 else x.shape
+
+
 def _check_dim(space: NormedSpaceSpec, x: np.ndarray, what: str = "vector") -> np.ndarray:
     """x as a float vector of the space; a wrong length or a non-finite entry raises."""
     x = np.asarray(x, dtype=float)
     if x.shape != (space.dim,):
-        raise DimensionMismatchError(space.dim, x.shape, what)
+        raise DimensionMismatchError(space.dim, _length(x), what)
     if not np.isfinite(x).all():
         raise ValueError(f"the {what} must be finite")
+    return x
+
+
+def _check_rows(space: NormedSpaceSpec, x: np.ndarray) -> np.ndarray:
+    """x as a float matrix whose rows are vectors of the space, each checked as ``_check_dim``."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2 or x.shape[1] != space.dim:
+        raise DimensionMismatchError(space.dim, x.shape[1] if x.ndim == 2 else x.shape)
+    if not np.isfinite(x).all():
+        raise ValueError("the vector must be finite")
     return x
 
 
@@ -308,10 +342,11 @@ class Dictionary:
         if not np.all(np.isfinite(atoms)):
             raise ValueError("atoms must be finite")
         object.__setattr__(self, "atoms", atoms)
-        for j in range(atoms.shape[1]):
-            nj = norm(self.space, atoms[:, j])
-            if abs(nj - 1.0) > _ATOM_TOL:
-                raise AtomNormalizationError(j, nj)
+        norms = _power_norm(atoms.T, self.space.weight_vector(), self.space.q)
+        bad = np.flatnonzero(np.abs(norms - 1.0) > _ATOM_TOL)
+        if bad.size:
+            j = int(bad[0])
+            raise AtomNormalizationError(j, float(norms[j]))
 
     @property
     def size(self) -> int:

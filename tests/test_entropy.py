@@ -54,6 +54,7 @@ from entrobound import (
     wcga,
 )
 import entrobound.entropy as entropy_module
+import entrobound.greedy as greedy_module
 from entrobound.entropy import (
     _DIST_TOL,
     _ball_witness,
@@ -839,6 +840,56 @@ def test_greedy_levels_match_the_per_run_reference():
             assert support[i, :steps].tolist() == list(sup)
             assert np.all(support[i, steps:] == n) and np.all(coef[i, steps:] == 0.0)
             assert np.array_equal(coef[i, :steps], c)
+
+
+def _never_called(*args, **kwargs):
+    raise AssertionError("the filter took a norm")
+
+
+@pytest.mark.parametrize("make_dictionary", [
+    lambda: canonical_dictionary(12, 1.5), _it1_u_dictionary,
+], ids=["canonical-q1.5", "it1-u-dictionary"])
+def test_greedy_levels_measure_each_witness_once(monkeypatch, make_dictionary):
+    # the zero-witness filter reads entries, not norms; the runs measure f
+    dictionary = make_dictionary()
+    sample = _octahedron_witness(dictionary, 30, 6)
+    sample[[3, 11]] = 0.0
+    measured = []
+
+    def counting(space, f):
+        measured.append(1)
+        return norm(space, f)
+
+    monkeypatch.setattr(entropy_module, "norm", _never_called)
+    monkeypatch.setattr(greedy_module, "norm", counting)
+    level = entropy_module._greedy_levels(sample, dictionary, 4)
+    coordinate = greedy_module._coordinate_rows(dictionary.atoms) is not None
+    # wcga measures each live witness; the lockstep pass measures them in one call
+    assert len(measured) == (0 if coordinate else len(sample) - 2)
+    support, coef, _ = level(4)
+    assert (support[[3, 11]] == dictionary.size).all() and not coef[[3, 11]].any()
+
+
+def test_packing_lowers_stop_at_the_last_point_read(monkeypatch):
+    W = np.random.default_rng(7).standard_normal((40, 3))
+    Dm = AmbientMetric(sequence_space(3, 1.5)).pairwise(W, W)
+    _, full = entropy_module._fps(Dm, len(Dm), 0)
+    counts = []
+
+    def counting(Dm, count, start):
+        counts.append(count)
+        return fps(Dm, count, start)
+
+    fps = entropy_module._fps
+    monkeypatch.setattr(entropy_module, "_fps", counting)
+    # 2^5 + 1 = 33 points is the largest a k reads; 2^6 + 1 exceeds the 40 held
+    k_list = [1, 2, 5, 6]
+    lowers, sources = entropy_module._packing_lowers(Dm, k_list)
+    assert counts == [33]
+    assert lowers == [full[2] / 2.0, full[4] / 2.0, full[32] / 2.0, 0.0]
+    assert sources == ["packing"] * 3 + ["none"]
+    assert entropy_module._packing_lowers(Dm, [6, 7]) == ([0.0, 0.0], ["none", "none"])
+    assert counts[-1] == 1
 
 
 @given(n=st.integers(1, 8), q=st.sampled_from([1.5, 2.0, 3.0]),

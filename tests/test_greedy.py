@@ -14,6 +14,7 @@ import entrobound.greedy as greedy
 from entrobound import (
     BudgetExceededError,
     Dictionary,
+    DimensionMismatchError,
     EmptySampleError,
     NonConvergenceError,
     Octahedron,
@@ -599,6 +600,51 @@ def test_coordinate_rows_reads_the_atom_layout():
     with pytest.raises(ZeroVectorError):
         greedy._coordinate_wcga(np.zeros((1, 3)), canonical_dictionary(3, 1.5),
                                 np.arange(3), 2)
+
+
+def test_the_lockstep_pass_makes_at_most_m_plus_1_norm_calls(monkeypatch):
+    # one call for the samples' norms and one per step for all live residuals
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return original(*args)
+
+    original = greedy._power_norm
+    monkeypatch.setattr(greedy, "_power_norm", counting)
+    monkeypatch.setattr(greedy, "norm", _never_called)
+    d = canonical_dictionary(16, 1.5)
+    rows = greedy._coordinate_rows(d.atoms)
+    for count in (1, 3, 40):
+        samples = np.random.default_rng(count).standard_normal((count, 16))
+        calls.clear()
+        steps = greedy._coordinate_wcga(samples, d, rows, 6)[3]
+        assert (steps == 6).all()
+        assert len(calls) == 7
+
+
+def test_the_lockstep_pass_checks_its_samples_as_wcga_does():
+    d = canonical_dictionary(3, 1.5)
+    rows = np.arange(3)
+    with pytest.raises(DimensionMismatchError, match="length 2, expected 3"):
+        greedy._coordinate_wcga(np.ones((4, 2)), d, rows, 2)
+    with pytest.raises(ValueError, match="finite"):
+        greedy._coordinate_wcga([[1.0, 0.0, 0.0], [0.0, math.inf, 0.0]], d, rows, 2)
+    with pytest.raises(ZeroVectorError):
+        greedy._coordinate_wcga([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]], d, rows, 2)
+
+
+@pytest.mark.parametrize("coordinate", [True, False])
+def test_samples_of_the_wrong_width_are_dimension_errors(coordinate):
+    d = canonical_dictionary(4, 1.5) if coordinate else _random_unit_dictionary(4, 6, 1.5, 8)
+    assert (greedy._coordinate_rows(d.atoms) is not None) == coordinate
+    narrow = np.full((5, 3), 0.1)
+    with pytest.raises(DimensionMismatchError, match="length 3, expected 4"):
+        octahedron_cover_profile(Octahedron(d), [2], sample=narrow)
+    with pytest.raises(DimensionMismatchError, match="length 3, expected 4"):
+        sigma_profile(list(narrow), d, [1, 2])
+    with pytest.raises(ValueError, match="finite"):
+        sigma_profile([np.full(4, 0.1), np.array([0.1, math.nan, 0.0, 0.0])], d, [1, 2])
 
 
 def _never_called(*args, **kwargs):

@@ -305,6 +305,14 @@ def test_it1_at_p_4_matches_its_golden_digest():
     assert digest == "ba9a757d8e91d52b5e20169c35ccc948b003f276083fe677e497a621b5b7010d"
 
 
+def test_default_it1_at_p_3_matches_its_golden_digest():
+    # the default scale: this report moves by one ulp if the cover metric's
+    # row norms round as the vector path does, and no tiny run shows that
+    _, text = run(ExperimentConfig(experiment="it1", seed=1, format="json", p=3.0))
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == "f0ae271908500baca768b29abfc7ccb6bf99011ad814d3ac0d7626d6a3ca27e3"
+
+
 def test_run_rejects_invalid_configs():
     with pytest.raises(ConfigValidationError):
         run(ExperimentConfig(experiment="ball-entropy", seed=0, p=1.0))

@@ -116,6 +116,68 @@ def test_row_norms_match_the_norm_of_each_row(case):
         assert value == pytest.approx(norm(space, x), rel=1e-15, abs=0.0)
 
 
+@st.composite
+def _stacks(draw):
+    """A plain or weighted space and a stack of rows across many magnitudes.
+
+    Lengths run past several multiples of 8, some rows are zero, and each
+    row is scaled by its own power of ten in [1e-300, 1e300].
+    """
+    dim = draw(st.integers(1, 40))
+    q = draw(st.sampled_from([4.0 / 3.0, 1.5, 2.0, 3.0, 50.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    if draw(st.booleans()):
+        w = rng.uniform(0.05, 1.0, dim)
+        space = discrete_space(w / w.sum(), q)
+    else:
+        space = sequence_space(dim, q)
+    count = draw(st.integers(1, 9))
+    X = rng.standard_normal((count, dim))
+    X *= 10.0 ** rng.integers(-300, 301, (count, 1))
+    X[rng.random(count) < 0.2] = 0.0
+    X *= rng.random((count, dim)) < 0.8  # zero entries inside rows too
+    return space, X
+
+
+@given(case=_stacks())
+def test_stacked_norms_round_as_the_vector_path(case):
+    # each row is its own dot product, so the stack agrees bit for bit,
+    # in either memory layout; the matrix path M @ w need not
+    space, X = case
+    w = space.weight_vector()
+    each = [norm(space, x) for x in X]
+    assert all(type(value) is float for value in each)
+    assert spaces._power_norm(X, w, space.q).tolist() == each
+    assert spaces._power_norm(np.asfortranarray(X), w, space.q).tolist() == each
+    mu = MeasureSpace(w / w.sum())
+    peaks = [mu.norm(x, math.inf) for x in X]
+    assert peaks == np.abs(X).max(axis=1).tolist()
+    assert spaces._power_norm(X, mu.weights, math.inf).tolist() == peaks
+
+
+def test_dimension_errors_name_a_length_or_a_shape():
+    space = sequence_space(4, 2.0)
+    with pytest.raises(DimensionMismatchError, match=r"^vector has length 3, expected 4$"):
+        norm(space, np.ones(3))
+    with pytest.raises(DimensionMismatchError,
+                       match=r"^vector has shape \(2, 4\), expected length 4$"):
+        norm(space, np.ones((2, 4)))
+    with pytest.raises(DimensionMismatchError,
+                       match=r"^weight vector has length 2, expected 3$"):
+        NormedSpaceSpec(dim=3, q=2.0, weights=np.full(2, 0.5))
+    with pytest.raises(DimensionMismatchError,
+                       match=r"^weight vector has shape \(1, 3\), expected length 3$"):
+        NormedSpaceSpec(dim=3, q=2.0, weights=np.full((1, 3), 1.0 / 3.0))
+    # a stack of rows names the row length, or the shape of what is not a stack
+    with pytest.raises(DimensionMismatchError, match=r"^vector has length 3, expected 4$"):
+        spaces._check_rows(space, np.ones((5, 3)))
+    with pytest.raises(DimensionMismatchError,
+                       match=r"^vector has shape \(4,\), expected length 4$"):
+        spaces._check_rows(space, np.ones(4))
+    with pytest.raises(ValueError, match="finite"):
+        spaces._check_rows(space, [[0.0, 1.0, 2.0, 3.0], [0.0, math.nan, 0.0, 0.0]])
+
+
 def test_space_rejects_non_finite_weights():
     # a NaN weight slips past both the sign and the sum check
     with pytest.raises(ValueError, match="finite"):
@@ -268,6 +330,20 @@ def test_dictionary_rejects_non_unit_atoms():
         Dictionary(np.eye(3), space)
     with pytest.raises(EmptyDictionaryError):
         Dictionary(np.zeros((2, 0)), space)
+
+
+def test_dictionary_names_the_first_non_unit_atom():
+    space = discrete_space([0.25, 0.25, 0.5], 1.5)
+    atoms = np.diag(space.weight_vector() ** (-1.0 / 1.5))
+    Dictionary(atoms, space)
+    atoms[:, 1] *= 3.0
+    atoms[:, 2] *= 0.5
+    with pytest.raises(AtomNormalizationError) as info:
+        Dictionary(atoms, space)
+    # atom 1 is reported, with the norm that norm() gives it, as a float
+    assert info.value.index == 1 and type(info.value.index) is int
+    assert info.value.norm == norm(space, atoms[:, 1]) and type(info.value.norm) is float
+    assert str(info.value) == f"atom 1 has norm {norm(space, atoms[:, 1])!r}, expected 1 within 1e-10"
 
 
 def test_dictionary_rejects_non_finite_atoms():
