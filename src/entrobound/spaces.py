@@ -141,21 +141,25 @@ _LEAST_SUBNORMAL = float(np.nextafter(0.0, 1.0))  # no positive float lies below
 def _power_norm(values: np.ndarray, w: np.ndarray, q: float):
     """(sum_i w_i |v_i|^q)^(1/q) of a vector, or of every row of a stack.
 
-    The peak is factored out so that large q does not underflow; at
-    q = inf the weighted sum is raised to the power 0, which leaves the
-    peak.  Each row is paired with w by a dot product of its own, the
-    one w @ v takes on a vector, and the stack is laid out in C order
-    first, since a strided row pairs differently.  So every row of a
-    stack rounds exactly as the same vector alone, whatever the stack's
-    size or layout.  A vector's norm is a float, a stack's an array.
+    The peak is factored out so that large q does not underflow, and at
+    q = inf the norm is the peak.  Each row is paired with w by a dot
+    product of its own, the one w @ v takes on a vector, and the stack
+    is laid out in C order first, since a strided row pairs differently.
+    So every row of a stack rounds exactly as the same vector alone,
+    whatever the stack's size or layout.  A vector's norm is a float, a
+    stack's an array.
     """
     a = np.abs(values, order="C")
-    top = a.max(axis=-1, keepdims=True, initial=0.0)
-    # a zero row is divided by the least subnormal, which leaves every peak as it is
-    sums = np.vecdot(np.power(a / np.maximum(top, _LEAST_SUBNORMAL), q), w)
-    if a.ndim == 1:
-        return float(top[0]) * float(np.power(sums, 1.0 / q))
-    return top[:, 0] * np.power(sums, 1.0 / q)
+    if q == math.inf:
+        top = a.max(axis=-1, initial=0.0)
+        return float(top) if a.ndim == 1 else top
+    stack = a.ndim > 1
+    # a zero row's peak reads as the least subnormal, and its norm as 0
+    peak = a.max(axis=-1, keepdims=stack, initial=_LEAST_SUBNORMAL)
+    sums = np.vecdot(np.power(a / peak, q), w)
+    if stack:
+        return peak[:, 0] * np.power(sums, 1.0 / q)
+    return float(peak) * float(np.power(sums, 1.0 / q))
 
 
 def _matrix_power_norm(M: np.ndarray, w: np.ndarray, q: float) -> np.ndarray:
@@ -286,7 +290,7 @@ def _check_dim(space: NormedSpaceSpec, x: np.ndarray, what: str = "vector") -> n
 
 
 def _check_rows(space: NormedSpaceSpec, x: np.ndarray) -> np.ndarray:
-    """x as a float matrix whose rows are vectors of the space, each checked as ``_check_dim``."""
+    """x as a float matrix whose every row passes ``_check_dim``."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[1] != space.dim:
         raise DimensionMismatchError(space.dim, x.shape[1] if x.ndim == 2 else x.shape)
