@@ -50,11 +50,12 @@ from .errors import (
     EmptySampleError,
     EntroboundError,
     QuantizationBudgetError,
+    ZeroVectorError,
 )
 from .greedy import (
     Octahedron,
+    _coordinate_pass,
     _coordinate_rows,
-    _coordinate_wcga,
     sample_octahedron,
     wcga,
 )
@@ -68,6 +69,7 @@ from .spaces import (
     _is_real,
     _levels,
     _matrix_power_norm,
+    _power_norm,
     _real,
     dual_norm,
     norm,
@@ -801,24 +803,28 @@ def _greedy_levels(sample: np.ndarray, dictionary: Dictionary, m_max: int):
     Each run of up to ``m_max`` steps fills one row of three tables: its
     support (padded with n), its coefficients after each step
     (zero-padded) and each step's l1 norm.  Coordinate atoms run every
-    witness in one ``_coordinate_wcga`` pass; other atoms call ``wcga``
+    witness in one ``_coordinate_pass``; other atoms call ``wcga``
     once per witness.  The returned ``level(m)`` reads every witness's
     approximant after min(m, steps taken) steps, with the largest of
-    their l1 norms as the grid bound; a zero witness or a run with no
-    step reads as the zero approximant.  A zero witness is told by its
-    entries, so each witness is measured once, by its run.
+    their l1 norms as the grid bound; a witness of norm 0 or a run with
+    no step reads as the zero approximant.  Each witness is measured
+    once: ``wcga`` measures its own and refuses norm 0, and the lockstep
+    pass reads the norms of the one call that finds the zero witnesses.
     """
+    space = dictionary.space
+    sample = _check_rows(space, sample)
     runs = sample.shape[0]
     support = np.full((runs, m_max), dictionary.size)
     coef = np.zeros((runs, m_max, m_max))
     l1 = np.zeros((runs, m_max))
     steps = np.zeros(runs, dtype=int)
-    # a zero witness takes no run
-    live = np.flatnonzero(_check_rows(dictionary.space, sample).any(axis=1))
     coordinate_rows = _coordinate_rows(dictionary.atoms)
     if coordinate_rows is None:
-        for i in live:
-            run = wcga(sample[i], dictionary, m_max, project_tol=_COVER_PROJECT_TOL)
+        for i in range(runs):
+            try:
+                run = wcga(sample[i], dictionary, m_max, project_tol=_COVER_PROJECT_TOL)
+            except ZeroVectorError:
+                continue  # a witness of norm 0 takes no run
             steps[i] = len(run.support)
             support[i, :steps[i]] = run.support
             for j, c in enumerate(run.step_coefficients):
@@ -826,8 +832,10 @@ def _greedy_levels(sample: np.ndarray, dictionary: Dictionary, m_max: int):
                 # summed unpadded: a zero-padded row can round differently
                 l1[i, j] = np.abs(c).sum()
     else:
-        support[live], c, _, steps[live] = _coordinate_wcga(
-            sample[live], dictionary, coordinate_rows, m_max)
+        fnorm = _power_norm(sample, space.weight_vector(), space.q)
+        live = np.flatnonzero(fnorm)  # a witness of norm 0 takes no run
+        support[live], c, _, steps[live] = _coordinate_pass(
+            sample[live], fnorm[live], dictionary, coordinate_rows, m_max)
         # a coordinate coefficient never changes, so step j keeps the first j + 1
         coef[live] = np.where(np.tri(m_max, dtype=bool), c[:, None, :], 0.0)
         for j in range(m_max):

@@ -7,7 +7,9 @@ class EntroboundError(Exception):
 
 class DimensionMismatchError(EntroboundError):
     def __init__(self, expected, got, what="vector"):
-        # got is a length, or the shape of an input that is not a vector
+        # got is a length or a shape; a vector's shape reads as its length
+        if isinstance(got, tuple) and len(got) == 1:
+            got = got[0]
         if isinstance(got, tuple):
             super().__init__(f"{what} has shape {got}, expected length {expected}")
         else:

@@ -279,18 +279,35 @@ def _coordinate_wcga(samples: np.ndarray, dictionary: Dictionary,
                      rows: np.ndarray, m: int):
     """``wcga`` on every row of ``samples`` at once, for coordinate atoms.
 
-    ``rows`` is ``_coordinate_rows(dictionary.atoms)``.  On such atoms
-    the greedy keeps the largest weighted coefficients: atom j's pairing
-    with a functional F is (w_i F_i) g_j(i) on its row i, the one nonzero
-    term of ``pairings``, and its coefficient f_i / g_j(i) never changes
-    once it is picked.  Each step takes the pairings, picks, coefficients
-    and residual entries of all live runs in one stacked pass, with the
-    operations ``wcga`` rounds through, and measures every new residual
-    in one ``_power_norm`` call, whose rows round as ``wcga``'s vector
-    does; the samples' norms take one call too, so a pass makes at most
-    m + 1 norm calls.  The samples get the checks ``wcga`` gives f.  So
-    each run takes the steps, stops and errors of ``wcga(f, dictionary,
-    m)``, bit for bit.
+    ``rows`` is ``_coordinate_rows(dictionary.atoms)``.  The samples get
+    the checks ``wcga`` gives f and their norms one ``_power_norm``
+    call; ``_coordinate_pass`` then runs them all.  So each run takes
+    the steps, stops and errors of ``wcga(f, dictionary, m)``, bit for
+    bit, and the whole makes at most m + 1 norm calls.
+    """
+    space = dictionary.space
+    _integer("m", m, 0, dictionary.size)
+    f = _check_rows(space, samples)
+    fnorm = _power_norm(f, space.weight_vector(), space.q)
+    if not fnorm.all():
+        raise ZeroVectorError("cannot run the greedy loop on the zero vector")
+    return _coordinate_pass(f, fnorm, dictionary, rows, m)
+
+
+def _coordinate_pass(f: np.ndarray, fnorm: np.ndarray, dictionary: Dictionary,
+                     rows: np.ndarray, m: int):
+    """The lockstep greedy of ``_coordinate_wcga`` on checked samples f.
+
+    ``fnorm`` holds the samples' norms as ``_power_norm`` takes them,
+    none of them 0, and m is at most the dictionary size.  On coordinate
+    atoms the greedy keeps the largest weighted coefficients: atom j's
+    pairing with a functional F is (w_i F_i) g_j(i) on its row i, the
+    one nonzero term of ``pairings``, and its coefficient f_i / g_j(i)
+    never changes once it is picked.  Each step takes the pairings,
+    picks, coefficients and residual entries of all live runs in one
+    stacked pass, with the operations ``wcga`` rounds through, and
+    measures every new residual in one ``_power_norm`` call, whose rows
+    round as ``wcga``'s vector does: at most m norm calls.
 
     Returns four arrays: the supports (runs x m, padded with the
     dictionary size), the coefficients in pick order (zero-padded), the
@@ -298,13 +315,8 @@ def _coordinate_wcga(samples: np.ndarray, dictionary: Dictionary,
     number of steps of each run.
     """
     space, n = dictionary.space, dictionary.size
-    _integer("m", m, 0, n)
     w = space.weight_vector()
-    f = _check_rows(space, samples)
     runs = f.shape[0]
-    fnorm = _power_norm(f, w, space.q)
-    if not fnorm.all():
-        raise ZeroVectorError("cannot run the greedy loop on the zero vector")
     g = dictionary.atoms[rows, np.arange(n)]  # each atom's nonzero
     support = np.full((runs, m), n)
     coef = np.zeros((runs, m))

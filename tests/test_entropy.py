@@ -850,24 +850,54 @@ def _never_called(*args, **kwargs):
     lambda: canonical_dictionary(12, 1.5), _it1_u_dictionary,
 ], ids=["canonical-q1.5", "it1-u-dictionary"])
 def test_greedy_levels_measure_each_witness_once(monkeypatch, make_dictionary):
-    # the zero-witness filter reads entries, not norms; the runs measure f
+    # the zero-witness filter and the runs share one norm of each witness
     dictionary = make_dictionary()
     sample = _octahedron_witness(dictionary, 30, 6)
     sample[[3, 11]] = 0.0
     measured = []
 
-    def counting(space, f):
-        measured.append(1)
+    def power_norm(values, w, q):
+        measured.extend(row.tobytes() for row in np.atleast_2d(values))
+        return original(values, w, q)
+
+    def counting_norm(space, f):
+        measured.append(np.asarray(f, dtype=float).tobytes())
         return norm(space, f)
 
+    original = entropy_module._power_norm
     monkeypatch.setattr(entropy_module, "norm", _never_called)
-    monkeypatch.setattr(greedy_module, "norm", counting)
+    monkeypatch.setattr(entropy_module, "_power_norm", power_norm)
+    monkeypatch.setattr(greedy_module, "_power_norm", power_norm)
+    monkeypatch.setattr(greedy_module, "norm", counting_norm)
     level = entropy_module._greedy_levels(sample, dictionary, 4)
-    coordinate = greedy_module._coordinate_rows(dictionary.atoms) is not None
-    # wcga measures each live witness; the lockstep pass measures them in one call
-    assert len(measured) == (0 if coordinate else len(sample) - 2)
+    # a kept step lowers the norm, so no residual equals its witness
+    assert [measured.count(f.tobytes()) for f in sample if f.any()] == [1] * (len(sample) - 2)
     support, coef, _ = level(4)
     assert (support[[3, 11]] == dictionary.size).all() and not coef[[3, 11]].any()
+
+
+@pytest.mark.parametrize("coordinate", [True, False], ids=["coordinate", "dense"])
+def test_a_witness_whose_norm_underflows_reads_as_zero(coordinate):
+    # nonzero entries, but the weighted norm of [5e-324, 0, ...] rounds to 0
+    q, w = 1.5, np.full(10, 0.1)
+    space = discrete_space(w, q)
+    atoms = np.diag(w ** (-1.0 / q))
+    if not coordinate:
+        atoms[1, 0] = atoms[0, 1] = 1.0
+        atoms /= [norm(space, g) for g in atoms.T]
+    d = Dictionary(atoms, space)
+    tiny = np.zeros(10)
+    tiny[0] = 5e-324
+    assert norm(space, tiny) == 0.0
+    S = np.vstack([0.3 * atoms.T, tiny])
+    support, coef, _ = entropy_module._greedy_levels(S, d, 3)(3)
+    assert (support[-1] == d.size).all() and not coef[-1].any()
+    # the cover reads it as the zero approximant, as it reads a zero witness
+    zero = S.copy()
+    zero[-1] = 0.0
+    octa = Octahedron(d)
+    assert (octahedron_cover_profile(octa, [3], sample=S)[3].radius
+            == octahedron_cover_profile(octa, [3], sample=zero)[3].radius)
 
 
 def test_packing_lowers_stop_at_the_last_point_read(monkeypatch):

@@ -621,6 +621,11 @@ def test_the_lockstep_pass_makes_at_most_m_plus_1_norm_calls(monkeypatch):
         steps = greedy._coordinate_wcga(samples, d, rows, 6)[3]
         assert (steps == 6).all()
         assert len(calls) == 7
+        # the pass itself takes the residuals' norms only
+        fnorm = original(samples, d.space.weight_vector(), d.space.q)
+        calls.clear()
+        greedy._coordinate_pass(samples, fnorm, d, rows, 6)
+        assert len(calls) == 6
 
 
 def test_the_lockstep_pass_checks_its_samples_as_wcga_does():

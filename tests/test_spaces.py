@@ -168,12 +168,15 @@ def test_dimension_errors_name_a_length_or_a_shape():
     with pytest.raises(DimensionMismatchError,
                        match=r"^weight vector has shape \(1, 3\), expected length 3$"):
         NormedSpaceSpec(dim=3, q=2.0, weights=np.full((1, 3), 1.0 / 3.0))
-    # a stack of rows names the row length, or the shape of what is not a stack
+    # a stack of rows names the shape of a row: a 1-D input's rows are scalars
     with pytest.raises(DimensionMismatchError, match=r"^vector has length 3, expected 4$"):
         spaces._check_rows(space, np.ones((5, 3)))
     with pytest.raises(DimensionMismatchError,
-                       match=r"^vector has shape \(4,\), expected length 4$"):
+                       match=r"^vector has shape \(\), expected length 4$"):
         spaces._check_rows(space, np.ones(4))
+    with pytest.raises(DimensionMismatchError,
+                       match=r"^vector has shape \(2, 4\), expected length 4$"):
+        spaces._check_rows(space, np.ones((3, 2, 4)))
     with pytest.raises(ValueError, match="finite"):
         spaces._check_rows(space, [[0.0, 1.0, 2.0, 3.0], [0.0, math.nan, 0.0, 0.0]])
 
