@@ -50,14 +50,12 @@ from .errors import (
     EmptySampleError,
     EntroboundError,
     QuantizationBudgetError,
-    ZeroVectorError,
 )
 from .greedy import (
     Octahedron,
-    _coordinate_pass,
-    _coordinate_rows,
+    _greedy_pass,
     sample_octahedron,
-    wcga,
+    wcga,  # unused here; perfbench/tracing.py wraps it by this name
 )
 from .spaces import (
     Dictionary,
@@ -800,48 +798,34 @@ def _octahedron_witness(dictionary: Dictionary, size: int, seed: int) -> np.ndar
 def _greedy_levels(sample: np.ndarray, dictionary: Dictionary, m_max: int):
     """One greedy run per witness point, tabulated for every level m.
 
-    Each run of up to ``m_max`` steps fills one row of three tables: its
-    support (padded with n), its coefficients after each step
-    (zero-padded) and each step's l1 norm.  Coordinate atoms run every
-    witness in one ``_coordinate_pass``; other atoms call ``wcga``
-    once per witness.  The returned ``level(m)`` reads every witness's
+    All witnesses run in one ``_greedy_pass`` of up to ``m_max`` steps,
+    and each run fills one row of three tables: its support (padded
+    with n), its coefficients after each step (zero-padded) and each
+    step's l1 norm.  The returned ``level(m)`` reads every witness's
     approximant after min(m, steps taken) steps, with the largest of
     their l1 norms as the grid bound; a witness of norm 0 or a run with
     no step reads as the zero approximant.  Each witness is measured
-    once: ``wcga`` measures its own and refuses norm 0, and the lockstep
-    pass reads the norms of the one call that finds the zero witnesses.
+    once: the pass reads the norms of the one call that finds the zero
+    witnesses.
     """
     space = dictionary.space
     sample = _check_rows(space, sample)
+    fnorm = _power_norm(sample, space.weight_vector(), space.q)
+    live = np.flatnonzero(fnorm)  # a witness of norm 0 takes no run
+    run = _greedy_pass(sample[live], fnorm[live], dictionary, m_max,
+                       project_tol=_COVER_PROJECT_TOL, keep_steps=True)
     runs = sample.shape[0]
     support = np.full((runs, m_max), dictionary.size)
+    support[live] = run.support
+    steps = np.zeros(runs, dtype=int)
+    steps[live] = run.steps
     coef = np.zeros((runs, m_max, m_max))
     l1 = np.zeros((runs, m_max))
-    steps = np.zeros(runs, dtype=int)
-    coordinate_rows = _coordinate_rows(dictionary.atoms)
-    if coordinate_rows is None:
-        for i in range(runs):
-            try:
-                run = wcga(sample[i], dictionary, m_max, project_tol=_COVER_PROJECT_TOL)
-            except ZeroVectorError:
-                continue  # a witness of norm 0 takes no run
-            steps[i] = len(run.support)
-            support[i, :steps[i]] = run.support
-            for j, c in enumerate(run.step_coefficients):
-                coef[i, j, :j + 1] = c
-                # summed unpadded: a zero-padded row can round differently
-                l1[i, j] = np.abs(c).sum()
-    else:
-        fnorm = _power_norm(sample, space.weight_vector(), space.q)
-        live = np.flatnonzero(fnorm)  # a witness of norm 0 takes no run
-        support[live], c, _, steps[live] = _coordinate_pass(
-            sample[live], fnorm[live], dictionary, coordinate_rows, m_max)
-        # a coordinate coefficient never changes, so step j keeps the first j + 1
-        coef[live] = np.where(np.tri(m_max, dtype=bool), c[:, None, :], 0.0)
-        for j in range(m_max):
-            took = steps[live] > j
-            # summed unpadded, as the loop above sums them
-            l1[live[took], j] = np.abs(c[took, :j + 1]).sum(axis=1)
+    for j, c in enumerate(run.step_coef):
+        took = run.steps > j
+        coef[live[took], j, :j + 1] = c[took]
+        # summed unpadded: a zero-padded row can round differently
+        l1[live[took], j] = np.abs(c[took]).sum(axis=1)
     rows = np.arange(runs)
 
     def level(m):
@@ -889,9 +873,9 @@ def octahedron_cover_profile(octa: Octahedron, k_list: list[int], *,
 
     All budgets share one greedy pass: each witness gets one greedy run
     of as many steps as the largest budget can use, and the run's
-    per-step coefficients are tabulated once.  On coordinate atoms the
-    runs of all witnesses take one stacked pass, equal to ``wcga`` on
-    each witness.  A witness's m-term approximant is its run after
+    per-step coefficients are tabulated once.  The runs of all witnesses
+    take one stacked greedy pass, equal to ``wcga`` on each witness.  A
+    witness's m-term approximant is its run after
     min(m, steps taken) steps; the grid bound is the largest l1 norm of
     those coefficients over the witnesses.  A one-atom hull is a segment
     and gets the dyadic offset grid instead.

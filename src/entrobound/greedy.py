@@ -18,14 +18,17 @@ flat step, one whose projection lowers the residual norm by less than
 1e-9 relative; the flat step is dropped.
 ``sigma_profile`` reads an exact recovery as 0 from its step on.
 
-On coordinate atoms, each nonzero in one row and no two in the same
-row, the greedy keeps the largest weighted coefficients, and a step is
-a few array operations.  There ``sigma_profile`` and the octahedron
-covers run all their samples in one stacked pass, step by step, that
-equals ``wcga`` on each sample bit for bit: a step measures the
-residuals of every run in one stacked norm call, whose rows round as
-the vector norm of one run does.  Other dictionaries run ``wcga`` once
-per sample.
+Every run goes through one loop, ``_greedy_pass``, which runs a stack
+of samples in lockstep and equals a run of each sample alone, bit for
+bit: each step takes the norming functionals, picks, stop tests and
+residual norms of all live runs as stacked arrays, and measures every
+new residual in one stacked norm call, whose rows round as the vector
+norm of one run does.  ``wcga`` is the one-sample case, and
+``sigma_profile`` and the octahedron covers call the loop once for all
+their samples.  On coordinate atoms, each nonzero in one row and no two
+in the same row, the greedy keeps the largest weighted coefficients,
+and a step is a few array operations; on other atoms each live run
+pairs and projects on its own.
 
 The unit ball of norm_A is the absolutely convex hull of the atoms;
 ``Octahedron`` wraps a dictionary with that membership test and
@@ -142,8 +145,8 @@ def _coordinate_rows(atoms: np.ndarray) -> np.ndarray | None:
 def _project(f, fnorm, G, space, tol, warm):
     """``chebyshev_project`` of a checked f of norm fnorm onto the columns of G.
 
-    G holds the support's atoms, gathered by the caller; ``wcga`` and
-    ``best_mterm_bruteforce`` reuse the same columns for the residual.
+    G holds the support's atoms, gathered by the caller; ``_greedy_pass``
+    and ``best_mterm_bruteforce`` reuse the same columns for the residual.
     ``warm``, when given, is the Newton start in unscaled coefficients.
     """
     n = G.shape[1]
@@ -204,9 +207,8 @@ def wcga(f: np.ndarray, dictionary: Dictionary, m: int,
     Each step takes the atom of largest absolute pairing with the
     residual's norming functional (lowest index on ties).  That is the
     weakness t = 1, and it meets the threshold of every t in (0, 1].
-    f is checked and measured once, each residual is measured once and
-    that norm also builds its norming functional, and each step gathers
-    its atoms once; every kept step keeps its coefficients in
+    f is checked and measured once, and ``_greedy_pass`` runs it as a
+    stack of one row; every kept step keeps its coefficients in
     ``step_coefficients``.
 
     The run stops early on three tests:
@@ -236,92 +238,74 @@ def wcga(f: np.ndarray, dictionary: Dictionary, m: int,
     coefficient at that floor and leave the norm where it is: noise, at
     a full solve each.
     """
-    space = dictionary.space
     _integer("m", m, 0, dictionary.size)
     f = np.asarray(f, dtype=float)
-    w = space.weight_vector()
-    fnorm = norm(space, f)  # rejects a non-finite f
+    fnorm = norm(dictionary.space, f)  # rejects a wrong length or a non-finite f
     if fnorm == 0.0:
         raise ZeroVectorError("cannot run the greedy loop on the zero vector")
-    support: list[int] = []
-    coeffs = np.zeros(0)
-    history = [fnorm]
-    snaps: list[np.ndarray] = []
-    residual = f.copy()
-    for _ in range(m):
-        if history[-1] <= _STOP_TOL:
-            break
-        # the norming functional of the residual, whose norm is history[-1]
-        F = np.sign(residual) * np.power(np.abs(residual) / history[-1], space.q - 1.0)
-        vals = np.abs(dictionary.pairings(F))
-        if support:
-            vals[support] = -1.0
-        j = int(np.argmax(vals))
-        if vals[j] <= 1e-14 * max(fnorm, 1.0):
-            break  # residual invisible to the remaining atoms
-        support.append(j)
-        G = dictionary.atoms[:, support]
-        # each step returns a new array, which no later step writes to
-        step = _project(f, fnorm, G, space, project_tol, np.append(coeffs, 0.0))
-        step_residual = f - G @ step
-        r = _power_norm(step_residual, w, space.q)
-        if r >= history[-1] * (1.0 - _FLAT_TOL):
-            support.pop()
-            break  # a flat step: every pairing sits at the projection's tolerance
-        coeffs, residual = step, step_residual
-        history.append(r)
-        snaps.append(coeffs)
-    return SparseApproximant(support=support, coefficients=coeffs,
-                             history=history, step_coefficients=snaps)
+    run = _greedy_pass(f[None], np.array([fnorm]), dictionary, m,
+                       project_tol=project_tol, keep_steps=True)
+    steps = int(run.steps[0])
+    snaps = [c[0] for c in run.step_coef]
+    return SparseApproximant(support=run.support[0, :steps].tolist(),
+                             coefficients=snaps[-1] if snaps else np.zeros(0),
+                             history=run.history[0, :steps + 1].tolist(),
+                             step_coefficients=snaps)
 
 
-def _coordinate_wcga(samples: np.ndarray, dictionary: Dictionary,
-                     rows: np.ndarray, m: int):
-    """``wcga`` on every row of ``samples`` at once, for coordinate atoms.
+@dataclass
+class _Runs:
+    """The greedy runs of one ``_greedy_pass``, one row per sample.
 
-    ``rows`` is ``_coordinate_rows(dictionary.atoms)``.  The samples get
-    the checks ``wcga`` gives f and their norms one ``_power_norm``
-    call; ``_coordinate_pass`` then runs them all.  So each run takes
-    the steps, stops and errors of ``wcga(f, dictionary, m)``, bit for
-    bit, and the whole makes at most m + 1 norm calls.
+    ``support`` (runs x m) is padded with the dictionary size, ``coef``
+    (runs x m) holds the last kept coefficients in pick order,
+    zero-padded, ``history`` (runs x (m + 1)) the residual norms, each
+    padded with its last entry, and ``steps`` the steps each run kept.
+    ``step_coef[s]``, when kept, holds every run's coefficients after
+    step s + 1, one row of s + 1 per run; only the rows of runs that
+    took that step are meaningful.
     """
-    space = dictionary.space
-    _integer("m", m, 0, dictionary.size)
-    f = _check_rows(space, samples)
-    fnorm = _power_norm(f, space.weight_vector(), space.q)
-    if not fnorm.all():
-        raise ZeroVectorError("cannot run the greedy loop on the zero vector")
-    return _coordinate_pass(f, fnorm, dictionary, rows, m)
+
+    support: np.ndarray
+    coef: np.ndarray
+    history: np.ndarray
+    steps: np.ndarray
+    step_coef: list[np.ndarray] | None
 
 
-def _coordinate_pass(f: np.ndarray, fnorm: np.ndarray, dictionary: Dictionary,
-                     rows: np.ndarray, m: int):
-    """The lockstep greedy of ``_coordinate_wcga`` on checked samples f.
+def _greedy_pass(f: np.ndarray, fnorm: np.ndarray, dictionary: Dictionary, m: int,
+                 *, project_tol: float, keep_steps: bool) -> _Runs:
+    """The weak Chebyshev greedy of ``wcga`` on every row of checked samples f.
 
     ``fnorm`` holds the samples' norms as ``_power_norm`` takes them,
-    none of them 0, and m is at most the dictionary size.  On coordinate
-    atoms the greedy keeps the largest weighted coefficients: atom j's
-    pairing with a functional F is (w_i F_i) g_j(i) on its row i, the
-    one nonzero term of ``pairings``, and its coefficient f_i / g_j(i)
-    never changes once it is picked.  Each step takes the pairings,
-    picks, coefficients and residual entries of all live runs in one
-    stacked pass, with the operations ``wcga`` rounds through, and
-    measures every new residual in one ``_power_norm`` call, whose rows
-    round as ``wcga``'s vector does: at most m norm calls.
+    none of them 0, and m is at most the dictionary size.  The runs go
+    in lockstep: each step builds the norming functionals of all live
+    residuals, picks, applies the three stop tests and measures every
+    new residual in one ``_power_norm`` call, whose rows round as a
+    vector alone does; so the pass makes at most m norm calls, and each
+    run takes the steps of the same greedy run alone, bit for bit.
 
-    Returns four arrays: the supports (runs x m, padded with the
-    dictionary size), the coefficients in pick order (zero-padded), the
-    histories (runs x (m + 1), each padded with its last entry) and the
-    number of steps of each run.
+    On coordinate atoms (``_coordinate_rows``) the greedy keeps the
+    largest weighted coefficients: atom j's pairing with a functional F
+    is (w_i F_i) g_j(i) on its row i, the one nonzero term of
+    ``pairings``, and its coefficient f_i / g_j(i) never changes once it
+    is picked, so a step is a few stacked array operations and
+    ``step_coef`` is read off ``coef``.  On other atoms each live run
+    that still sees its residual takes its pairings through
+    ``pairings``, a vector-matrix product, and projects on its own,
+    warm-started from its last coefficients plus a 0; with
+    ``keep_steps`` the coefficients of every step are kept.
     """
     space, n = dictionary.space, dictionary.size
     w = space.weight_vector()
+    rows = _coordinate_rows(dictionary.atoms)
+    g = None if rows is None else dictionary.atoms[rows, np.arange(n)]  # each atom's nonzero
     runs = f.shape[0]
-    g = dictionary.atoms[rows, np.arange(n)]  # each atom's nonzero
     support = np.full((runs, m), n)
     coef = np.zeros((runs, m))
     history = np.repeat(fnorm[:, None], m + 1, axis=1)
     steps = np.zeros(runs, dtype=int)
+    step_coef = [] if keep_steps else None
     residual = f.copy()
     picked = np.zeros((runs, n), dtype=bool)
     unseen = 1e-14 * np.maximum(fnorm, 1.0)
@@ -333,26 +317,43 @@ def _coordinate_pass(f: np.ndarray, fnorm: np.ndarray, dictionary: Dictionary,
         r = residual[live]
         # the norming functionals of the residuals, whose norms are last
         F = np.sign(r) * np.power(np.abs(r) / last[:, None], space.q - 1.0)
-        vals = np.abs((w * F)[:, rows] * g)
+        if rows is None:
+            vals = np.abs(np.array([dictionary.pairings(Fk) for Fk in F]))
+        else:
+            vals = np.abs((w * F)[:, rows] * g)
         vals[picked[live]] = -1.0
         j = np.argmax(vals, axis=1)
-        at = np.arange(live.size)
-        seen = vals[at, j] > unseen[live]  # else the residual is invisible
-        i = rows[j]
-        c = f[live, i] / g[j]
-        r[at, i] = f[live, i] - g[j] * c
+        seen = vals[np.arange(live.size), j] > unseen[live]  # else the residual is invisible
+        live, j, last, r = live[seen], j[seen], last[seen], r[seen]
+        if rows is None:
+            c = np.empty((live.size, s + 1))
+            for k, run in enumerate(live):
+                G = dictionary.atoms[:, np.append(support[run, :s], j[k])]
+                c[k] = _project(f[run], fnorm[run], G, space, project_tol,
+                                np.append(coef[run, :s], 0.0))
+                r[k] = f[run] - G @ c[k]
+        else:
+            i = rows[j]
+            c = f[live, i] / g[j]
+            r[np.arange(live.size), i] = f[live, i] - g[j] * c
         rnorm = _power_norm(r, w, space.q)
         # a flat step is dropped and ends its run
-        kept = seen & (rnorm < last * (1.0 - _FLAT_TOL))
+        kept = rnorm < last * (1.0 - _FLAT_TOL)
         live, j, c, r, rnorm = live[kept], j[kept], c[kept], r[kept], rnorm[kept]
         residual[live] = r
         picked[live, j] = True
         support[live, s] = j
-        coef[live, s] = c
+        if rows is None:
+            coef[live, :s + 1] = c
+        else:
+            coef[live, s] = c
+        if step_coef is not None and live.size:
+            # a coordinate coefficient never changes, so a view keeps its step
+            step_coef.append(coef[:, :s + 1].copy() if rows is None else coef[:, :s + 1])
         history[live, s + 1:] = rnorm[:, None]
         steps[live] = s + 1
         live = live[rnorm > _STOP_TOL]  # an exact recovery
-    return support, coef, history, steps
+    return _Runs(support, coef, history, steps, step_coef)
 
 
 def sample_octahedron(dictionary: Dictionary, count: int, seed: int) -> list[dict]:
@@ -389,38 +390,38 @@ class SigmaProfile:
     slope: float
 
 
-def sigma_profile(samples: list[np.ndarray], dictionary: Dictionary,
+def sigma_profile(samples: list[np.ndarray] | np.ndarray, dictionary: Dictionary,
                   m_list: list[int]) -> SigmaProfile:
     """Empirical m-term error of the atom hull over a witness sample.
 
-    Every sample must pass the hull membership test (norm_A <= 1 plus
-    tolerance).  One greedy run per sample up to max(m_list) supplies
-    the residuals at every intermediate m; on coordinate atoms all runs
-    take one stacked pass, equal to ``wcga`` on each sample.  A run that
-    ends on an exact recovery (residual norm at most 1e-12) reads 0 from
-    that step on, not its round-off; a run that ends on a flat step
-    keeps its last residual, a solver floor.  So a value is 0 exactly when every sample
-    is recovered by that m.  The reported slope is the least-squares fit
+    The samples come as a list of vectors or as a 2-D stack, one per
+    row.  Every sample must pass the hull membership test (norm_A <= 1
+    plus tolerance), and no level may exceed the dictionary size.  One
+    greedy run per sample up to max(m_list) supplies the residuals at
+    every intermediate m, and all runs take one ``_greedy_pass``, equal
+    to ``wcga`` on each sample.  A run that ends on an exact recovery
+    (residual norm at most 1e-12) reads 0 from that step on, not its
+    round-off; a run that ends on a flat step keeps its last residual, a
+    solver floor.  So a value is 0 exactly when every sample is
+    recovered by that m.  The reported slope is the least-squares fit
     of log2(value) against log2(m) over the levels not recovered, the
     positive entries.
     """
-    if not samples:
+    if not len(samples):
         raise EmptySampleError("sigma profile needs at least one sample")
-    m_list = _levels("m_list", m_list, 1, math.inf)
+    m_list = _levels("m_list", m_list, 1, dictionary.size)
     for i, f in enumerate(samples):
         value = norm_A(f, dictionary)
         if value > 1.0 + _MEMBERSHIP_TOL:
             raise ValueError(
                 f"sample {i} lies outside the octahedron: norm_A = {value!r}")
-    m_max = m_list[-1]
-    rows = _coordinate_rows(dictionary.atoms)
-    if rows is None:
-        history = np.zeros((len(samples), m_max + 1))
-        for i, f in enumerate(samples):
-            hist = wcga(f, dictionary, m_max).history
-            history[i] = hist + hist[-1:] * (m_max + 1 - len(hist))
-    else:
-        history = _coordinate_wcga(samples, dictionary, rows, m_max)[2]
+    space = dictionary.space
+    f = _check_rows(space, samples)
+    fnorm = _power_norm(f, space.weight_vector(), space.q)
+    if not fnorm.all():
+        raise ZeroVectorError("cannot run the greedy loop on the zero vector")
+    history = _greedy_pass(f, fnorm, dictionary, m_list[-1],
+                           project_tol=_PROJECT_TOL, keep_steps=False).history
     # only a run's last entry can be an exact recovery; it reads 0 from its step on
     history[history <= _STOP_TOL] = 0.0
     values = history[:, m_list].max(axis=0)

@@ -180,12 +180,9 @@ def _reference_wcga(f, d, m, stop_flat=True):
     return support, history, snaps
 
 
-@pytest.mark.parametrize("q", [4.0 / 3.0, 1.5, 2.0, 3.0])
-@pytest.mark.parametrize("weighted", [False, True])
-@pytest.mark.parametrize("kind", ["dense", "coordinate", "mixed", "spanned"])
-def test_lean_greedy_steps_match_the_reference_loop_bit_for_bit(kind, weighted, q):
-    rng = np.random.default_rng(24)
-    # a spanned f combines three of ten dense atoms in six rows
+def _kind_dictionary(kind, weighted, q, rng):
+    """Unit atoms of one kind: dense, coordinate, dense with two coordinate
+    atoms mixed in, or ten dense atoms in six rows, which span the space."""
     dim = 6 if kind == "spanned" else 7
     if weighted:
         w = rng.uniform(0.2, 1.0, dim)
@@ -199,7 +196,17 @@ def test_lean_greedy_steps_match_the_reference_loop_bit_for_bit(kind, weighted, 
         if kind == "mixed":
             atoms[:, [1, 3]] = np.eye(dim)[:, [2, 5]]
     atoms = atoms / [norm(space, a) for a in atoms.T]
-    d = Dictionary(atoms, space)
+    return Dictionary(atoms, space)
+
+
+@pytest.mark.parametrize("q", [4.0 / 3.0, 1.5, 2.0, 3.0])
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("kind", ["dense", "coordinate", "mixed", "spanned"])
+def test_lean_greedy_steps_match_the_reference_loop_bit_for_bit(kind, weighted, q):
+    rng = np.random.default_rng(24)
+    # a spanned f combines three of ten dense atoms in six rows
+    d = _kind_dictionary(kind, weighted, q, rng)
+    atoms, dim = d.atoms, d.space.dim
     flat_stops = 0
     for _ in range(5 if kind == "spanned" else 3):
         if kind == "spanned":
@@ -538,7 +545,7 @@ def test_sigma_profile_reads_an_exact_recovery_as_zero():
 
 
 # ---------------------------------------------------------------------------
-# the lockstep pass on coordinate atoms
+# the stacked greedy loop
 
 @st.composite
 def _coordinate_cases(draw):
@@ -577,17 +584,24 @@ def _coordinate_cases(draw):
     return Dictionary(atoms, space), samples, draw(st.integers(0, n))
 
 
+def _stacked(samples, d, m):
+    """The stacked loop on every row of samples, measured as its callers measure them."""
+    f = np.asarray(samples, dtype=float)
+    fnorm = greedy._power_norm(f, d.space.weight_vector(), d.space.q)
+    return greedy._greedy_pass(f, fnorm, d, m, project_tol=greedy._PROJECT_TOL,
+                               keep_steps=True)
+
+
 @given(case=_coordinate_cases())
-def test_the_lockstep_pass_equals_wcga_run_by_run(case):
+def test_the_stacked_loop_equals_the_reference_run_by_run(case):
     d, samples, m = case
-    rows = greedy._coordinate_rows(d.atoms)
-    support, coef, history, steps = greedy._coordinate_wcga(samples, d, rows, m)
-    for f, sup, c, hist, k in zip(samples, support, coef, history, steps):
-        run = wcga(f, d, m)
-        assert sup[:k].tolist() == run.support and (sup[k:] == d.size).all()
-        assert hist[:k + 1].tolist() == run.history and (hist[k:] == hist[k]).all()
-        assert len(run.step_coefficients) == k
-        for j, step in enumerate(run.step_coefficients):
+    run = _stacked(samples, d, m)
+    for f, sup, c, hist, k in zip(samples, run.support, run.coef, run.history, run.steps):
+        support, history, snaps = _reference_wcga(f, d, m)
+        assert sup[:k].tolist() == support and (sup[k:] == d.size).all()
+        assert hist[:k + 1].tolist() == history and (hist[k:] == hist[k]).all()
+        assert len(snaps) == k
+        for j, step in enumerate(snaps):
             assert c[:j + 1].tolist() == step.tolist()
         assert not c[k:].any()
 
@@ -598,11 +612,11 @@ def test_coordinate_rows_reads_the_atom_layout():
     assert greedy._coordinate_rows(flipped[:, [0, 0]]) is None  # a shared row
     assert greedy._coordinate_rows(np.ones((2, 2))) is None  # dense
     with pytest.raises(ZeroVectorError):
-        greedy._coordinate_wcga(np.zeros((1, 3)), canonical_dictionary(3, 1.5),
-                                np.arange(3), 2)
+        sigma_profile(np.zeros((1, 3)), canonical_dictionary(3, 1.5), [2])
 
 
-def test_the_lockstep_pass_makes_at_most_m_plus_1_norm_calls(monkeypatch):
+@pytest.mark.parametrize("coordinate", [True, False], ids=["coordinate", "dense"])
+def test_the_stacked_loop_makes_at_most_m_plus_1_norm_calls(monkeypatch, coordinate):
     # one call for the samples' norms and one per step for all live residuals
     calls = []
 
@@ -613,30 +627,42 @@ def test_the_lockstep_pass_makes_at_most_m_plus_1_norm_calls(monkeypatch):
     original = greedy._power_norm
     monkeypatch.setattr(greedy, "_power_norm", counting)
     monkeypatch.setattr(greedy, "norm", _never_called)
-    d = canonical_dictionary(16, 1.5)
-    rows = greedy._coordinate_rows(d.atoms)
+    d = (canonical_dictionary(16, 1.5) if coordinate
+         else _random_unit_dictionary(16, 24, 1.5, seed=9))
     for count in (1, 3, 40):
         samples = np.random.default_rng(count).standard_normal((count, 16))
         calls.clear()
-        steps = greedy._coordinate_wcga(samples, d, rows, 6)[3]
+        steps = _stacked(samples, d, 6).steps
         assert (steps == 6).all()
         assert len(calls) == 7
-        # the pass itself takes the residuals' norms only
+        # the loop itself takes the residuals' norms only
         fnorm = original(samples, d.space.weight_vector(), d.space.q)
         calls.clear()
-        greedy._coordinate_pass(samples, fnorm, d, rows, 6)
+        greedy._greedy_pass(samples, fnorm, d, 6, project_tol=greedy._PROJECT_TOL,
+                            keep_steps=False)
         assert len(calls) == 6
 
 
-def test_the_lockstep_pass_checks_its_samples_as_wcga_does():
+def test_sigma_profile_checks_its_samples_as_wcga_does():
     d = canonical_dictionary(3, 1.5)
-    rows = np.arange(3)
     with pytest.raises(DimensionMismatchError, match="length 2, expected 3"):
-        greedy._coordinate_wcga(np.ones((4, 2)), d, rows, 2)
+        sigma_profile(np.ones((4, 2)), d, [2])
     with pytest.raises(ValueError, match="finite"):
-        greedy._coordinate_wcga([[1.0, 0.0, 0.0], [0.0, math.inf, 0.0]], d, rows, 2)
+        sigma_profile([[1.0, 0.0, 0.0], [0.0, math.inf, 0.0]], d, [2])
     with pytest.raises(ZeroVectorError):
-        greedy._coordinate_wcga([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]], d, rows, 2)
+        sigma_profile([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]], d, [2])
+
+
+def test_sigma_profile_takes_a_list_or_an_array_of_samples():
+    d = canonical_dictionary(8, 1.5)
+    rows = [s["vector"] for s in sample_octahedron(d, 6, seed=2)]
+    as_list = sigma_profile(rows, d, [1, 2, 4])
+    as_array = sigma_profile(np.array(rows), d, [1, 2, 4])
+    assert np.array_equal(as_list.values, as_array.values)
+    assert as_list.slope == as_array.slope
+    for empty in ([], np.zeros((0, 8))):
+        with pytest.raises(EmptySampleError):
+            sigma_profile(empty, d, [1, 2])
 
 
 @pytest.mark.parametrize("coordinate", [True, False])
@@ -656,30 +682,109 @@ def _never_called(*args, **kwargs):
     raise AssertionError("wcga ran")
 
 
-def test_coordinate_dictionaries_never_call_wcga(monkeypatch):
+def test_no_caller_runs_wcga(monkeypatch):
+    # the profile and the covers run the stacked loop on every dictionary
     coord = canonical_dictionary(16, 1.5)
     dense = _random_unit_dictionary(6, 8, 1.5, seed=3)
     samples = [s["vector"] for s in sample_octahedron(coord, 12, seed=5)]
     m_list = [1, 2, 4, 8]
-    # the loop of wcga runs: by hand for the profile, and forced for the covers
-    hists = [wcga(f, coord, 8).history for f in samples]
+    # the per-run reference, by hand for the profile; for the covers the
+    # loop is forced to take dense steps on the coordinate atoms
+    hists = [_reference_wcga(f, coord, 8)[1] for f in samples]
     values = np.max([[0.0 if h[min(m, len(h) - 1)] <= greedy._STOP_TOL
                       else h[min(m, len(h) - 1)] for m in m_list] for h in hists], axis=0)
-    monkeypatch.setattr(entropy, "_coordinate_rows", lambda atoms: None)
+    rows = greedy._coordinate_rows
+    monkeypatch.setattr(greedy, "_coordinate_rows",
+                        lambda atoms: None if atoms is coord.atoms else rows(atoms))
     certs = octahedron_cover_profile(Octahedron(coord), [4, 16], sample_size=60, seed=6)
     monkeypatch.undo()
     monkeypatch.setattr(greedy, "wcga", _never_called)
     monkeypatch.setattr(entropy, "wcga", _never_called)
-    # the lockstep pass reads what those runs read
+    # the coordinate steps read what those runs read
     assert list(sigma_profile(samples, coord, m_list).values) == list(values)
     again = octahedron_cover_profile(Octahedron(coord), [4, 16], sample_size=60, seed=6)
     for k, cert in certs.items():
         assert np.array_equal(again[k].centers, cert.centers)
         assert (again[k].radius, again[k].extra) == (cert.radius, cert.extra)
-    with pytest.raises(AssertionError, match="wcga ran"):
-        sigma_profile([dense.atoms[:, 0]], dense, [1, 2])
-    with pytest.raises(AssertionError, match="wcga ran"):
-        octahedron_cover_profile(Octahedron(dense), [3], sample_size=20)
+    # dense atoms take the same loop, and no wcga
+    f = dense.atoms[:, :3] @ np.array([0.2, -0.3, 0.1])
+    hist = _reference_wcga(f, dense, 2)[1]
+    assert list(sigma_profile([f], dense, [1, 2]).values) == hist[1:]
+    assert octahedron_cover_profile(Octahedron(dense), [3], sample_size=20)[3].radius > 0.0
+
+
+def _dense_stack(kind, weighted, q):
+    """A dense dictionary and a stack of samples whose runs end every way.
+
+    The stack mixes Gaussian samples, vertices, span members of three
+    atoms (recovered, or stopped at a flat step at the solver's floor),
+    and samples of norm at most 1e-12, which take no step.
+    """
+    rng = np.random.default_rng(40)
+    d = _kind_dictionary(kind, weighted, q, rng)
+    dim = d.space.dim
+    samples = [rng.standard_normal(dim) for _ in range(3)]
+    samples += [d.atoms[:, 0], -d.atoms[:, 3]]
+    samples += [d.atoms[:, :3] @ rng.standard_normal(3) for _ in range(3)]
+    samples += [0.5 * d.atoms[:, 1] - 0.2 * d.atoms[:, 3]]
+    samples += [1e-13 * rng.standard_normal(dim)]
+    return d, np.array(samples)
+
+
+@pytest.mark.parametrize("q", [4.0 / 3.0, 1.5, 2.0, 3.0])
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("kind", ["mixed", "spanned"])
+def test_every_run_of_a_dense_stack_equals_the_reference_bit_for_bit(kind, weighted, q):
+    d, samples = _dense_stack(kind, weighted, q)
+    run = _stacked(samples, d, d.size)
+    ends = set()
+    for i, f in enumerate(samples):
+        support, history, snaps = _reference_wcga(f, d, d.size)
+        k = run.steps[i]
+        assert run.support[i, :k].tolist() == support and (run.support[i, k:] == d.size).all()
+        assert run.history[i, :k + 1].tolist() == history
+        assert (run.history[i, k:] == history[-1]).all()
+        assert k == len(snaps)
+        for j, want in enumerate(snaps):
+            assert np.array_equal(run.step_coef[j][i], want)
+        assert np.array_equal(run.coef[i, :k], snaps[-1] if snaps else np.zeros(0))
+        if k == 0:
+            ends.add("stepless")
+        elif history[-1] <= greedy._STOP_TOL:
+            ends.add("recovered")
+        elif len(_reference_wcga(f, d, d.size, stop_flat=False)[0]) > k:
+            ends.add("flat")
+    assert "stepless" in ends
+    # the coordinate pair of the mixed atoms is recovered exactly, and so is
+    # every span member at q = 2; at q = 4/3 and 3 some runs stop flat
+    if kind == "mixed" or q == 2.0:
+        assert "recovered" in ends
+    if q in (4.0 / 3.0, 3.0):
+        assert "flat" in ends
+    assert run.support[3, 0] == 0 and run.support[4, 0] == 3  # the vertices' own atoms
+
+
+@pytest.mark.parametrize("q", [4.0 / 3.0, 3.0])
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("kind", ["mixed", "spanned"])
+def test_the_stacked_loop_solves_as_often_as_the_runs_alone(monkeypatch, kind, weighted, q):
+    d, samples = _dense_stack(kind, weighted, q)
+    counts = {"stacked": 0, "reference": 0}
+
+    def counted(key, solve):
+        def call(*args, **kwargs):
+            counts[key] += 1
+            return solve(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(greedy, "minimize_power_residual",
+                        counted("stacked", greedy.minimize_power_residual))
+    monkeypatch.setattr(optim, "minimize_power_residual",
+                        counted("reference", optim.minimize_power_residual))
+    _stacked(samples, d, d.size)
+    for f in samples:
+        _reference_wcga(f, d, d.size)
+    assert counts["stacked"] == counts["reference"] > 0
 
 
 # ---------------------------------------------------------------------------

@@ -131,6 +131,8 @@ _ROWS = (
     + [(site, "indices", call, value)
        for site, call in _INDICES
        for value in ([True, False], [0, True], [0.0, 1.0], [0, 1.5], ["0", "1"])]
+    # a level above the dictionary's three atoms
+    + [("sigma_profile", "m_list", _LEVELS[0][2], [1, 4])]
 )
 
 

@@ -1,4 +1,5 @@
-"""The README's library quick start runs as written, and its CLI examples validate."""
+"""The README's library quick start runs as written, its CLI examples validate,
+and its dependency floors are those of pyproject.toml."""
 
 import json
 import pathlib
@@ -34,3 +35,15 @@ def test_readme_command_lines_and_config_validate():
     assert len(configs) == 1
     doc = dict(json.loads(configs[0]), experiment="ball-entropy")
     ExperimentConfig.from_json(doc).resolved().validate()
+
+
+def test_readme_dependency_floors_match_pyproject():
+    # a regex, not tomllib, which needs Python 3.11; the package supports 3.10
+    project = (_README.parent / "pyproject.toml").read_text()
+    listed = re.search(r"^dependencies = \[(.*?)\]", project, re.M | re.S).group(1)
+    floors = re.findall(r'"([\w.-]+)\s*>=\s*([\d.]+)"', listed)
+    python = re.search(r'^requires-python = ">=([\d.]+)"', project, re.M).group(1)
+    line = next(line for line in _README.read_text().splitlines()
+                if line.startswith("Dependencies:"))
+    assert floors and re.findall(r"`([\w.-]+) >= ([\d.]+)`", line) == floors
+    assert re.search(r"\(Python >= ([\d.]+)\)", line).group(1) == python
