@@ -324,7 +324,8 @@ def _greedy_pass(f: np.ndarray, fnorm: np.ndarray, dictionary: Dictionary, m: in
         vals[picked[live]] = -1.0
         j = np.argmax(vals, axis=1)
         seen = vals[np.arange(live.size), j] > unseen[live]  # else the residual is invisible
-        live, j, last, r = live[seen], j[seen], last[seen], r[seen]
+        if not seen.all():
+            live, j, last, r = live[seen], j[seen], last[seen], r[seen]
         if rows is None:
             c = np.empty((live.size, s + 1))
             for k, run in enumerate(live):
