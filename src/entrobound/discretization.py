@@ -312,20 +312,17 @@ def build_discretization_dictionary(sub: Subspace, pts: SamplePointSet,
                   else _representer(sub, x, sub.basis @ coefs[x], p)
                   for x in pts.indices]
 
-    w_norms = []
-    for j, (x, w) in enumerate(zip(pts.indices, w_rows)):
-        w_norm = sub.measure.norm(w, pp)
+    w_vectors = np.stack(w_rows)
+    w_norms = sub.measure.norm(w_vectors, pp)
+    bound = 2.0 * m_p + _NORM_BOUND_SLACK
+    for j, (x, w_norm) in enumerate(zip(pts.indices, w_norms.tolist())):
         if w_norm == 0.0:
             raise ValueError(
                 f"every subspace element vanishes at sample point {x}; "
                 "the evaluation functional is degenerate")
-        bound = 2.0 * m_p + _NORM_BOUND_SLACK
         if w_norm > bound:
             raise NormBoundError(j, w_norm, bound)
-        w_norms.append(w_norm)
 
-    w_vectors = np.stack(w_rows)
-    w_norms = np.asarray(w_norms)
     repro = sub.basis.T @ (mu[:, None] * w_vectors.T)  # dim x n
     wanted = sub.basis[pts.indices].T
     drift = float(np.abs(repro - wanted).max())
@@ -380,14 +377,10 @@ def _function_witness(sub: Subspace, ddict: DiscretizationDictionary, p: float,
     rng = np.random.default_rng(seed)
     rows = [np.zeros((1, sub.support_size))]
     # kernel spikes peak at the sample points and drive the packing
-    for x in ddict.points.indices:
-        g = sub._kernel[x]
-        nrm = sub.measure.norm(g, p)
-        if nrm > 0:
-            rows.append((g / nrm)[None, :])
-    for i in range(sub.dim):
-        u = sub.basis[:, i]
-        rows.append((u / sub.measure.norm(u, p))[None, :])
+    spikes = sub._kernel[ddict.points.indices]
+    nrm = sub.measure.norm(spikes, p)
+    rows.append(spikes[nrm > 0] / nrm[nrm > 0, None])
+    rows.append(sub.basis.T / sub.measure.norm(sub.basis.T, p)[:, None])
     have = sum(r.shape[0] for r in rows)
     for _ in range(max(size - have, 0)):
         c = rng.standard_normal(sub.dim)

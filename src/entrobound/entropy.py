@@ -19,12 +19,13 @@ labeled as such by its certificate.  Three bound sources exist:
   s/2.
 * ``octahedron_cover_profile`` and the l_p-ball profile: constructive
   covers from m-term approximants whose coefficients are truncated onto
-  an integer grid, built by one routine for both sets.  The atom hull
-  (the octahedron) takes greedy approximants on an l1-ball grid, from
-  one greedy run per witness whose steps are tabulated once for every
-  m; the l_p ball keeps each point's m largest coordinates on a cube
-  grid.  The center count is a combinatorial product that is asserted,
-  never assumed, to stay at or below 2^k.
+  an integer grid, built by one routine for both sets, whose one scan
+  over m serves every budget k.  The atom hull (the octahedron) takes
+  greedy approximants on an l1-ball grid, read off one greedy run per
+  witness after each of its steps; the l_p ball keeps each point's m
+  largest coordinates on a cube grid.  The center count is a
+  combinatorial product that is asserted, never assumed, to stay at or
+  below 2^k.
 
 Certificates are JSON-serializable and re-verifiable through checkers
 that use only the stored metric, never the construction that produced
@@ -715,56 +716,64 @@ def _max_grid_radius(count, m: int, target: int) -> int:
     return lo
 
 
-def _quantized_cover(sample: np.ndarray, atoms: np.ndarray, level, grid_count,
-                     metric: Metric, k: int, m_max: int) -> CoverCertificate:
-    """Cover a witness sample by grid-quantized m-term approximants.
+def _quantized_covers(sample: np.ndarray, atoms: np.ndarray, levels, grid_count,
+                      metric: Metric, k_list: list[int],
+                      m_cap: int) -> dict[int, CoverCertificate]:
+    """Cover a witness sample by grid-quantized m-term approximants, per budget k.
 
-    ``atoms`` holds the n atoms as columns.  ``level(m)`` returns every
-    witness's m-term support (a runs x m index array, padded with n), its
-    coefficients (zero-padded) and a bound B on them: truncating c onto
-    the step-B/M grid lands in the grid of ``grid_count(m, M)`` points.
-    Each m <= min(k, m_max) whose support count times the largest
-    fitting grid stays within 2^k centers is one option, next to the
-    zero center; every option's radius is measured in one array pass,
-    and the smallest wins (the first among ties).  Only the winner's
-    centers are deduplicated into the certificate.
+    ``atoms`` holds the n atoms as columns.  ``levels(top)`` yields, for
+    m = 1, ..., top in turn, every witness's m-term support (a runs x m
+    index array, padded with n), its coefficients (zero-padded) and a
+    bound B on them: truncating c onto the step-B/M grid lands in the
+    grid of ``grid_count(m, M)`` points.  A budget k can use m <= k when
+    comb(n, m) times the M = 1 grid fits 2^k centers, and top is the
+    largest m <= m_cap that some k can use.  Each usable m, with the
+    largest M that fits, is one option of k, next to the zero center.
+    One scan over m measures each option's radius in one array pass,
+    and each k keeps the smallest (the first among ties).  Only a
+    winner's centers are deduplicated into its certificate.
     """
     runs = sample.shape[0]
     dim, n = atoms.shape
-    best = (float(metric.norms(sample).max()), 0, 0, 0.0, None)
-    for m in range(1, min(k, m_max) + 1):
-        # comb(n, m) is not monotone in m, so infeasible m never break the scan
-        M = _max_grid_radius(grid_count, m, (1 << k) // math.comb(n, m))
-        if M < 1:
-            continue
-        support, coef, bound = level(m)
-        delta = bound / M if bound > 0 else 0.0
-        z = np.trunc(coef / delta) if delta > 0 else np.zeros_like(coef)
-        quantized = np.zeros((runs, n + 1))  # column n takes the padding
-        quantized[np.arange(runs)[:, None], support] = z * delta
-        centers = quantized[:, :n] @ atoms.T
-        radius = float(metric.norms(sample - centers).max())
-        if radius < best[0]:
-            best = (radius, m, M, delta, (support, z, centers))
+    # comb(n, m) is not monotone in m, so an unusable m never ends the range
+    top = max((m for m in range(1, min(m_cap, k_list[-1]) + 1)
+               if math.comb(n, m) * grid_count(m, 1) <= 1 << k_list[-1]), default=0)
+    trivial = float(metric.norms(sample).max())
+    best = {k: (trivial, 0, 0, 0.0, None) for k in k_list}
+    for m, (support, coef, bound) in enumerate(levels(top), start=1):
+        for k in k_list:
+            M = _max_grid_radius(grid_count, m, (1 << k) // math.comb(n, m))
+            if k < m or M < 1:
+                continue
+            delta = bound / M if bound > 0 else 0.0
+            z = np.trunc(coef / delta) if delta > 0 else np.zeros_like(coef)
+            quantized = np.zeros((runs, n + 1))  # column n takes the padding
+            quantized[np.arange(runs)[:, None], support] = z * delta
+            centers = quantized[:, :n] @ atoms.T
+            radius = float(metric.norms(sample - centers).max())
+            if radius < best[k][0]:
+                best[k] = (radius, m, M, delta, (support, z, centers))
 
-    radius, m, M, delta, chosen = best
-    if m == 0:
-        centers, count = np.zeros((1, dim)), 1
-    else:
-        support, z, centers = chosen
-        first = {}
-        for i, key in enumerate(zip(map(tuple, support.tolist()),
-                                    map(tuple, z.tolist()))):
-            first.setdefault(key, i)
-        centers = centers[list(first.values())]
-        count = math.comb(n, m) * grid_count(m, M)
-    if count > (1 << k):
-        raise QuantizationBudgetError(
-            f"certified count {count} exceeds 2^{k}; pick a larger k")
-    return CoverCertificate(
-        centers=centers, radius=radius, k=k, count_bound=count,
-        metric=metric, provenance="sparse-cover" if m > 0 else "trivial",
-        extra={"m": m, "grid_radius": M, "grid_step": delta})
+    covers = {}
+    for k, (radius, m, M, delta, chosen) in best.items():
+        if m == 0:
+            centers, count = np.zeros((1, dim)), 1
+        else:
+            support, z, centers = chosen
+            first = {}
+            for i, key in enumerate(zip(map(tuple, support.tolist()),
+                                        map(tuple, z.tolist()))):
+                first.setdefault(key, i)
+            centers = centers[list(first.values())]
+            count = math.comb(n, m) * grid_count(m, M)
+        if count > (1 << k):
+            raise QuantizationBudgetError(
+                f"certified count {count} exceeds 2^{k}; pick a larger k")
+        covers[k] = CoverCertificate(
+            centers=centers, radius=radius, k=k, count_bound=count,
+            metric=metric, provenance="sparse-cover" if m > 0 else "trivial",
+            extra={"m": m, "grid_radius": M, "grid_step": delta})
+    return covers
 
 
 def _signed_subsets(rng: np.random.Generator, n: int, per_level: int):
@@ -795,44 +804,27 @@ def _octahedron_witness(dictionary: Dictionary, size: int, seed: int) -> np.ndar
     return np.vstack(rows)
 
 
-def _greedy_levels(sample: np.ndarray, dictionary: Dictionary, m_max: int):
-    """One greedy run per witness point, tabulated for every level m.
+def _greedy_levels(sample: np.ndarray, dictionary: Dictionary, top: int):
+    """One greedy run per witness point, read after each of ``top`` steps.
 
-    All witnesses run in one ``_greedy_pass`` of up to ``m_max`` steps,
-    and each run fills one row of three tables: its support (padded
-    with n), its coefficients after each step (zero-padded) and each
-    step's l1 norm.  The returned ``level(m)`` reads every witness's
-    approximant after min(m, steps taken) steps, with the largest of
-    their l1 norms as the grid bound; a witness of norm 0 or a run with
-    no step reads as the zero approximant.  Each witness is measured
-    once: the pass reads the norms of the one call that finds the zero
-    witnesses.
+    All witnesses run in one ``_greedy_pass``, and after its m-th step,
+    for m = 1, ..., top, this yields every witness's support (padded
+    with n) and coefficients (zero-padded) after min(m, steps taken)
+    steps, as fresh copies, with the largest of their l1 norms as the
+    grid bound.  A witness of norm at most 1e-12 takes no step and reads
+    as the zero approximant.  Each l1 norm is summed over the run's own
+    m columns at the step it takes, since a sum over a zero-padded row
+    can round differently.
     """
     space = dictionary.space
-    sample = _check_rows(space, sample)
     fnorm = _power_norm(sample, space.weight_vector(), space.q)
-    live = np.flatnonzero(fnorm)  # a witness of norm 0 takes no run
-    run = _greedy_pass(sample[live], fnorm[live], dictionary, m_max,
-                       project_tol=_COVER_PROJECT_TOL, keep_steps=True)
-    runs = sample.shape[0]
-    support = np.full((runs, m_max), dictionary.size)
-    support[live] = run.support
-    steps = np.zeros(runs, dtype=int)
-    steps[live] = run.steps
-    coef = np.zeros((runs, m_max, m_max))
-    l1 = np.zeros((runs, m_max))
-    for j, c in enumerate(run.step_coef):
-        took = run.steps > j
-        coef[live[took], j, :j + 1] = c[took]
-        # summed unpadded: a zero-padded row can round differently
-        l1[live[took], j] = np.abs(c[took]).sum(axis=1)
-    rows = np.arange(runs)
-
-    def level(m):
-        last = np.clip(steps, 1, m) - 1  # row 0 of a stepless run is zero
-        return support[:, :m], coef[rows, last, :m], float(l1[rows, last].max())
-
-    return level
+    states = _greedy_pass(sample, fnorm, dictionary, top, project_tol=_COVER_PROJECT_TOL)
+    next(states)  # the state before the first step
+    l1 = np.zeros(sample.shape[0])
+    for m, run in enumerate(states, start=1):
+        took = run.steps == m
+        l1[took] = np.abs(run.coef[took, :m]).sum(axis=1)
+        yield run.support[:, :m].copy(), run.coef[:, :m].copy(), float(l1.max())
 
 
 def _dyadic_segment_cover(octa: Octahedron, k: int, sample: np.ndarray,
@@ -852,7 +844,7 @@ def _dyadic_segment_cover(octa: Octahedron, k: int, sample: np.ndarray,
         c = (z + 0.5) * step
         centers = np.unique(c)[:, None] * g[None, :]
         radius = max(norm(space, f - ci * g) for f, ci in zip(sample, c))
-    # the same extra keys as _quantized_cover: 2^k grid cells of width step
+    # the same extra keys as _quantized_covers: 2^k grid cells of width step
     return CoverCertificate(
         centers=centers, radius=float(radius), k=k, count_bound=2 ** k,
         metric=metric, provenance="sparse-cover",
@@ -871,14 +863,13 @@ def octahedron_cover_profile(octa: Octahedron, k_list: list[int], *,
     combinatorial center count fits the budget.  The radius is measured
     on the witness sample, so each certificate covers the sampled hull.
 
-    All budgets share one greedy pass: each witness gets one greedy run
-    of as many steps as the largest budget can use, and the run's
-    per-step coefficients are tabulated once.  The runs of all witnesses
-    take one stacked greedy pass, equal to ``wcga`` on each witness.  A
-    witness's m-term approximant is its run after
-    min(m, steps taken) steps; the grid bound is the largest l1 norm of
-    those coefficients over the witnesses.  A one-atom hull is a segment
-    and gets the dyadic offset grid instead.
+    All budgets share one scan over m and one stacked greedy pass, equal
+    to ``wcga`` on each witness, of as many steps as some budget can
+    use.  After the pass's m-th step, every budget that can use m tries
+    each witness's run after min(m, steps taken) steps as its m-term
+    approximant; the grid bound is the largest l1 norm of those
+    coefficients over the witnesses.  A one-atom hull is a segment and
+    gets the dyadic offset grid instead.
     """
     dictionary = octa.dictionary
     n = dictionary.size
@@ -886,17 +877,14 @@ def octahedron_cover_profile(octa: Octahedron, k_list: list[int], *,
     k_list = _levels("k_list", k_list, 0, n if n > 1 else math.inf)
     if sample is None:
         sample = _octahedron_witness(dictionary, sample_size, seed)
-    sample = _sample_points(sample)
+    # checked here: the greedy levels check nothing until the scan reads them
+    sample = _check_rows(dictionary.space, _sample_points(sample))
     metric = AmbientMetric(dictionary.space)
     if n == 1:
         return {k: _dyadic_segment_cover(octa, k, sample, metric) for k in k_list}
-    feasible_m = [m for m in range(1, min(n, _COVER_M_CAP, k_list[-1]) + 1)
-                  if math.comb(n, m) <= (1 << k_list[-1])]
-    m_max = max(feasible_m, default=0)
-    level = _greedy_levels(sample, dictionary, m_max)
-    return {k: _quantized_cover(sample, dictionary.atoms, level, _l1_grid_count,
-                                metric, k, m_max)
-            for k in k_list}
+    return _quantized_covers(sample, dictionary.atoms,
+                             lambda top: _greedy_levels(sample, dictionary, top),
+                             _l1_grid_count, metric, k_list, _COVER_M_CAP)
 
 
 # ---------------------------------------------------------------------------
@@ -947,16 +935,15 @@ def ball_entropy_experiment(p: float, n: int, k_list: list[int], *,
     metric = PointwiseMaxMetric(np.arange(n))
     order = np.argsort(-np.abs(sample), axis=1, kind="stable")
 
-    def largest_coordinates(m):
-        support = np.sort(order[:, :m], axis=1)
-        return support, np.take_along_axis(sample, support, axis=1), 1.0
+    def largest_coordinates(top):
+        for m in range(1, top + 1):
+            support = np.sort(order[:, :m], axis=1)
+            yield support, np.take_along_axis(sample, support, axis=1), 1.0
 
-    uppers, upper_src = [], []
-    for k in k_list:
-        cert = _quantized_cover(sample, np.eye(n), largest_coordinates,
-                                lambda m, M: (2 * M + 1) ** m, metric, k, n)
-        uppers.append(cert.radius)
-        upper_src.append(cert.provenance)
+    covers = _quantized_covers(sample, np.eye(n), largest_coordinates,
+                               lambda m, M: (2 * M + 1) ** m, metric, k_list, n)
+    uppers = [covers[k].radius for k in k_list]
+    upper_src = [covers[k].provenance for k in k_list]
 
     lowers, lower_src = _packing_lowers(metric.pairwise(sample, sample), k_list)
 
@@ -974,7 +961,8 @@ def _dual_ball_witness(space: NormedSpaceSpec, size: int, seed: int) -> np.ndarr
     rows = [np.zeros((1, d))]
     for sign in (1.0, -1.0):
         axes = sign * np.eye(d)
-        rows.append(axes / np.array([dual_norm(space, a) for a in axes])[:, None])
+        norms = _power_norm(axes, space.weight_vector(), space.dual_exponent)
+        rows.append(axes / norms[:, None])
     for idx, signs in _signed_subsets(rng, d, 3):
         v = np.zeros(d)
         v[idx] = signs

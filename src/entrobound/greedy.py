@@ -23,7 +23,9 @@ of samples in lockstep and equals a run of each sample alone, bit for
 bit: each step takes the norming functionals, picks, stop tests and
 residual norms of all live runs as stacked arrays, and measures every
 new residual in one stacked norm call, whose rows round as the vector
-norm of one run does.  ``wcga`` is the one-sample case, and
+norm of one run does.  The loop is a generator: it yields the runs'
+state before the first step and after each step, and its callers read
+that state where they need it.  ``wcga`` is the one-sample case, and
 ``sigma_profile`` and the octahedron covers call the loop once for all
 their samples.  On coordinate atoms, each nonzero in one row and no two
 in the same row, the greedy keeps the largest weighted coefficients,
@@ -208,8 +210,8 @@ def wcga(f: np.ndarray, dictionary: Dictionary, m: int,
     residual's norming functional (lowest index on ties).  That is the
     weakness t = 1, and it meets the threshold of every t in (0, 1].
     f is checked and measured once, and ``_greedy_pass`` runs it as a
-    stack of one row; every kept step keeps its coefficients in
-    ``step_coefficients``.
+    stack of one row; the coefficients after each kept step are copied
+    into ``step_coefficients``.
 
     The run stops early on three tests:
 
@@ -243,10 +245,12 @@ def wcga(f: np.ndarray, dictionary: Dictionary, m: int,
     fnorm = norm(dictionary.space, f)  # rejects a wrong length or a non-finite f
     if fnorm == 0.0:
         raise ZeroVectorError("cannot run the greedy loop on the zero vector")
-    run = _greedy_pass(f[None], np.array([fnorm]), dictionary, m,
-                       project_tol=project_tol, keep_steps=True)
-    steps = int(run.steps[0])
-    snaps = [c[0] for c in run.step_coef]
+    snaps = []
+    for run in _greedy_pass(f[None], np.array([fnorm]), dictionary, m,
+                            project_tol=project_tol):
+        steps = int(run.steps[0])
+        if steps > len(snaps):  # the step was kept
+            snaps.append(run.coef[0, :steps].copy())
     return SparseApproximant(support=run.support[0, :steps].tolist(),
                              coefficients=snaps[-1] if snaps else np.zeros(0),
                              history=run.history[0, :steps + 1].tolist(),
@@ -255,46 +259,48 @@ def wcga(f: np.ndarray, dictionary: Dictionary, m: int,
 
 @dataclass
 class _Runs:
-    """The greedy runs of one ``_greedy_pass``, one row per sample.
+    """The state of the greedy runs of one ``_greedy_pass``, one row per sample.
 
     ``support`` (runs x m) is padded with the dictionary size, ``coef``
     (runs x m) holds the last kept coefficients in pick order,
     zero-padded, ``history`` (runs x (m + 1)) the residual norms, each
     padded with its last entry, and ``steps`` the steps each run kept.
-    ``step_coef[s]``, when kept, holds every run's coefficients after
-    step s + 1, one row of s + 1 per run; only the rows of runs that
-    took that step are meaningful.
+    The pass updates the arrays in place after every step.
     """
 
     support: np.ndarray
     coef: np.ndarray
     history: np.ndarray
     steps: np.ndarray
-    step_coef: list[np.ndarray] | None
 
 
 def _greedy_pass(f: np.ndarray, fnorm: np.ndarray, dictionary: Dictionary, m: int,
-                 *, project_tol: float, keep_steps: bool) -> _Runs:
+                 *, project_tol: float):
     """The weak Chebyshev greedy of ``wcga`` on every row of checked samples f.
 
     ``fnorm`` holds the samples' norms as ``_power_norm`` takes them,
-    none of them 0, and m is at most the dictionary size.  The runs go
-    in lockstep: each step builds the norming functionals of all live
-    residuals, picks, applies the three stop tests and measures every
-    new residual in one ``_power_norm`` call, whose rows round as a
-    vector alone does; so the pass makes at most m norm calls, and each
-    run takes the steps of the same greedy run alone, bit for bit.
+    and m is at most the dictionary size; a sample of norm at most
+    1e-12 takes no step.  The runs go in lockstep: each step builds the
+    norming functionals of all live residuals, picks, applies the three
+    stop tests and measures every new residual in one ``_power_norm``
+    call, whose rows round as a vector alone does; so the pass makes at
+    most m norm calls, and each run takes the steps of the same greedy
+    run alone, bit for bit.
+
+    A generator: it yields its one ``_Runs`` state before the first step
+    and again after each of the m steps, also once every run has
+    stopped, so the s-th state read holds every run after min(s, steps
+    kept) steps.  The state changes in place at the next step; a reader
+    that keeps a part of it copies that part.
 
     On coordinate atoms (``_coordinate_rows``) the greedy keeps the
     largest weighted coefficients: atom j's pairing with a functional F
     is (w_i F_i) g_j(i) on its row i, the one nonzero term of
     ``pairings``, and its coefficient f_i / g_j(i) never changes once it
-    is picked, so a step is a few stacked array operations and
-    ``step_coef`` is read off ``coef``.  On other atoms each live run
-    that still sees its residual takes its pairings through
-    ``pairings``, a vector-matrix product, and projects on its own,
-    warm-started from its last coefficients plus a 0; with
-    ``keep_steps`` the coefficients of every step are kept.
+    is picked, so a step is a few stacked array operations.  On other
+    atoms each live run that still sees its residual takes its pairings
+    through ``pairings``, a vector-matrix product, and projects on its
+    own, warm-started from its last coefficients plus a 0.
     """
     space, n = dictionary.space, dictionary.size
     w = space.weight_vector()
@@ -305,14 +311,16 @@ def _greedy_pass(f: np.ndarray, fnorm: np.ndarray, dictionary: Dictionary, m: in
     coef = np.zeros((runs, m))
     history = np.repeat(fnorm[:, None], m + 1, axis=1)
     steps = np.zeros(runs, dtype=int)
-    step_coef = [] if keep_steps else None
+    state = _Runs(support, coef, history, steps)
     residual = f.copy()
     picked = np.zeros((runs, n), dtype=bool)
     unseen = 1e-14 * np.maximum(fnorm, 1.0)
     live = np.flatnonzero(fnorm > _STOP_TOL)
+    yield state
     for s in range(m):
         if not live.size:
-            break
+            yield state
+            continue
         last = history[live, s]
         r = residual[live]
         # the norming functionals of the residuals, whose norms are last
@@ -348,13 +356,10 @@ def _greedy_pass(f: np.ndarray, fnorm: np.ndarray, dictionary: Dictionary, m: in
             coef[live, :s + 1] = c
         else:
             coef[live, s] = c
-        if step_coef is not None and live.size:
-            # a coordinate coefficient never changes, so a view keeps its step
-            step_coef.append(coef[:, :s + 1].copy() if rows is None else coef[:, :s + 1])
         history[live, s + 1:] = rnorm[:, None]
         steps[live] = s + 1
         live = live[rnorm > _STOP_TOL]  # an exact recovery
-    return _Runs(support, coef, history, steps, step_coef)
+        yield state
 
 
 def sample_octahedron(dictionary: Dictionary, count: int, seed: int) -> list[dict]:
@@ -421,8 +426,8 @@ def sigma_profile(samples: list[np.ndarray] | np.ndarray, dictionary: Dictionary
     fnorm = _power_norm(f, space.weight_vector(), space.q)
     if not fnorm.all():
         raise ZeroVectorError("cannot run the greedy loop on the zero vector")
-    history = _greedy_pass(f, fnorm, dictionary, m_list[-1],
-                           project_tol=_PROJECT_TOL, keep_steps=False).history
+    *_, run = _greedy_pass(f, fnorm, dictionary, m_list[-1], project_tol=_PROJECT_TOL)
+    history = run.history
     # only a run's last entry can be an exact recovery; it reads 0 from its step on
     history[history <= _STOP_TOL] = 0.0
     values = history[:, m_list].max(axis=0)

@@ -201,7 +201,7 @@ class MeasureSpace:
         return cls(np.full(_integer("size", size, 1, math.inf), 1.0 / size))
 
     def norm(self, values: np.ndarray, p: float) -> float:
-        """||values||_{L_p(mu)}; p = inf gives the largest magnitude."""
+        """||values||_{L_p(mu)} of a vector or of each stacked row; p = inf reads the peak."""
         return _power_norm(values, self.weights, p)
 
 

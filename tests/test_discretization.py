@@ -16,6 +16,7 @@ from entrobound import (
     GramDefectError,
     MeasureSpace,
     NonConvergenceError,
+    NormBoundError,
     PropertyViolationError,
     SamplePointSet,
     Subspace,
@@ -416,6 +417,31 @@ def test_build_rejects_out_of_range_points():
     sub = random_subspace(2, 8, seed=16)
     with pytest.raises(ValueError):
         build_discretization_dictionary(sub, SamplePointSet(np.array([8])), 2.0)
+
+
+@pytest.mark.parametrize("zero_at, big_at, error, problem", [
+    (1, 3, ValueError, "vanishes at sample point 2"),
+    (3, 1, NormBoundError, "representer 1 has dual norm"),
+    (None, 2, NormBoundError, "representer 2 has dual norm"),
+])
+def test_build_names_the_first_offending_representer(monkeypatch, zero_at, big_at,
+                                                     error, problem):
+    # the representer norms are taken in one call; the rows are checked in order
+    sub = random_subspace(3, 16, seed=19)
+    pts = SamplePointSet(np.arange(0, 16, 2))
+
+    scale = {pts.indices[big_at]: 100.0}
+    if zero_at is not None:
+        scale[pts.indices[zero_at]] = 0.0
+
+    def broken(sub, x, f, p):
+        return scale.get(x, 1.0) * _representer(sub, x, f, p)
+
+    monkeypatch.setattr("entrobound.discretization._representer", broken)
+    with pytest.raises(error, match=problem) as info:
+        build_discretization_dictionary(sub, pts, 3.0)
+    if error is NormBoundError:
+        assert info.value.index == big_at
 
 
 @pytest.mark.parametrize("p", [2.0, 4.0])

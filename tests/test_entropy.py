@@ -64,7 +64,7 @@ from entrobound.entropy import (
     _max_grid_radius,
     _min_cover_count,
     _octahedron_witness,
-    _quantized_cover,
+    _quantized_covers,
     _separated_count,
 )
 
@@ -825,13 +825,13 @@ def test_greedy_levels_match_the_per_run_reference():
     dictionary = canonical_dictionary(12, 1.5)
     n = dictionary.size
     # on this sample an l1 norm summed over a zero-padded row rounds the
-    # bound differently: from m = 7 at the table's width, from m = 8 at m
+    # bound differently: from m = 7 at the pass's width, from m = 8 at m
     sample = _octahedron_witness(dictionary, 120, 5)
     sample[7] = 0.0  # a zero witness reads as the zero approximant
-    level = entropy_module._greedy_levels(sample, dictionary, n)
+    read = list(entropy_module._greedy_levels(sample, dictionary, n))
+    assert len(read) == n
     runs = _reference_runs(dictionary, sample)
-    for m in range(1, n + 1):
-        support, coef, bound = level(m)
+    for m, (support, coef, bound) in enumerate(read, start=1):
         levels, want = _reference_level(runs, m)
         assert bound == want  # bit for bit: it sets the grid step
         for i, lev in enumerate(levels):
@@ -869,10 +869,9 @@ def test_greedy_levels_measure_each_witness_once(monkeypatch, make_dictionary):
     monkeypatch.setattr(entropy_module, "_power_norm", power_norm)
     monkeypatch.setattr(greedy_module, "_power_norm", power_norm)
     monkeypatch.setattr(greedy_module, "norm", counting_norm)
-    level = entropy_module._greedy_levels(sample, dictionary, 4)
+    *_, (support, coef, _) = entropy_module._greedy_levels(sample, dictionary, 4)
     # a kept step lowers the norm, so no residual equals its witness
     assert [measured.count(f.tobytes()) for f in sample if f.any()] == [1] * (len(sample) - 2)
-    support, coef, _ = level(4)
     assert (support[[3, 11]] == dictionary.size).all() and not coef[[3, 11]].any()
 
 
@@ -890,7 +889,7 @@ def test_a_witness_whose_norm_underflows_reads_as_zero(coordinate):
     tiny[0] = 5e-324
     assert norm(space, tiny) == 0.0
     S = np.vstack([0.3 * atoms.T, tiny])
-    support, coef, _ = entropy_module._greedy_levels(S, d, 3)(3)
+    *_, (support, coef, _) = entropy_module._greedy_levels(S, d, 3)
     assert (support[-1] == d.size).all() and not coef[-1].any()
     # the cover reads it as the zero approximant, as it reads a zero witness
     zero = S.copy()
@@ -898,6 +897,47 @@ def test_a_witness_whose_norm_underflows_reads_as_zero(coordinate):
     octa = Octahedron(d)
     assert (octahedron_cover_profile(octa, [3], sample=S)[3].radius
             == octahedron_cover_profile(octa, [3], sample=zero)[3].radius)
+
+
+def test_the_cover_scan_reads_each_level_once_up_to_the_largest_usable_m(monkeypatch):
+    # 12 supports of one atom times a 3-point grid exceed 2^4: no greedy step
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return original(*args)
+
+    original = greedy_module._power_norm
+    monkeypatch.setattr(greedy_module, "_power_norm", counting)
+    cert = octahedron_cover_profile(Octahedron(canonical_dictionary(12, 1.5)), [4],
+                                    sample_size=40)[4]
+    assert calls == [] and cert.provenance == "trivial"
+    monkeypatch.undo()
+
+    def scan(sample, grid_count, k_list, m_cap):
+        handed = []
+
+        def levels(top):
+            handed.append(("top", top))
+            for m in range(1, top + 1):
+                handed.append(m)
+                support = np.tile(np.arange(m), (len(sample), 1))
+                yield support, sample[:, :m], float(np.abs(sample[:, :m]).sum(axis=1).max())
+
+        n = sample.shape[1]
+        certs = _quantized_covers(sample, np.eye(n), levels, grid_count,
+                                  PointwiseMaxMetric(np.arange(n)), k_list, m_cap)
+        assert all(certs[k].extra["m"] <= k for k in k_list)
+        return handed
+
+    ball = _ball_witness(2.0, 8, 64, 0)
+    # 3^m comb(8, m) <= 2^8 holds for m <= 2 only
+    assert scan(ball, _cube_count, [3, 5, 8], 8) == [("top", 2), 1, 2]
+    assert scan(ball, _cube_count, [3, 5, 8], 1) == [("top", 1), 1]
+    # comb(12, m) (2m + 1) <= 2^12 fails for m = 4..9 and holds again from 10
+    octa = _octahedron_witness(canonical_dictionary(12, 2.0), 40, 0)
+    assert scan(octa, _l1_grid_count, [5, 12], 24) == [("top", 12)] + list(range(1, 13))
+    assert scan(octa, _l1_grid_count, [5, 12], 9) == [("top", 3), 1, 2, 3]
 
 
 def test_packing_lowers_stop_at_the_last_point_read(monkeypatch):
@@ -949,17 +989,18 @@ def test_ball_covers_verify_within_budget(n, p, seed):
     sample = _ball_witness(p, n, 96, seed)
     order = np.argsort(-np.abs(sample), axis=1, kind="stable")
 
-    def largest(m):
-        support = np.sort(order[:, :m], axis=1)
-        return support, np.take_along_axis(sample, support, axis=1), 1.0
+    def largest(top):
+        for m in range(1, top + 1):
+            support = np.sort(order[:, :m], axis=1)
+            yield support, np.take_along_axis(sample, support, axis=1), 1.0
 
     metric = PointwiseMaxMetric(np.arange(n))
     trivial = float(np.abs(sample).max())
     ks = list(range(1, n + 1))
     radii = []
+    certs = _quantized_covers(sample, np.eye(n), largest, _cube_count, metric, ks, n)
     for k in ks:
-        cert = _quantized_cover(sample, np.eye(n), largest, _cube_count,
-                                metric, k, n)
+        cert = certs[k]
         assert cert.count_bound <= 2 ** k
         assert cert.radius <= trivial
         assert verify_cover(cert, sample)

@@ -585,17 +585,24 @@ def _coordinate_cases(draw):
 
 
 def _stacked(samples, d, m):
-    """The stacked loop on every row of samples, measured as its callers measure them."""
+    """The stacked loop on every row of samples, measured as its callers measure them.
+
+    Returns the last state and a copy of every run's coefficients after
+    each step, one runs x s array for step s.
+    """
     f = np.asarray(samples, dtype=float)
     fnorm = greedy._power_norm(f, d.space.weight_vector(), d.space.q)
-    return greedy._greedy_pass(f, fnorm, d, m, project_tol=greedy._PROJECT_TOL,
-                               keep_steps=True)
+    steps = []
+    for run in greedy._greedy_pass(f, fnorm, d, m, project_tol=greedy._PROJECT_TOL):
+        steps.append(run.coef[:, :len(steps)].copy())
+    assert len(steps) == m + 1  # a state before the first step and after each step
+    return run, steps[1:]
 
 
 @given(case=_coordinate_cases())
 def test_the_stacked_loop_equals_the_reference_run_by_run(case):
     d, samples, m = case
-    run = _stacked(samples, d, m)
+    run, _ = _stacked(samples, d, m)
     for f, sup, c, hist, k in zip(samples, run.support, run.coef, run.history, run.steps):
         support, history, snaps = _reference_wcga(f, d, m)
         assert sup[:k].tolist() == support and (sup[k:] == d.size).all()
@@ -632,14 +639,13 @@ def test_the_stacked_loop_makes_at_most_m_plus_1_norm_calls(monkeypatch, coordin
     for count in (1, 3, 40):
         samples = np.random.default_rng(count).standard_normal((count, 16))
         calls.clear()
-        steps = _stacked(samples, d, 6).steps
+        steps = _stacked(samples, d, 6)[0].steps
         assert (steps == 6).all()
         assert len(calls) == 7
         # the loop itself takes the residuals' norms only
         fnorm = original(samples, d.space.weight_vector(), d.space.q)
         calls.clear()
-        greedy._greedy_pass(samples, fnorm, d, 6, project_tol=greedy._PROJECT_TOL,
-                            keep_steps=False)
+        list(greedy._greedy_pass(samples, fnorm, d, 6, project_tol=greedy._PROJECT_TOL))
         assert len(calls) == 6
 
 
@@ -672,6 +678,10 @@ def test_samples_of_the_wrong_width_are_dimension_errors(coordinate):
     narrow = np.full((5, 3), 0.1)
     with pytest.raises(DimensionMismatchError, match="length 3, expected 4"):
         octahedron_cover_profile(Octahedron(d), [2], sample=narrow)
+    # a one-atom hull takes the segment cover; it checks the width the same way
+    with pytest.raises(DimensionMismatchError, match="vector has length 3, expected 1"):
+        octahedron_cover_profile(Octahedron(canonical_dictionary(1, 1.5)), [2],
+                                 sample=narrow)
     with pytest.raises(DimensionMismatchError, match="length 3, expected 4"):
         sigma_profile(list(narrow), d, [1, 2])
     with pytest.raises(ValueError, match="finite"):
@@ -736,7 +746,7 @@ def _dense_stack(kind, weighted, q):
 @pytest.mark.parametrize("kind", ["mixed", "spanned"])
 def test_every_run_of_a_dense_stack_equals_the_reference_bit_for_bit(kind, weighted, q):
     d, samples = _dense_stack(kind, weighted, q)
-    run = _stacked(samples, d, d.size)
+    run, step_coef = _stacked(samples, d, d.size)
     ends = set()
     for i, f in enumerate(samples):
         support, history, snaps = _reference_wcga(f, d, d.size)
@@ -746,7 +756,7 @@ def test_every_run_of_a_dense_stack_equals_the_reference_bit_for_bit(kind, weigh
         assert (run.history[i, k:] == history[-1]).all()
         assert k == len(snaps)
         for j, want in enumerate(snaps):
-            assert np.array_equal(run.step_coef[j][i], want)
+            assert np.array_equal(step_coef[j][i], want)
         assert np.array_equal(run.coef[i, :k], snaps[-1] if snaps else np.zeros(0))
         if k == 0:
             ends.add("stepless")
