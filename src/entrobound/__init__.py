@@ -12,7 +12,6 @@ from .discretization import (
     SamplePointSet,
     Subspace,
     SubspaceEntropyResult,
-    TransferReport,
     build_discretization_dictionary,
     it1_experiment,
     m_p_direct,

@@ -76,7 +76,6 @@ __all__ = [
     "m_p_dual",
     "build_discretization_dictionary",
     "verify_transfer",
-    "TransferReport",
     "it1_experiment",
     "SubspaceEntropyResult",
     "random_subspace",
@@ -335,19 +334,13 @@ def build_discretization_dictionary(sub: Subspace, pts: SamplePointSet,
         w_norms=w_norms, atoms=atoms, m_p=m_p)
 
 
-@dataclass
-class TransferReport:
-    max_ratio: float
-    bound: float            # 2 M_p
-
-
 def verify_transfer(sub: Subspace, ddict: DiscretizationDictionary, *,
-                    trials: int, seed: int) -> TransferReport:
+                    trials: int, seed: int) -> float:
     """Check max_j |f(x^j)| <= 2 M_p max_j |<f, g_j>| on random f.
 
     Draws Gaussian coefficient vectors; a violation beyond the 1e-8
-    slack raises with the witness coefficients.  Reports the largest
-    observed left/right ratio.
+    slack raises with the witness coefficients.  Returns the largest
+    observed ratio of the left side to the right.
     """
     rng = np.random.default_rng(seed)
     bound = 2.0 * ddict.m_p
@@ -365,7 +358,7 @@ def verify_transfer(sub: Subspace, ddict: DiscretizationDictionary, *,
                 f"{bound!r} * {right!r}", witness=c)
         if right > 0:
             max_ratio = max(max_ratio, left / (bound * right))
-    return TransferReport(max_ratio=max_ratio, bound=bound)
+    return max_ratio
 
 
 # ---------------------------------------------------------------------------

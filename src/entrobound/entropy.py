@@ -71,7 +71,6 @@ from .spaces import (
     _power_norm,
     _real,
     dual_norm,
-    norm,
     pair,
 )
 
@@ -829,21 +828,24 @@ def _greedy_levels(sample: np.ndarray, dictionary: Dictionary, top: int):
 
 def _dyadic_segment_cover(octa: Octahedron, k: int, sample: np.ndarray,
                           metric: Metric) -> CoverCertificate:
-    # one atom: the hull is the segment [-g, g]; offset grid is optimal
+    # one atom: the hull is the segment [-g, g]; offset grid is optimal.
+    # Each row pairs and measures as the same vector alone would.
     g = octa.dictionary.atoms[:, 0]
     space = octa.dictionary.space
-    coeff = np.array([pair(space, f, g) / pair(space, g, g) for f in sample])
+    w = space.weight_vector()
     if k == 0:
         centers = np.zeros((1, space.dim))
-        radius = max(norm(space, f) for f in sample)
+        residual = sample
         half, step = 0, 0.0
     else:
+        coeff = np.vecdot(sample * w, g) / pair(space, g, g)
         step = 2.0 ** (1 - k)
         half = 2 ** (k - 1)
         z = np.clip(np.floor(coeff / step), -half, half - 1)
         c = (z + 0.5) * step
         centers = np.unique(c)[:, None] * g[None, :]
-        radius = max(norm(space, f - ci * g) for f, ci in zip(sample, c))
+        residual = sample - c[:, None] * g
+    radius = _power_norm(residual, w, space.q).max()
     # the same extra keys as _quantized_covers: 2^k grid cells of width step
     return CoverCertificate(
         centers=centers, radius=float(radius), k=k, count_bound=2 ** k,
@@ -986,7 +988,7 @@ def _greedy_brackets(Dm: np.ndarray, k_list: list[int]) -> tuple[np.ndarray, np.
     """
     lowers, _ = _packing_lowers(Dm, k_list)
     values = np.unique(Dm)
-    uppers = np.array([float(Dm.max(axis=1).min()) if k == 0 else
+    uppers = np.array([_exact_restricted_radius(Dm, 1) if k == 0 else
                        float(values[_greedy_search(Dm, values, 2 ** k, 0)])
                        for k in k_list])
     return np.minimum(lowers, uppers), uppers

@@ -24,10 +24,10 @@ bit: each step takes the norming functionals, picks, stop tests and
 residual norms of all live runs as stacked arrays, and measures every
 new residual in one stacked norm call, whose rows round as the vector
 norm of one run does.  The loop is a generator: it yields the runs'
-state before the first step and after each step, and its callers read
-that state where they need it.  ``wcga`` is the one-sample case, and
-``sigma_profile`` and the octahedron covers call the loop once for all
-their samples.  On coordinate atoms, each nonzero in one row and no two
+state before the first step and after each step.  ``wcga`` is the
+one-sample case and ``sigma_profile`` runs all its samples at once;
+both read only the last state.  The octahedron covers read the state
+after each step.  On coordinate atoms, each nonzero in one row and no two
 in the same row, the greedy keeps the largest weighted coefficients,
 and a step is a few array operations; on other atoms each live run
 pairs and projects on its own.
@@ -80,15 +80,12 @@ class SparseApproximant:
 
     ``support`` and ``coefficients`` are aligned; ``history`` holds the
     residual norm after 0, 1, ... steps and is nonincreasing for
-    Chebyshev-type greedy runs.  ``step_coefficients`` holds the
-    coefficients after each step, so its last entry is
-    ``coefficients``; it is empty when no step ran.
+    Chebyshev-type greedy runs.
     """
 
     support: list[int]
     coefficients: np.ndarray
     history: list[float]
-    step_coefficients: list[np.ndarray]
 
     @property
     def residual_norm(self) -> float:
@@ -195,23 +192,17 @@ def best_mterm_bruteforce(f: np.ndarray, dictionary: Dictionary,
         if best is None or r < best[2]:
             best = (support, coeffs, r)
     support, coeffs, r = best
-    if m == 0:
-        return SparseApproximant(support, coeffs, history=[fnorm],
-                                 step_coefficients=[])
-    return SparseApproximant(support, coeffs, history=[fnorm, r],
-                             step_coefficients=[coeffs])
+    return SparseApproximant(support, coeffs, history=[fnorm] if m == 0 else [fnorm, r])
 
 
-def wcga(f: np.ndarray, dictionary: Dictionary, m: int,
-         *, project_tol: float = _PROJECT_TOL) -> SparseApproximant:
+def wcga(f: np.ndarray, dictionary: Dictionary, m: int) -> SparseApproximant:
     """Weak Chebyshev greedy approximation with up to m steps.
 
     Each step takes the atom of largest absolute pairing with the
     residual's norming functional (lowest index on ties).  That is the
     weakness t = 1, and it meets the threshold of every t in (0, 1].
     f is checked and measured once, and ``_greedy_pass`` runs it as a
-    stack of one row; the coefficients after each kept step are copied
-    into ``step_coefficients``.
+    stack of one row; the result is read off the pass's last state.
 
     The run stops early on three tests:
 
@@ -245,16 +236,12 @@ def wcga(f: np.ndarray, dictionary: Dictionary, m: int,
     fnorm = norm(dictionary.space, f)  # rejects a wrong length or a non-finite f
     if fnorm == 0.0:
         raise ZeroVectorError("cannot run the greedy loop on the zero vector")
-    snaps = []
-    for run in _greedy_pass(f[None], np.array([fnorm]), dictionary, m,
-                            project_tol=project_tol):
-        steps = int(run.steps[0])
-        if steps > len(snaps):  # the step was kept
-            snaps.append(run.coef[0, :steps].copy())
+    *_, run = _greedy_pass(f[None], np.array([fnorm]), dictionary, m,
+                           project_tol=_PROJECT_TOL)
+    steps = int(run.steps[0])
     return SparseApproximant(support=run.support[0, :steps].tolist(),
-                             coefficients=snaps[-1] if snaps else np.zeros(0),
-                             history=run.history[0, :steps + 1].tolist(),
-                             step_coefficients=snaps)
+                             coefficients=run.coef[0, :steps].copy(),
+                             history=run.history[0, :steps + 1].tolist())
 
 
 @dataclass
@@ -389,11 +376,10 @@ def sample_octahedron(dictionary: Dictionary, count: int, seed: int) -> list[dic
 
 @dataclass
 class SigmaProfile:
-    """max-over-samples greedy residuals per m, with a log-log slope."""
+    """max-over-samples greedy residuals per m."""
 
     m_list: list[int]
     values: np.ndarray
-    slope: float
 
 
 def sigma_profile(samples: list[np.ndarray] | np.ndarray, dictionary: Dictionary,
@@ -409,9 +395,8 @@ def sigma_profile(samples: list[np.ndarray] | np.ndarray, dictionary: Dictionary
     (residual norm at most 1e-12) reads 0 from that step on, not its
     round-off; a run that ends on a flat step keeps its last residual, a
     solver floor.  So a value is 0 exactly when every sample is
-    recovered by that m.  The reported slope is the least-squares fit
-    of log2(value) against log2(m) over the levels not recovered, the
-    positive entries.
+    recovered by that m.  ``harness.fit_envelope`` fits the decay over
+    the positive entries.
     """
     if not len(samples):
         raise EmptySampleError("sigma profile needs at least one sample")
@@ -430,11 +415,4 @@ def sigma_profile(samples: list[np.ndarray] | np.ndarray, dictionary: Dictionary
     history = run.history
     # only a run's last entry can be an exact recovery; it reads 0 from its step on
     history[history <= _STOP_TOL] = 0.0
-    values = history[:, m_list].max(axis=0)
-    pos = values > 0
-    if pos.sum() >= 2:
-        slope = np.polyfit(np.log2(np.asarray(m_list)[pos]),
-                           np.log2(values[pos]), 1)[0]
-    else:
-        slope = float("nan")
-    return SigmaProfile(m_list=m_list, values=values, slope=float(slope))
+    return SigmaProfile(m_list=m_list, values=history[:, m_list].max(axis=0))

@@ -301,6 +301,17 @@ def _float_list(values) -> list[float]:
     return [float(v) for v in values]
 
 
+def _profile_columns(profile, envelope, ratio) -> dict:
+    """The k, lower, upper, envelope and ratio columns of an entropy profile."""
+    return {
+        "k": profile.k_list,
+        "lower": _float_list(profile.lower),
+        "upper": _float_list(profile.upper),
+        "envelope": _float_list(envelope),
+        "ratio": _float_list(ratio),
+    }
+
+
 # ---------------------------------------------------------------------------
 # runners
 
@@ -341,13 +352,7 @@ def _run_ball_entropy(cfg: ExperimentConfig) -> tuple[dict, dict, list]:
     envelope, ratio, spread = _envelope_ratio(profile.upper, cfg.n, profile.k_list,
                                               1.0 / cfg.p, 1.0)
     return (
-        {
-            "k": profile.k_list,
-            "lower": _float_list(profile.lower),
-            "upper": _float_list(profile.upper),
-            "envelope": _float_list(envelope),
-            "ratio": _float_list(ratio),
-        },
+        _profile_columns(profile, envelope, ratio),
         {"samples": result.sample_size,
          "upper_source": profile.upper_source,
          "lower_source": profile.lower_source,
@@ -430,13 +435,7 @@ def _run_it1(cfg: ExperimentConfig) -> tuple[dict, dict, list]:
                             cover_sample_size=cfg.samples)
     profile = result.profile
     return (
-        {
-            "k": profile.k_list,
-            "lower": _float_list(profile.lower),
-            "upper": _float_list(profile.upper),
-            "envelope": _float_list(result.envelope),
-            "ratio": _float_list(result.upper_ratio),
-        },
+        _profile_columns(profile, result.envelope, result.upper_ratio),
         {"m_p": result.m_p, "ratio_spread": result.spread,
          "upper_source": profile.upper_source},
         [

@@ -58,7 +58,9 @@ def test_criterion_01_greedy_residual_decay():
     for q in (2.0, 1.5):
         d = canonical_dictionary(256, q)
         samples = [s["vector"] for s in sample_octahedron(d, 50, seed=7)]
-        slopes[q] = sigma_profile(samples, d, [4, 8, 16, 32, 64]).slope
+        m_list = [4, 8, 16, 32, 64]
+        values = sigma_profile(samples, d, m_list).values
+        slopes[q] = fit_envelope((m_list, values), model=FitModel.POWER_M).exponent
     elapsed = time.monotonic() - start
     ok = slopes[2.0] <= -0.40 and slopes[1.5] <= -0.25 and elapsed <= 120.0
     _report(1, ok, f"slope(q=2)={slopes[2.0]:.4f} <= -0.40, "

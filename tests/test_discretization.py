@@ -449,9 +449,7 @@ def test_transfer_inequality_holds_on_random_functions(p):
     sub = random_subspace(4, 32, seed=17)
     pts = SamplePointSet(np.arange(0, 32, 2))
     ddict = build_discretization_dictionary(sub, pts, p)
-    report = verify_transfer(sub, ddict, trials=200, seed=18)
-    assert 0.0 < report.max_ratio <= 1.0 + 1e-12
-    assert report.bound == pytest.approx(2.0 * ddict.m_p)
+    assert 0.0 < verify_transfer(sub, ddict, trials=200, seed=18) <= 1.0 + 1e-12
 
 
 def test_transfer_breach_raises_with_the_witness():

@@ -51,7 +51,6 @@ from entrobound import (
     sequence_space,
     verify_cover,
     verify_packing,
-    wcga,
 )
 import entrobound.entropy as entropy_module
 import entrobound.greedy as greedy_module
@@ -696,6 +695,37 @@ def test_single_atom_hull_gets_dyadic_covers():
         assert cert.extra == {"m": 1, "grid_radius": half, "grid_step": step}
 
 
+@pytest.mark.parametrize("dim, q, weighted", [
+    (1, 2.0, False), (7, 4.0 / 3.0, True), (40, 1.5, False), (160, 3.0, True),
+])
+def test_one_atom_cover_measures_each_witness_as_it_alone(dim, q, weighted):
+    # the stacked pairings and norms round as each witness's own pair and norm
+    rng = np.random.default_rng(dim)
+    if weighted:
+        w = rng.uniform(0.1, 1.0, dim)
+        space = discrete_space(w / w.sum(), q)
+    else:
+        space = sequence_space(dim, q)
+    g = rng.standard_normal(dim)
+    g /= norm(space, g)
+    octa = Octahedron(Dictionary(g[:, None], space))
+    sample = rng.uniform(-1.0, 1.0, (37, 1)) * g + 0.01 * rng.standard_normal((37, dim))
+    coeff = np.array([entrobound.pair(space, f, g) / entrobound.pair(space, g, g)
+                      for f in sample])
+    for k in (0, 1, 3, 6):
+        cert = octahedron_cover_profile(octa, [k], sample=sample)[k]
+        if k == 0:
+            centers = np.zeros((1, dim))
+            radius = max(norm(space, f) for f in sample)
+        else:
+            step, half = 2.0 ** (1 - k), 2 ** (k - 1)
+            c = (np.clip(np.floor(coeff / step), -half, half - 1) + 0.5) * step
+            centers = np.unique(c)[:, None] * g[None, :]
+            radius = max(norm(space, f - ci * g) for f, ci in zip(sample, c))
+        assert cert.radius == radius
+        assert np.array_equal(cert.centers, centers)
+
+
 def test_octahedron_cover_profile_frozen_instance():
     octa = Octahedron(canonical_dictionary(8, 2.0))
     certs = octahedron_cover_profile(octa, [3, 8], seed=0, sample_size=200)
@@ -747,12 +777,12 @@ def _reference_level(runs, m):
     """Each run's (support, coefficients) after min(m, steps) steps, or None
     for a run with no step, and the largest l1 norm among them."""
     levels = []
-    for run in runs:
-        if run is None or not run.step_coefficients:
+    for support, snaps in runs:
+        if not snaps:
             levels.append(None)
         else:
-            steps = min(m, len(run.step_coefficients))
-            levels.append((run.support[:steps], run.step_coefficients[steps - 1]))
+            steps = min(m, len(snaps))
+            levels.append((support[:steps], snaps[steps - 1]))
     bound = max((float(np.abs(c).sum()) for _, c in filter(None, levels)),
                 default=0.0)
     return levels, bound
@@ -793,9 +823,18 @@ def _it1_u_dictionary():
 
 
 def _reference_runs(dictionary, sample):
-    return [None if norm(dictionary.space, f) == 0.0 else
-            wcga(f, dictionary, dictionary.size, project_tol=1e-8)
-            for f in sample]
+    """Each witness's greedy run alone, as its support and a copy of its
+    coefficients after each kept step; a witness of norm 0 takes no step."""
+    runs = []
+    for f in sample:
+        snaps = []
+        for state in greedy_module._greedy_pass(
+                f[None], np.array([norm(dictionary.space, f)]), dictionary,
+                dictionary.size, project_tol=entropy_module._COVER_PROJECT_TOL):
+            if state.steps[0] > len(snaps):  # the step was kept
+                snaps.append(state.coef[0, :len(snaps) + 1].copy())
+        runs.append((state.support[0, :len(snaps)].tolist(), snaps))
+    return runs
 
 
 @pytest.mark.parametrize("make_dictionary", [
@@ -865,7 +904,8 @@ def test_greedy_levels_measure_each_witness_once(monkeypatch, make_dictionary):
         return norm(space, f)
 
     original = entropy_module._power_norm
-    monkeypatch.setattr(entropy_module, "norm", _never_called)
+    # entropy imports no scalar norm; one added later must not be called here
+    monkeypatch.setattr(entropy_module, "norm", _never_called, raising=False)
     monkeypatch.setattr(entropy_module, "_power_norm", power_norm)
     monkeypatch.setattr(greedy_module, "_power_norm", power_norm)
     monkeypatch.setattr(greedy_module, "norm", counting_norm)
