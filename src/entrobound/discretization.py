@@ -29,8 +29,8 @@ evaluation, B^T(mu g) = B[x], each Newton step solving one d x d Schur
 system.  Both use the shared smoothed-Newton solver, the direct problem
 in its slice form and the dual one in its constrained form.  Every
 support point poses one problem of the same shape, so each route solves
-all N of them as one stack in the solver's masked stage loop: a serial
-solve of one such problem is bound by numpy call overhead, not flops.
+all N of them as one stack in the solver's stage loop: a solve of one
+such problem alone is bound by numpy call overhead, not flops.
 Each point keeps its own iterations, and a failed solve names its
 support point.  p = 2 short-circuits to closed forms, where w_j is the
 kernel row D(x^j, .).

@@ -740,13 +740,14 @@ def _quantized_covers(sample: np.ndarray, atoms: np.ndarray, levels, grid_count,
     trivial = float(metric.norms(sample).max())
     best = {k: (trivial, 0, 0, 0.0, None) for k in k_list}
     for m, (support, coef, bound) in enumerate(levels(top), start=1):
+        # every budget writes the same (row, support) cells; column n takes the padding
+        quantized = np.zeros((runs, n + 1))
         for k in k_list:
             M = _max_grid_radius(grid_count, m, (1 << k) // math.comb(n, m))
             if k < m or M < 1:
                 continue
             delta = bound / M if bound > 0 else 0.0
             z = np.trunc(coef / delta) if delta > 0 else np.zeros_like(coef)
-            quantized = np.zeros((runs, n + 1))  # column n takes the padding
             quantized[np.arange(runs)[:, None], support] = z * delta
             centers = quantized[:, :n] @ atoms.T
             radius = float(metric.norms(sample - centers).max())

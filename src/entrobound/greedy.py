@@ -30,7 +30,8 @@ both read only the last state.  The octahedron covers read the state
 after each step.  On coordinate atoms, each nonzero in one row and no two
 in the same row, the greedy keeps the largest weighted coefficients,
 and a step is a few array operations; on other atoms each live run
-pairs and projects on its own.
+pairs on its own, and a step gathers the supports of all live runs
+once and projects them together, in at most one solver call.
 
 The unit ball of norm_A is the absolutely convex hull of the atoms;
 ``Octahedron`` wraps a dictionary with that membership test and
@@ -124,7 +125,7 @@ def chebyshev_project(f: np.ndarray, support: list[int], dictionary: Dictionary,
     f = np.asarray(f, dtype=float)
     fnorm = norm(dictionary.space, f)  # rejects a wrong length or a non-finite f
     G = dictionary.atoms[:, list(support)]
-    return _project(f, fnorm, G, dictionary.space, tol, None)
+    return _project(f[None], np.array([fnorm]), G[None], dictionary.space, tol, None)[0]
 
 
 def _coordinate_rows(atoms: np.ndarray) -> np.ndarray | None:
@@ -142,29 +143,39 @@ def _coordinate_rows(atoms: np.ndarray) -> np.ndarray | None:
 
 
 def _project(f, fnorm, G, space, tol, warm):
-    """``chebyshev_project`` of a checked f of norm fnorm onto the columns of G.
+    """``chebyshev_project`` of each row of checked f, of norm fnorm, onto
+    the columns of its own G.
 
-    G holds the support's atoms, gathered by the caller; ``_greedy_pass``
-    and ``best_mterm_bruteforce`` reuse the same columns for the residual.
-    ``warm``, when given, is the Newton start in unscaled coefficients.
+    G (rows x N x n) holds each row's support atoms, gathered by the
+    caller; ``_greedy_pass`` and ``best_mterm_bruteforce`` reuse the same
+    columns for the residual.  ``warm``, when given, holds the Newton
+    starts in unscaled coefficients, one row each.  Coordinate supports
+    take the closed form and q = 2 least squares, row by row; every
+    other row of nonzero f goes into one ``minimize_power_residual`` call.
     """
-    n = G.shape[1]
-    if n == 0:
-        return np.zeros(0)
-    rows = _coordinate_rows(G)
-    if rows is not None:
-        return f[rows] / G[rows, np.arange(n)]
+    k, _, n = G.shape
+    c = np.zeros((k, n))
+    general = np.ones(k, dtype=bool)
+    # a coordinate support has one nonzero per atom
+    for i in np.flatnonzero(np.count_nonzero(G, axis=(1, 2)) == n):
+        rows = _coordinate_rows(G[i])
+        if rows is not None:
+            c[i] = f[i, rows] / G[i, rows, np.arange(n)]
+            general[i] = False
     w = space.weight_vector()
     if space.q == 2.0:
         sw = np.sqrt(w)
-        c, *_ = np.linalg.lstsq(sw[:, None] * G, sw * f, rcond=None)
+        for i in np.flatnonzero(general):
+            c[i], *_ = np.linalg.lstsq(sw[:, None] * G[i], sw * f[i], rcond=None)
         return c
-    if fnorm == 0.0:
-        return np.zeros(n)
-    x0 = None if warm is None else warm / fnorm
-    res = minimize_power_residual(G, f / fnorm, w, space.q, x0=x0,
-                                  decrement_tol=tol)
-    return res.x * fnorm
+    solve = np.flatnonzero(general & (fnorm > 0.0))
+    if solve.size:
+        scale = fnorm[solve, None]
+        x0 = None if warm is None else warm[solve] / scale
+        x, _ = minimize_power_residual(G[solve], f[solve] / scale, w, space.q, x0=x0,
+                                       decrement_tol=tol)
+        c[solve] = x * scale
+    return c
 
 
 def best_mterm_bruteforce(f: np.ndarray, dictionary: Dictionary,
@@ -187,7 +198,8 @@ def best_mterm_bruteforce(f: np.ndarray, dictionary: Dictionary,
     for combo in itertools.combinations(range(n), m):
         support = list(combo)
         G = dictionary.atoms[:, support]
-        coeffs = _project(f, fnorm, G, dictionary.space, _PROJECT_TOL, None)
+        coeffs = _project(f[None], np.array([fnorm]), G[None], dictionary.space,
+                          _PROJECT_TOL, None)[0]
         r = norm(dictionary.space, f - G @ coeffs)
         if best is None or r < best[2]:
             best = (support, coeffs, r)
@@ -286,8 +298,11 @@ def _greedy_pass(f: np.ndarray, fnorm: np.ndarray, dictionary: Dictionary, m: in
     ``pairings``, and its coefficient f_i / g_j(i) never changes once it
     is picked, so a step is a few stacked array operations.  On other
     atoms each live run that still sees its residual takes its pairings
-    through ``pairings``, a vector-matrix product, and projects on its
-    own, warm-started from its last coefficients plus a 0.
+    through ``pairings``, a vector-matrix product.  The step then gathers
+    the support atoms of every such run into one stack and projects them
+    all through ``_project``, so at q != 2 the pass makes at most one
+    solver call per step, each run warm-started from its last
+    coefficients plus a 0.
     """
     space, n = dictionary.space, dictionary.size
     w = space.weight_vector()
@@ -322,12 +337,13 @@ def _greedy_pass(f: np.ndarray, fnorm: np.ndarray, dictionary: Dictionary, m: in
         if not seen.all():
             live, j, last, r = live[seen], j[seen], last[seen], r[seen]
         if rows is None:
-            c = np.empty((live.size, s + 1))
-            for k, run in enumerate(live):
-                G = dictionary.atoms[:, np.append(support[run, :s], j[k])]
-                c[k] = _project(f[run], fnorm[run], G, space, project_tol,
-                                np.append(coef[run, :s], 0.0))
-                r[k] = f[run] - G @ c[k]
+            # each live run's support atoms, a runs x N x (s + 1) stack laid
+            # out as atoms[:, support] lays out one run's
+            picks = np.append(support[live, :s], j[:, None], axis=1)
+            G = dictionary.atoms.T[picks].swapaxes(1, 2)
+            c = _project(f[live], fnorm[live], G, space, project_tol,
+                         np.append(coef[live, :s], np.zeros((live.size, 1)), axis=1))
+            r = f[live] - (G @ c[:, :, None])[:, :, 0]
         else:
             i = rows[j]
             c = f[live, i] / g[j]
@@ -376,9 +392,8 @@ def sample_octahedron(dictionary: Dictionary, count: int, seed: int) -> list[dic
 
 @dataclass
 class SigmaProfile:
-    """max-over-samples greedy residuals per m."""
+    """max-over-samples greedy residuals, one per level of the m_list asked for."""
 
-    m_list: list[int]
     values: np.ndarray
 
 
@@ -415,4 +430,4 @@ def sigma_profile(samples: list[np.ndarray] | np.ndarray, dictionary: Dictionary
     history = run.history
     # only a run's last entry can be an exact recovery; it reads 0 from its step on
     history[history <= _STOP_TOL] = 0.0
-    return SigmaProfile(m_list=m_list, values=history[:, m_list].max(axis=0))
+    return SigmaProfile(values=history[:, m_list].max(axis=0))

@@ -173,8 +173,8 @@ def _direct_point_solve(sub, x, p, tol):
 
     f* = B(c0 + Z y*) minimizes ||f||_p over subspace elements with
     f(x) = 1, with Z a basis of the null space of B[x], so the point
-    value is 1 / ||f*||_p; the p-th power is minimized over y by the
-    serial residual form.  f* is None when every subspace element
+    value is 1 / ||f*||_p; the p-th power is minimized over y by a
+    one-row residual solve.  f* is None when every subspace element
     vanishes at x.
     """
     a = sub.basis[x]
@@ -187,9 +187,9 @@ def _direct_point_solve(sub, x, p, tol):
     if Z.shape[1] == 0:  # one-dimensional subspace
         f = B @ c0
         return 1.0 / sub.measure.norm(f, p), f
-    res = optim.minimize_power_residual(B @ Z, -(B @ c0), sub.measure.weights, p,
-                                        decrement_tol=tol)
-    return float(res.value ** (-1.0 / p)), B @ (c0 + Z @ res.x)
+    y, value = optim.minimize_power_residual((B @ Z)[None], -(B @ c0)[None],
+                                             sub.measure.weights, p, decrement_tol=tol)
+    return float(value[0] ** (-1.0 / p)), B @ (c0 + Z @ y[0])
 
 
 def _complement_route(sub, x, p, tol):
@@ -197,8 +197,8 @@ def _complement_route(sub, x, p, tol):
 
     The complement of the subspace gets an orthonormal basis Kw in the
     half-weighted frame, and the p'-th power of g = D(x, .) - Kw y is
-    minimized over its N - d coefficients y by the serial residual
-    form.  Returns the norm and the minimizer g.
+    minimized over its N - d coefficients y by a one-row residual
+    solve.  Returns the norm and the minimizer g.
     """
     mu = sub.measure.weights
     Dx = sub._kernel[x]
@@ -207,8 +207,8 @@ def _complement_route(sub, x, p, tol):
     Kw = null_space((root[:, None] * sub.basis).T) / root[:, None]
     if Kw.shape[1] == 0:
         return sub.measure.norm(Dx, pp), Dx
-    res = optim.minimize_power_residual(Kw, Dx, mu, pp, decrement_tol=tol)
-    return res.value ** (1.0 / pp), Dx - Kw @ res.x
+    y, value = optim.minimize_power_residual(Kw[None], Dx[None], mu, pp, decrement_tol=tol)
+    return value[0] ** (1.0 / pp), Dx - Kw @ y[0]
 
 
 def _weighted(size, seed):
@@ -237,8 +237,8 @@ def _close_rows(rows, reference, rel):
 @example(sub=random_subspace(6, 6, seed=5, measure=_weighted(6, 5)), p=2.5)
 @given(sub=_subspaces(), p=st.sampled_from([2.5, 3.0, 4.0]))
 def test_batched_solves_match_the_per_point_references(sub, p):
-    # both stacked routes against serial solves of the same problems, one
-    # point at a time: the drawn subspaces, lines (d = 1) and full spaces
+    # both stacked routes against one-row residual solves of the same
+    # problems, one point at a time: the drawn subspaces, lines (d = 1) and full spaces
     points = range(sub.support_size)
     values, coefs = _direct_solves(sub, p, 1e-15)
     direct = [_direct_point_solve(sub, x, p, 1e-15) for x in points]

@@ -123,9 +123,10 @@ def _reference_wcga(f, d, m, stop_flat=True):
     norming functional taken from scratch, and the support gathered twice.
 
     A support of coordinate atoms in distinct rows reproduces f there, at
-    every q.  With ``stop_flat`` it drops a flat step and stops, as
-    ``wcga`` does; without, it runs on through flat steps, as ``wcga``
-    used to.
+    every q.  A q != 2 projection is the solver's one-row stack, as a
+    one-row pass of the stacked loop poses it.  With ``stop_flat`` it
+    drops a flat step and stops, as ``wcga`` does; without, it runs on
+    through flat steps, as ``wcga`` used to.
     """
     space = d.space
     w = space.weight_vector()
@@ -153,10 +154,10 @@ def _reference_wcga(f, d, m, stop_flat=True):
             sw = np.sqrt(w)
             coeffs, *_ = np.linalg.lstsq(sw[:, None] * G, sw * f, rcond=None)
         else:
-            res = optim.minimize_power_residual(
-                G, f / fnorm, w, space.q, x0=np.append(coeffs, 0.0) / fnorm,
-                decrement_tol=greedy._PROJECT_TOL)
-            coeffs = res.x * fnorm
+            x, _ = optim.minimize_power_residual(
+                G[None], (f / fnorm)[None], w, space.q,
+                x0=(np.append(coeffs, 0.0) / fnorm)[None], decrement_tol=greedy._PROJECT_TOL)
+            coeffs = x[0] * fnorm
         step_residual = f - d.atoms[:, support] @ coeffs
         step_norm = norm(space, step_residual)
         if stop_flat and step_norm >= history[-1] * (1.0 - 1e-9):
@@ -500,14 +501,15 @@ def test_octahedron_membership():
 def test_sigma_profile_tracks_the_worst_sample():
     d = canonical_dictionary(16, 2.0)
     samples = [s["vector"] for s in sample_octahedron(d, 12, seed=26)]
-    prof = sigma_profile(samples, d, [1, 2, 4, 8])
-    assert prof.m_list == [1, 2, 4, 8]
+    m_list = [1, 2, 4, 8]
+    prof = sigma_profile(samples, d, m_list)
+    assert len(prof.values) == len(m_list)
     # each sample's residual after m steps, or after its last step if it stopped early
-    table = [[hist[min(m, len(hist) - 1)] for m in prof.m_list]
+    table = [[hist[min(m, len(hist) - 1)] for m in m_list]
              for hist in (wcga(f, d, 8).history for f in samples)]
     assert list(prof.values) == list(np.max(table, axis=0))
     assert all(a >= b - 1e-12 for a, b in zip(prof.values, prof.values[1:]))
-    assert fit_envelope((prof.m_list, prof.values), model=FitModel.POWER_M).exponent < 0.0
+    assert fit_envelope((m_list, prof.values), model=FitModel.POWER_M).exponent < 0.0
 
 
 def test_sigma_profile_reads_an_exact_recovery_as_zero():
@@ -766,13 +768,15 @@ def test_every_run_of_a_dense_stack_equals_the_reference_bit_for_bit(kind, weigh
 @pytest.mark.parametrize("weighted", [False, True])
 @pytest.mark.parametrize("kind", ["mixed", "spanned"])
 def test_the_stacked_loop_solves_as_often_as_the_runs_alone(monkeypatch, kind, weighted, q):
+    # the stacked loop passes the solver a stack per step, the reference
+    # one row per call: the rows passed sum to the solves of the runs alone
     d, samples = _dense_stack(kind, weighted, q)
     counts = {"stacked": 0, "reference": 0}
 
     def counted(key, solve):
-        def call(*args, **kwargs):
-            counts[key] += 1
-            return solve(*args, **kwargs)
+        def call(A, *args, **kwargs):
+            counts[key] += len(A)
+            return solve(A, *args, **kwargs)
         return call
 
     monkeypatch.setattr(greedy, "minimize_power_residual",
@@ -783,6 +787,31 @@ def test_the_stacked_loop_solves_as_often_as_the_runs_alone(monkeypatch, kind, w
     for f in samples:
         _reference_wcga(f, d, d.size)
     assert counts["stacked"] == counts["reference"] > 0
+
+
+@pytest.mark.parametrize("q", [4.0 / 3.0, 3.0])
+def test_the_dense_pass_makes_at_most_one_solver_call_per_step(monkeypatch, q):
+    # every live run of a step goes into one call, and each row passed is
+    # a solve that the run alone makes too
+    d = _random_unit_dictionary(16, 24, q, seed=9)
+    samples = np.random.default_rng(41).standard_normal((40, 16))
+    rows = []
+    solve = greedy.minimize_power_residual
+
+    def counted(A, *args, **kwargs):
+        rows.append(len(A))
+        return solve(A, *args, **kwargs)
+
+    monkeypatch.setattr(greedy, "minimize_power_residual", counted)
+    m = 6
+    assert (_stacked(samples, d, m)[0].steps == m).all()
+    assert len(rows) <= m
+    stacked = sum(rows)
+    rows.clear()
+    for f in samples:
+        _stacked(f[None], d, m)
+    assert rows and max(rows) == 1
+    assert stacked == len(rows) == 40 * m
 
 
 # ---------------------------------------------------------------------------
@@ -799,11 +828,30 @@ def test_non_convergence_reports_the_newton_iterations_taken(monkeypatch):
     monkeypatch.setattr(optim, "cho_factor",
                         lambda H: factored.append(1) or cho_factor(H))
     with pytest.raises(NonConvergenceError) as exc:
-        optim.minimize_power_residual(A, b, np.full(12, 1.0 / 12), 3.0,
+        optim.minimize_power_residual(A[None], b[None], np.full(12, 1.0 / 12), 3.0,
                                       decrement_tol=1e-2)
     assert exc.value.iterations == len(factored)
     assert exc.value.iterations < 8 * 80  # stages * stage_iter
     assert f"after {len(factored)} iterations" in str(exc.value)
+
+
+def _record_levels(monkeypatch) -> list[float]:
+    """The smoothing level e2 of each Newton iteration of one-row solves, as
+    the stage loop's model receives it, in order."""
+    levels = []
+    model = optim._smoothed_model
+
+    def recorded(r, w, e, e2):
+        levels.append(float(np.ravel(e2)[0]))
+        return model(r, w, e, e2)
+
+    monkeypatch.setattr(optim, "_smoothed_model", recorded)
+    return levels
+
+
+def _stages(levels: list[float]) -> int:
+    """The stages one solve walked: each iteration at a new level starts one."""
+    return sum(i == 0 or e2 != levels[i - 1] for i, e2 in enumerate(levels))
 
 
 @pytest.mark.parametrize("eps_rel, stages", [(1e-8, 8), (1e-6, 6), (1e-3, 3)])
@@ -811,12 +859,13 @@ def test_each_smoothing_stage_runs_once(monkeypatch, eps_rel, stages):
     # eps walks 0.1, 0.01, ... down to eps_rel; the product that lands just
     # above eps_rel (1.0000000000000004e-08 for the default) is not a stage
     monkeypatch.setattr(optim, "_EPS_REL", eps_rel)
+    levels = _record_levels(monkeypatch)
     rng = np.random.default_rng(1)
     A = rng.standard_normal((12, 3))
     b = rng.standard_normal(12)
-    res = optim.minimize_power_residual(A, b, np.full(12, 1.0 / 12), 1.5,
-                                        decrement_tol=1e-12)
-    assert res.stages == stages
+    optim.minimize_power_residual(A[None], b[None], np.full(12, 1.0 / 12), 1.5,
+                                  decrement_tol=1e-12)
+    assert _stages(levels) == stages
 
 
 def test_non_finite_objective_raises_instead_of_reaching_the_factorization():
@@ -824,10 +873,10 @@ def test_non_finite_objective_raises_instead_of_reaching_the_factorization():
     rng = np.random.default_rng(0)
     A = rng.standard_normal((8, 2))
     b = 4.0 * rng.standard_normal(8)
-    for solve, start in ((optim.minimize_power_residual, b),
-                         (optim.minimize_power_constrained, b[None, :])):
+    for solve, matrix in ((optim.minimize_power_residual, A[None]),
+                          (optim.minimize_power_constrained, A)):
         with pytest.raises(NonConvergenceError) as exc:
-            solve(A, start, np.full(8, 1.0 / 8), 1e9, decrement_tol=1e-12)
+            solve(matrix, b[None, :], np.full(8, 1.0 / 8), 1e9, decrement_tol=1e-12)
         assert exc.value.iterations == 1
         assert "residual measure inf" in str(exc.value)
         assert "the objective overflowed" in str(exc.value)
@@ -838,10 +887,10 @@ def test_overflowing_hessian_raises_instead_of_passing_as_converged():
     # so does the Schur system A^T diag(1/h) A of the constrained form
     A = np.array([[1e200, 0.0], [0.0, 1e200], [1e200, 1e200]])
     b = np.array([1.0, -1.0, 0.5])
-    for solve, start in ((optim.minimize_power_residual, b),
-                         (optim.minimize_power_constrained, b[None, :])):
+    for solve, matrix in ((optim.minimize_power_residual, A[None]),
+                          (optim.minimize_power_constrained, A)):
         with pytest.raises(NonConvergenceError) as exc:
-            solve(A, start, np.ones(3), 3.0, decrement_tol=1e-12)
+            solve(matrix, b[None, :], np.ones(3), 3.0, decrement_tol=1e-12)
         assert exc.value.iterations == 1
         assert "the Newton system overflowed" in str(exc.value)
 
@@ -891,25 +940,29 @@ def test_warm_start_whose_residual_overflows_raises_without_a_warning(q):
     # stops before any step; at q = 1.5 the objective itself once warned
     A = np.array([[1e160], [1.0]])
     with pytest.raises(NonConvergenceError, match="the objective overflowed"):
-        optim.minimize_power_residual(A, np.ones(2), np.ones(2), q, x0=np.ones(1),
-                                      decrement_tol=1e-12)
+        optim.minimize_power_residual(A[None], np.ones((1, 2)), np.ones(2), q,
+                                      x0=np.ones((1, 1)), decrement_tol=1e-12)
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 24, 60, 154])
-def test_newton_kernel_matches_scipy_bit_for_bit(n):
-    # the kernel's LAPACK calls must reproduce scipy's wrappers exactly,
-    # so that replacing one by the other keeps every report's bytes
+def test_newton_kernel_solves_each_system_as_a_stack_of_one(n):
+    # every system of a stack is factored and solved as it is alone, so a
+    # row's steps do not depend on the rows beside it; the answers are
+    # scipy's to round-off
     rng = np.random.default_rng(n)
-    for _ in range(5):
-        A = rng.standard_normal((n + 7, n))
-        h = rng.uniform(0.1, 3.0, n + 7)
-        H = (A * h[:, None]).T @ A
-        g = rng.standard_normal(n)
-        c = optim.cho_factor(H)
-        assert np.array_equal(c, scipy.linalg.cho_factor(H)[0])
-        d, info = optim._potrs(c, -g, lower=0)
-        assert info == 0
-        assert np.array_equal(d, scipy.linalg.cho_solve((c, False), -g))
+    A = rng.standard_normal((5, n + 7, n))
+    h = rng.uniform(0.1, 3.0, (5, n + 7))
+    H = (A * h[:, :, None]).swapaxes(1, 2) @ A
+    g = rng.standard_normal((5, n))
+    U = optim.cho_factor(H)
+    d = optim._stack_solve(H, g)
+    for k in range(5):
+        assert np.array_equal(U[k], optim.cho_factor(H[k:k + 1])[0])
+        assert np.array_equal(d[k], optim._stack_solve(H[k:k + 1], g[k:k + 1])[0])
+        assert np.array_equal(d[k], optim._spd_solve(H[k], g[k]))
+        upper = np.triu(scipy.linalg.cho_factor(H[k])[0])
+        assert U[k] == pytest.approx(upper, rel=1e-10, abs=1e-10)
+        assert np.allclose(H[k] @ d[k], g[k], rtol=1e-8, atol=1e-8 * np.abs(g[k]).max())
 
 
 def test_singular_hessian_falls_back_to_the_ridge_solve(monkeypatch):
@@ -930,12 +983,13 @@ def test_singular_hessian_falls_back_to_the_ridge_solve(monkeypatch):
             raise
 
     monkeypatch.setattr(optim, "cho_factor", counted)
-    res = optim.minimize_power_residual(A, b, w, 1.5, decrement_tol=1e-12)
+    x, value = optim.minimize_power_residual(A[None], b[None], w, 1.5, decrement_tol=1e-12)
     assert failures
-    assert np.all(np.isfinite(res.x))
+    assert np.all(np.isfinite(x))
     # the duplicate column adds nothing: the minimum is that of the reduced problem
-    reduced = optim.minimize_power_residual(A[:, 1:], b, w, 1.5, decrement_tol=1e-12)
-    assert res.value == pytest.approx(reduced.value, rel=1e-8)
+    _, reduced = optim.minimize_power_residual(A[None, :, 1:], b[None], w, 1.5,
+                                               decrement_tol=1e-12)
+    assert value[0] == pytest.approx(reduced[0], rel=1e-8)
     # the same columns as constraints make the Schur system singular; the
     # ridge keeps each step feasible to about 1e-12 relative
     failures.clear()
@@ -949,8 +1003,8 @@ def test_singular_hessian_falls_back_to_the_ridge_solve(monkeypatch):
 
 def test_a_singular_system_in_a_stack_gets_the_ridge_alone():
     # the stacked factorization fails as a whole, and each system then goes
-    # to the serial solve: the regular ones exactly as alone, the singular
-    # one with the ridge
+    # to the one-system solve: the regular ones exactly as in the stack,
+    # the singular one with the ridge
     rng = np.random.default_rng(6)
     A = rng.standard_normal((9, 3))
     regular = A.T @ A
@@ -960,6 +1014,7 @@ def test_a_singular_system_in_a_stack_gets_the_ridge_alone():
     z = optim._stack_solve(H, rhs)
     for k in (0, 2):
         assert np.array_equal(z[k], optim._spd_solve(regular, rhs[k]))
+        assert np.array_equal(z[k], optim._stack_solve(regular[None], rhs[k:k + 1])[0])
     assert np.array_equal(z[1], optim._spd_solve(singular, rhs[1]))
     assert np.all(np.isfinite(z))
 
@@ -1018,17 +1073,19 @@ def test_two_coordinate_atoms_on_one_row_take_the_general_path(q):
 
 
 @pytest.mark.parametrize("second", [[2.0, 2.0], [1.0, 1.0 + 2.0 ** -52]])
-def test_singular_square_block_falls_back_to_newton(second):
+def test_singular_square_block_falls_back_to_newton(monkeypatch, second):
     # two columns on two rows: with atoms e1 + e2 and 2 (e1 + e2) the block
     # is singular, and with the second atom one ulp off e1 + e2 it is
     # singular to working precision.  The stage loop treats both as one
     # direction, and the residual is minimized at (A x)_1 = (A x)_2 = 1/2
     A = np.array([[1.0, second[0]], [1.0, second[1]], [0.0, 0.0]])
     b = np.array([1.0, 0.0, 3.0])
-    res = optim.minimize_power_residual(A, b, np.ones(3), 1.5, decrement_tol=1e-12)
-    assert res.stages == 8
-    assert A[0] @ res.x == pytest.approx(0.5, abs=1e-6)
-    assert res.value == pytest.approx(2 * 0.5 ** 1.5 + 3.0 ** 1.5, rel=1e-9)
+    levels = _record_levels(monkeypatch)
+    x, value = optim.minimize_power_residual(A[None], b[None], np.ones(3), 1.5,
+                                             decrement_tol=1e-12)
+    assert _stages(levels) == 8
+    assert A[0] @ x[0] == pytest.approx(0.5, abs=1e-6)
+    assert value[0] == pytest.approx(2 * 0.5 ** 1.5 + 3.0 ** 1.5, rel=1e-9)
 
 
 def test_greedy_on_coordinate_atoms_factors_no_newton_system(monkeypatch):
@@ -1052,7 +1109,19 @@ def test_greedy_on_coordinate_atoms_factors_no_newton_system(monkeypatch):
 # warm starts
 
 def _tight(A, b, w, q):
-    return optim.minimize_power_residual(A, b, w, q, decrement_tol=1e-14)
+    """The minimizer and value of a cold one-row solve to 1e-14."""
+    x, value = optim.minimize_power_residual(A[None], b[None], w, q, decrement_tol=1e-14)
+    return x[0], value[0]
+
+
+def _decrement(A, b, w, q, x):
+    """The Newton decrement at x of the final smoothing stage, in the
+    solver's units, b / max |b|."""
+    scale = np.abs(b).max()
+    e2 = optim._eps_levels()[-1] ** 2
+    _, grad, h = optim._smoothed_model(b / scale - A @ (x / scale), w, q, e2)
+    g = A.T @ grad
+    return float(g @ np.linalg.solve((A * h[:, None]).T @ A, g))
 
 
 def _warm_case(rows, count, coordinate, weighted, q, seed):
@@ -1087,10 +1156,11 @@ def test_warm_solves_stay_within_their_target_of_a_tight_solve(rows, count, coor
     assume(count < rows and coordinate < count)
     A, b, w = _warm_case(rows, count, coordinate, weighted, q, seed)
     tol = 1e-8
-    x0 = np.append(_tight(A[:, :-1], b, w, q).x, 0.0)
-    res = optim.minimize_power_residual(A, b, w, q, x0=x0, decrement_tol=tol)
-    reference = _tight(A, b, w, q).value
-    assert res.value <= reference + tol * (1.0 + reference)
+    x0 = np.append(_tight(A[:, :-1], b, w, q)[0], 0.0)
+    _, value = optim.minimize_power_residual(A[None], b[None], w, q, x0=x0[None],
+                                             decrement_tol=tol)
+    reference = _tight(A, b, w, q)[1]
+    assert value[0] <= reference + tol * (1.0 + reference)
 
 
 def test_small_dense_warm_solves_fall_back_and_meet_their_target(monkeypatch):
@@ -1101,38 +1171,45 @@ def test_small_dense_warm_solves_fall_back_and_meet_their_target(monkeypatch):
     w = d.space.weight_vector()
     solves = []
     solve = greedy.minimize_power_residual
+    levels = _record_levels(monkeypatch)
 
     def recorded(A, b, weights, exponent, **kwargs):
-        res = solve(A, b, weights, exponent, **kwargs)
-        solves.append((A, b, kwargs["decrement_tol"], res))
-        return res
+        levels.clear()
+        x, value = solve(A, b, weights, exponent, **kwargs)
+        # each wcga run is a one-row pass, so each call solves one row
+        solves.append((A[0], b[0], kwargs["decrement_tol"], x[0], value[0],
+                       _stages(levels)))
+        return x, value
 
     monkeypatch.setattr(greedy, "minimize_power_residual", recorded)
     rng = np.random.default_rng(11)
     for _ in range(10):
         wcga(rng.standard_normal(6), d, 5)
-    stages = [res.stages for *_, res in solves]
+    stages = [solve[-1] for solve in solves]
     assert set(stages) == {1, 1 + len(optim._eps_levels())}
-    for A, b, tol, res in solves:
+    for A, b, tol, x, value, _ in solves:
         # the target in the solver's units, b / max |b|, with the true
         # objective, which the smoothed one exceeds by at most 6e-12 here
         scale = np.abs(b).max()
-        assert res.decrement <= tol * (1.0 + res.value / scale ** 1.5) * (1.0 + 1e-9)
-        reference = _tight(A, b, w, 1.5).value
-        assert res.value <= reference + tol * (1.0 + reference)
+        assert _decrement(A, b, w, 1.5, x) <= (tol * (1.0 + value / scale ** 1.5)
+                                               * (1.0 + 1e-9))
+        reference = _tight(A, b, w, 1.5)[1]
+        assert value <= reference + tol * (1.0 + reference)
 
 
-def test_it1_shaped_warm_solve_runs_the_final_stage_alone():
+def test_it1_shaped_warm_solve_runs_the_final_stage_alone(monkeypatch):
     # 160 points of a uniform measure, 12 dense atoms, q = 4/3 as at p = 4
     rng = np.random.default_rng(3)
     A = rng.standard_normal((160, 12))
     b = rng.standard_normal(160)
     w = np.full(160, 1.0 / 160)
-    x0 = np.append(_tight(A[:, :-1], b, w, 4.0 / 3.0).x, 0.0)
-    res = optim.minimize_power_residual(A, b, w, 4.0 / 3.0, x0=x0, decrement_tol=1e-10)
-    assert res.stages == 1
-    reference = _tight(A, b, w, 4.0 / 3.0).value
-    assert res.value <= reference * (1.0 + 1e-10)
+    x0 = np.append(_tight(A[:, :-1], b, w, 4.0 / 3.0)[0], 0.0)
+    levels = _record_levels(monkeypatch)
+    _, value = optim.minimize_power_residual(A[None], b[None], w, 4.0 / 3.0, x0=x0[None],
+                                             decrement_tol=1e-10)
+    assert _stages(levels) == 1
+    reference = _tight(A, b, w, 4.0 / 3.0)[1]
+    assert value[0] <= reference * (1.0 + 1e-10)
 
 
 def test_warm_solve_that_cannot_converge_raises_after_both_runs(monkeypatch):
@@ -1149,12 +1226,13 @@ def test_warm_solve_that_cannot_converge_raises_after_both_runs(monkeypatch):
                         lambda H: factored.append(1) or cho_factor(H))
     monkeypatch.setattr(optim, "_MAX_BACKTRACKS", 0)
     with pytest.raises(NonConvergenceError) as exc:
-        optim.minimize_power_residual(A, b, w, 1.5, x0=np.zeros(3), decrement_tol=1e-12)
+        optim.minimize_power_residual(A[None], b[None], w, 1.5, x0=np.zeros((1, 3)),
+                                      decrement_tol=1e-12)
     assert exc.value.iterations == len(factored) == 1 + len(optim._eps_levels())
     # an overflowing objective raises in the final stage, and again at
     # the first iterate of the fallback
     with pytest.raises(NonConvergenceError) as exc:
-        optim.minimize_power_residual(A, 4.0 * b, w, 1e9, x0=np.zeros(3),
+        optim.minimize_power_residual(A[None], 4.0 * b[None], w, 1e9, x0=np.zeros((1, 3)),
                                       decrement_tol=1e-12)
     assert exc.value.iterations == 2
     assert "the objective overflowed" in str(exc.value)

@@ -297,8 +297,8 @@ def test_exponent_not_2_reports_match_golden_digests(experiment):
 
 
 def test_it1_at_p_4_matches_its_golden_digest():
-    # the p = 3 digest reaches the serial Newton loop through dense greedy at
-    # q = 1.5; this one pins the q = 4/3 greedy and the p = 4 M_p solves too
+    # the p = 3 digest reaches the residual Newton form through dense greedy
+    # at q = 1.5; this one pins the q = 4/3 greedy and the p = 4 M_p solves too
     params = dict(_TINY["it1"], p=4.0)
     _, text = run(ExperimentConfig(experiment="it1", seed=1, format="json", **params))
     digest = hashlib.sha256(text.encode()).hexdigest()

@@ -179,7 +179,8 @@ _REALS = [
     ("NormedSpaceSpec", "q", lambda v: NormedSpaceSpec(dim=2, q=v), 1.0,
      np.float64(1.5)),
     ("minimize_power_residual", "exponent",
-     lambda v: minimize_power_residual(_A, _B, _ONES, v, decrement_tol=1e-10), 1.0,
+     lambda v: minimize_power_residual(_A[None], _B[None], _ONES, v, decrement_tol=1e-10),
+     1.0,
      np.float64(1.5)),
     ("minimize_power_constrained", "exponent",
      lambda v: minimize_power_constrained(_A, _B[None, :], _ONES, v,
